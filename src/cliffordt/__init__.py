@@ -2,9 +2,9 @@
 
 Synthesis of garbage-free quantum arithmetic circuits over the Clifford+T
 gate set, fault-tolerance resource metrics (T-count, T-depth, qubit cost),
-Bennett-style uncomputation, and exhaustive statevector verification
-against classical oracles, plus a small simulated device-benchmarking
-suite (tomography, randomized benchmarking).
+Bennett-style uncomputation, and exhaustive verification against
+classical oracles, plus a small simulated device-benchmarking suite
+(tomography, randomized benchmarking).
 """
 
 from .arith import (ArithInstance, build_adder, build_ctrl_add,
@@ -12,8 +12,8 @@ from .arith import (ArithInstance, build_adder, build_ctrl_add,
 from .circuit import (Circuit, Register, RegisterLayout, ResourceReport,
                       compose, default_layout, inverse_circuit,
                       is_permutation_circuit, lower_to_clifford_t, parse,
-                      permutation_output, resources, schedule_layers,
-                      serialize, simulate)
+                      permutation_mismatches, permutation_output, resources,
+                      schedule_layers, serialize, simulate)
 from .errors import (CliffordTError, DomainError, FitError, ParseError,
                      ResourceError)
 from .gates import (Gate, ccx, cnot, cswap, decompose_fredkin,

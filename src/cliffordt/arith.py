@@ -11,6 +11,7 @@ seen in circuit diagrams is purely a drawing order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Iterator, Mapping
 
 from .circuit import Circuit, Register, RegisterLayout
@@ -56,18 +57,14 @@ class ArithInstance:
         }
 
     def input_space(self) -> Iterator[dict[str, int]]:
-        """Every assignment of the free inputs (ancillae 0, constants pinned)."""
-        regs = [self.circuit.layout.register(n) for n in self.input_names]
+        """Every assignment of the free inputs (ancillae 0, constants pinned).
 
-        def rec(i: int, acc: dict[str, int]) -> Iterator[dict[str, int]]:
-            if i == len(regs):
-                yield dict(acc)
-                return
-            for v in range(1 << regs[i].size):
-                acc[regs[i].name] = v
-                yield from rec(i + 1, acc)
-
-        yield from rec(0, {})
+        Assignments come in odometer order: the last input register varies
+        fastest.
+        """
+        sizes = [self.circuit.layout.register(n).size for n in self.input_names]
+        for values in product(*(range(1 << size) for size in sizes)):
+            yield dict(zip(self.input_names, values))
 
 
 def _add_core(b: list[int], a: list[int], z: int | None) -> list[Gate]:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Sequence
 
 from . import gates as G
 from .errors import DomainError, ParseError, ResourceError
@@ -342,36 +344,89 @@ def is_permutation_circuit(c: Circuit) -> bool:
     return all(g.kind in G.PERMUTATION_KINDS for g in c.ops)
 
 
+def _to_columns(indices: Sequence[int], n_qubits: int) -> list[int]:
+    """Bit-slice basis indices: bit r of column q is bit q of ``indices[r]``.
+
+    Each index is written as an ``n_qubits``-digit binary string, last row
+    first, so column q is every ``n_qubits``-th digit read as one integer.
+    """
+    if min(indices) < 0 or max(indices) >> n_qubits:
+        raise DomainError(f"basis index out of range for {n_qubits} qubits")
+    text = "".join(map(format, reversed(indices), repeat(f"0{n_qubits}b")))
+    return [int(text[n_qubits - 1 - q::n_qubits], 2) for q in range(n_qubits)]
+
+
+def _from_columns(cols: list[int], n_rows: int, rows: Sequence[int]) -> list[int]:
+    """The basis indices of the given rows, read back out of bit columns."""
+    text = "".join(map(format, reversed(cols), repeat(f"0{n_rows}b")))
+    return [int(text[n_rows - 1 - r::n_rows], 2) for r in rows]
+
+
+def _run_columns(ops: Sequence[Gate], cols: list[int], ones: int) -> None:
+    """Apply permutation gates to bit-sliced columns in place.
+
+    Column q holds qubit q for every row of the batch, so each gate acts on
+    all rows at once: X complements its column (``ones`` has a bit per
+    row), CNOT and Toffoli XOR the AND of their controls into the target,
+    and SWAP and Fredkin exchange the two columns where (controlled) they
+    differ.
+    """
+    for g in ops:
+        k = g.kind
+        q = g.qubits
+        if k == "ccx":
+            cols[q[2]] ^= cols[q[0]] & cols[q[1]]
+        elif k == "cnot":
+            cols[q[1]] ^= cols[q[0]]
+        elif k == "x":
+            cols[q[0]] ^= ones
+        elif k == "swap":
+            cols[q[0]], cols[q[1]] = cols[q[1]], cols[q[0]]
+        elif k == "cswap":
+            d = cols[q[0]] & (cols[q[1]] ^ cols[q[2]])
+            cols[q[1]] ^= d
+            cols[q[2]] ^= d
+        else:
+            raise DomainError(f"{k} is not a basis permutation gate")
+
+
+def permutation_mismatches(c: Circuit, inputs: Sequence[int],
+                           expected: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Run a permutation circuit on a batch of basis inputs in one pass.
+
+    The batch is bit-sliced (Biham, FSE 1997): each qubit becomes one
+    Python int with a bit per input, so a gate costs a few big-int
+    operations for the whole batch, at any circuit width.  Returns an
+    (input, expected, observed) triple for every row whose output is not
+    its expected index, in row order; observed indices are rebuilt for
+    those rows only.
+    """
+    if len(inputs) != len(expected):
+        raise DomainError("inputs and expected outputs differ in length")
+    if not inputs:
+        return []
+    n_rows = len(inputs)
+    cols = _to_columns(inputs, c.n_qubits)
+    _run_columns(c.ops, cols, (1 << n_rows) - 1)
+    diff = 0
+    for got, want in zip(cols, _to_columns(expected, c.n_qubits)):
+        diff |= got ^ want
+    if not diff:
+        return []
+    flags = format(diff, f"0{n_rows}b")[::-1]
+    rows = [r for r, bit in enumerate(flags) if bit == "1"]
+    observed = _from_columns(cols, n_rows, rows)
+    return [(inputs[r], expected[r], o) for r, o in zip(rows, observed)]
+
+
 def permutation_output(c: Circuit, input_basis: int) -> int:
     """Exact basis output of a permutation circuit, at any width.
 
-    This is statevector simulation specialized to the one-hot case: the
-    amplitude stays pinned at 1 on a single basis state, so only the index
-    needs tracking.  Agrees with ``simulate`` wherever both apply.
+    The bit-sliced evaluator on a batch of one: the amplitude of a
+    permutation circuit stays pinned at 1 on a single basis state, so only
+    the index needs tracking.  Agrees with ``simulate`` wherever both
+    apply.
     """
-    if not 0 <= input_basis < (1 << c.n_qubits):
-        raise DomainError(f"basis index {input_basis} out of range")
-    j = input_basis
-    for g in c.ops:
-        k = g.kind
-        q = g.qubits
-        if k == "x":
-            j ^= 1 << q[0]
-        elif k == "cnot":
-            if (j >> q[0]) & 1:
-                j ^= 1 << q[1]
-        elif k == "ccx":
-            if (j >> q[0]) & 1 and (j >> q[1]) & 1:
-                j ^= 1 << q[2]
-        elif k == "swap":
-            a, b = (j >> q[0]) & 1, (j >> q[1]) & 1
-            if a != b:
-                j ^= (1 << q[0]) | (1 << q[1])
-        elif k == "cswap":
-            if (j >> q[0]) & 1:
-                a, b = (j >> q[1]) & 1, (j >> q[2]) & 1
-                if a != b:
-                    j ^= (1 << q[1]) | (1 << q[2])
-        else:
-            raise DomainError(f"{k} is not a basis permutation gate")
-    return j
+    cols = _to_columns((input_basis,), c.n_qubits)
+    _run_columns(c.ops, cols, 1)
+    return _from_columns(cols, 1, (0,))[0]

@@ -14,18 +14,17 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .arith import ArithInstance, BUILDERS
-from .circuit import parse, permutation_output, resources, serialize, simulate
-from .errors import CliffordTError
+from .circuit import (is_permutation_circuit, parse, permutation_output,
+                      resources, serialize, simulate)
+from .errors import CliffordTError, DomainError
 from .state import probabilities, sample
 from .uncompute import BennettSpec, bennett_wrap
 from .verify import ORACLES, NoiseModel, exhaustive_check, run_rb
 
 _TAYLOR_FLAGS = ("f", "fp", "fpp", "c")
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("CLIFFORDT_SEED", "0"))
 
 
 def _build(args) -> ArithInstance:
@@ -66,27 +65,30 @@ def _cmd_sim(args) -> int:
     if not 0 <= args.input < (1 << circ.n_qubits):
         raise CliffordTError(
             f"input {args.input} out of range for {circ.n_qubits} qubits")
+    permutation = is_permutation_circuit(circ)
     if args.shots is not None:
-        counts = sample(simulate(circ, args.input), args.shots, args.seed)
-        ordered = dict(sorted(counts.counts.items()))
+        if permutation:
+            # a basis permutation lands every shot on one outcome
+            if args.shots < 1:
+                raise DomainError("shots must be at least 1")
+            ordered = {permutation_output(circ, args.input): args.shots}
+        else:
+            counts = sample(simulate(circ, args.input), args.shots, args.seed)
+            ordered = dict(sorted(counts.counts.items()))
         text = "".join(f"{k}: {v}\n" for k, v in ordered.items())
-        _emit(args, {"shots": counts.shots,
+        _emit(args, {"shots": args.shots,
                      "counts": {str(k): v for k, v in ordered.items()}}, text)
         return 0
-    try:
+    if permutation:
         out_index = permutation_output(circ, args.input)
-    except CliffordTError:
-        out_index = None
-    if out_index is not None:
         decoded = {r.name: (out_index >> r.start) & ((1 << r.size) - 1)
                    for r in circ.layout.registers}
         text = "".join(f"{name}: {value}\n" for name, value in decoded.items())
         _emit(args, {"basis_index": out_index, "registers": decoded}, text)
         return 0
-    state = simulate(circ, args.input)
-    probs = probabilities(state)
-    nonzero = {int(i): float(p) for i, p in enumerate(probs) if p > 1e-12}
-    text = "".join(f"{k}: {v:.10f}\n" for k, v in sorted(nonzero.items()))
+    probs = probabilities(simulate(circ, args.input))
+    nonzero = {int(i): float(probs[i]) for i in np.nonzero(probs > 1e-12)[0]}
+    text = "".join(f"{k}: {v:.10f}\n" for k, v in nonzero.items())
     _emit(args, {"probabilities": {str(k): v for k, v in nonzero.items()}}, text)
     return 0
 
@@ -146,7 +148,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--input", type=int, required=True, help="basis index")
     p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed (default: $CLIFFORDT_SEED, else 0)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_sim)
 
@@ -170,7 +173,8 @@ def _make_parser() -> argparse.ArgumentParser:
                    help="comma-separated increasing sequence lengths")
     p.add_argument("--sequences", type=int, default=50)
     p.add_argument("--shots", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed (default: $CLIFFORDT_SEED, else 0)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_rb)
 
@@ -178,7 +182,15 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
+    parser = _make_parser()
+    args = parser.parse_args(argv)
+    env_seed = os.environ.get("CLIFFORDT_SEED", "0")
+    try:
+        default_seed = int(env_seed)
+    except ValueError:
+        parser.error(f"CLIFFORDT_SEED must be an integer, got {env_seed!r}")
+    if hasattr(args, "seed") and args.seed is None:
+        args.seed = default_seed
     try:
         return args.func(args)
     except (CliffordTError, OSError, ValueError) as exc:

@@ -20,12 +20,13 @@ step, without ever forming a density matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .arith import ArithInstance
-from .circuit import (Circuit, is_permutation_circuit, permutation_output,
+from .circuit import (Circuit, is_permutation_circuit, permutation_mismatches,
                       simulate)
 from .errors import DomainError, FitError, ResourceError
 from .gates import Gate, h, matrix, s, sdg
@@ -33,6 +34,12 @@ from .state import (MAX_SIM_QUBITS, apply_gate, bloch_coords, make_rng,
                     new_basis_state, probabilities)
 
 Oracle = Callable[[Mapping[str, int]], dict[str, int]]
+
+#: Basis inputs per bit-sliced batch of ``exhaustive_check``.  A batch's
+#: input and expected indices and its qubit columns (Python ints of this
+#: many bits) are all that is held at once, so peak memory stays bounded
+#: on input spaces of any size.
+CHECK_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -51,23 +58,28 @@ class EquivalenceReport:
     """Outcome of an exhaustive circuit-versus-oracle comparison.
 
     Mismatches are (input, expected, observed) basis-index triples;
-    ``passed`` holds exactly when there are none.
+    ``passed`` holds exactly when there are none.  ``method`` names the
+    evaluator that produced the outputs: ``bitsliced`` for permutation
+    circuits, ``statevector`` for dense simulation.
     """
 
     total_inputs: int
     mismatches: tuple[tuple[int, int, int], ...]
     passed: bool
+    method: str = "bitsliced"
 
     def to_dict(self) -> dict:
         return {
             "total_inputs": self.total_inputs,
             "mismatches": [list(m) for m in self.mismatches],
             "passed": self.passed,
+            "method": self.method,
         }
 
     def to_text(self) -> str:
         lines = [
             f"passed: {str(self.passed).lower()}",
+            f"method: {self.method}",
             f"total_inputs: {self.total_inputs}",
             f"mismatch_count: {len(self.mismatches)}",
         ]
@@ -127,36 +139,40 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
 
     Inputs range over the instance's free registers with ancillae held at
     0 and constants pinned.  Each run must land exactly on the oracle's
-    predicted basis state: within the statevector ceiling the target
-    amplitude has to be within 1e-9 of 1, while wider permutation-only
-    circuits go through the exact classical basis propagation (those runs
-    have target amplitude exactly 1 by construction).
+    predicted basis state.  Permutation circuits (X, CNOT, SWAP, Toffoli,
+    Fredkin) are run bit-sliced, ``CHECK_BATCH`` inputs at a time, at any
+    width.  Other circuits within the statevector ceiling are simulated
+    densely per input, and the target amplitude has to be within 1e-9 of
+    1; wider ones raise ``ResourceError``.
     """
     circ = instance.circuit
-    use_statevector = circ.n_qubits <= MAX_SIM_QUBITS
-    if not use_statevector and not is_permutation_circuit(circ):
+    if is_permutation_circuit(circ):
+        method = "bitsliced"
+    elif circ.n_qubits <= MAX_SIM_QUBITS:
+        method = "statevector"
+    else:
         raise ResourceError(
             f"{circ.n_qubits} qubits exceeds the statevector ceiling and the "
             "circuit is not a basis permutation"
         )
+    cases = ((instance.encode(values),
+              instance.encode(oracle({**values, **instance.constants})))
+             for values in instance.input_space())
     mismatches: list[tuple[int, int, int]] = []
     total = 0
-    for values in instance.input_space():
-        total += 1
-        index_in = instance.encode(values)
-        expected_regs = oracle({**values, **instance.constants})
-        index_exp = instance.encode(expected_regs)
-        if use_statevector:
-            state = simulate(circ, index_in)
-            amp = state.amps[index_exp]
-            if abs(amp - 1.0) > 1e-9:
-                observed = int(np.argmax(np.abs(state.amps)))
+    if method == "bitsliced":
+        while batch := list(islice(cases, CHECK_BATCH)):
+            inputs, expected = zip(*batch)
+            total += len(batch)
+            mismatches += permutation_mismatches(circ, inputs, expected)
+    else:
+        for index_in, index_exp in cases:
+            total += 1
+            amps = simulate(circ, index_in).amps
+            if abs(amps[index_exp] - 1.0) > 1e-9:
+                observed = int(np.argmax(np.abs(amps)))
                 mismatches.append((index_in, index_exp, observed))
-        else:
-            observed = permutation_output(circ, index_in)
-            if observed != index_exp:
-                mismatches.append((index_in, index_exp, observed))
-    return EquivalenceReport(total, tuple(mismatches), not mismatches)
+    return EquivalenceReport(total, tuple(mismatches), not mismatches, method)
 
 
 # Measurement bases for tomography: rotate the axis onto Z, then sample.

@@ -280,6 +280,16 @@ def test_input_space_enumeration_counts():
     assert sum(1 for _ in build_taylor(4, 1, 1, 1, 1).input_space()) == 16
 
 
+def test_input_space_order_is_odometer():
+    # the last input register varies fastest; exhaustive_check reports
+    # mismatches in this order
+    space = list(build_ctrl_add(2).input_space())
+    assert list(space[0].items()) == [("ctrl", 0), ("b", 0), ("a", 0)]
+    assert list(space[1].items()) == [("ctrl", 0), ("b", 0), ("a", 1)]
+    assert list(space[4].items()) == [("ctrl", 0), ("b", 1), ("a", 0)]
+    assert list(space[-1].items()) == [("ctrl", 1), ("b", 3), ("a", 3)]
+
+
 def test_self_inversion_consistency():
     from cliffordt.circuit import compose, inverse_circuit
     for n in (1, 2, 3, 4):

@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffordt.arith import (build_adder, build_ctrl_add, build_multiplier,
                              build_subtractor, build_taylor)
 from cliffordt.circuit import (Circuit, Register, RegisterLayout,
                                compose, default_layout, inverse_circuit,
                                is_permutation_circuit, lower_to_clifford_t,
-                               parse, permutation_output, resources,
+                               parse, permutation_mismatches,
+                               permutation_output, resources,
                                schedule_layers, serialize, simulate)
 from cliffordt.errors import DomainError, ParseError, ResourceError
-from cliffordt.gates import (CLIFFORD_T_KINDS, ccx, cnot, cswap, h, swap, t,
-                             tdg, x)
+from cliffordt.gates import (CLIFFORD_T_KINDS, GATE_ARITY, PERMUTATION_KINDS,
+                             Gate, ccx, cnot, cswap, h, swap, t, tdg, x)
 from cliffordt.state import states_equal_up_to_phase
 
 SQ2 = 1 / np.sqrt(2)
@@ -365,3 +368,48 @@ def test_permutation_path_rejects_superposition_gates():
     assert not is_permutation_circuit(c)
     with pytest.raises(DomainError):
         permutation_output(c, 0)
+
+
+def test_permutation_path_validates_input_index():
+    c = Circuit(3, (x(0),))
+    for bad in (-1, 8):
+        with pytest.raises(DomainError):
+            permutation_output(c, bad)
+        with pytest.raises(DomainError):
+            permutation_mismatches(c, [0, bad], [1, 1])
+    with pytest.raises(DomainError):
+        permutation_mismatches(c, [0, 1], [1])
+
+
+@st.composite
+def permutation_circuits(draw):
+    """A random circuit over every permutation gate kind, n <= 10, plus a
+    batch of basis inputs."""
+    n = draw(st.integers(1, 10))
+    kinds = sorted(k for k in PERMUTATION_KINDS if GATE_ARITY[k] <= n)
+    gate = st.sampled_from(kinds).flatmap(
+        lambda k: st.permutations(range(n)).map(
+            lambda order: Gate(k, tuple(order[:GATE_ARITY[k]]))))
+    ops = draw(st.lists(gate, max_size=30))
+    inputs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    return Circuit(n, tuple(ops)), inputs
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_circuits(), st.data())
+def test_bitsliced_evaluator_agrees_with_statevector(case, data):
+    c, inputs = case
+    dense = []
+    for j in inputs:
+        amps = simulate(c, j).amps
+        out = int(np.argmax(np.abs(amps)))
+        assert amps[out] == 1.0
+        dense.append(out)
+    assert [permutation_output(c, j) for j in inputs] == dense
+    assert permutation_mismatches(c, inputs, dense) == []
+    # corrupt the expected index of some rows: exactly those rows come back,
+    # in row order, each observed index rebuilt from the bit columns
+    wrong = data.draw(st.sets(st.integers(0, len(inputs) - 1)))
+    expected = [d ^ 1 if r in wrong else d for r, d in enumerate(dense)]
+    assert permutation_mismatches(c, inputs, expected) == [
+        (inputs[r], expected[r], dense[r]) for r in sorted(wrong)]

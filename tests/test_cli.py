@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cliffordt import cli
 from cliffordt.circuit import parse
 from cliffordt.cli import main
 
@@ -134,6 +135,52 @@ def test_sim_superposition_prints_probabilities(tmp_path, capsys):
     assert "0: 0.5" in out and "1: 0.5" in out
 
 
+def test_sim_probabilities_exact_output(tmp_path, capsys):
+    # four outcomes with two distinct weights, in ascending basis order
+    path = tmp_path / "mix.qc"
+    path.write_text("qubits 3\nh 0\nt 0\nh 0\nh 2\ncnot 0 1\n")
+    code, out, _ = run_cli(capsys, "sim", str(path), "--input", "0")
+    assert code == 0
+    assert out == ("0: 0.4267766953\n3: 0.0732233047\n"
+                   "4: 0.4267766953\n7: 0.0732233047\n")
+    code, out, _ = run_cli(capsys, "sim", str(path), "--input", "0",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"probabilities": {
+        "0": 0.42677669529663675, "3": 0.07322330470336304,
+        "4": 0.42677669529663675, "7": 0.07322330470336304}}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sim_shots_permutation_matches_dense_path(tmp_path, capsys,
+                                                  monkeypatch, fmt):
+    out = tmp_path / "adder.qc"
+    run_cli(capsys, "gen", "adder", "4", str(out))
+    argv = ["sim", str(out), "--input", str(5 | (3 << 4)), "--shots", "500",
+            "--seed", "7", "--format", fmt]
+    code, served, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "is_permutation_circuit", lambda c: False)
+    code, dense, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert served == dense
+
+
+def test_sim_shots_past_statevector_ceiling(tmp_path, capsys):
+    path = tmp_path / "chain.qc"
+    n = 30
+    path.write_text(f"qubits {n}\n"
+                    + "".join(f"cnot {i} {i + 1}\n" for i in range(n - 1)))
+    code, out, _ = run_cli(capsys, "sim", str(path), "--input", "1",
+                           "--shots", "1000")
+    assert code == 0
+    assert out == f"{(1 << n) - 1}: 1000\n"
+    code, _, err = run_cli(capsys, "sim", str(path), "--input", "1",
+                           "--shots", "0")
+    assert code == 1
+    assert "shots" in err
+
+
 # ---------------------------------------------------------------------------
 # uncompute
 # ---------------------------------------------------------------------------
@@ -158,6 +205,7 @@ def test_verify_adder(capsys):
     code, out, _ = run_cli(capsys, "verify", "adder", "4")
     assert code == 0
     assert "passed: true" in out
+    assert "method: bitsliced" in out
     assert "total_inputs: 256" in out
 
 
@@ -209,7 +257,6 @@ def test_identical_invocations_are_byte_identical(capsys):
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CLIFFORDT_SEED", "99")
-    # parser defaults are bound at construction, which reads the variable
     code, out1, _ = run_cli(capsys, "rb", "--d", "0.1", "--lengths", "1,3,5",
                             "--sequences", "5", "--shots", "10")
     code2, out2, _ = run_cli(capsys, "rb", "--d", "0.1", "--lengths", "1,3,5",
@@ -217,3 +264,24 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
                              "99")
     assert code == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "adder", "2", "{tmp}/x.qc"],
+    ["metrics", "{tmp}/x.qc"],
+    ["sim", "{tmp}/x.qc", "--input", "0"],
+    ["uncompute", "{tmp}/x.qc", "--wires", "0", "--out", "{tmp}/y.qc"],
+    ["verify", "adder", "2"],
+    ["rb", "--d", "0", "--lengths", "1,2,3", "--seed", "1"],
+])
+def test_malformed_seed_env_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                             argv):
+    monkeypatch.setenv("CLIFFORDT_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tmp=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "CLIFFORDT_SEED" in captured.err and "'abc'" in captured.err
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.iterdir())

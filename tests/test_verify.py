@@ -1,18 +1,23 @@
 """Verification suite: oracle equivalence, tomography, RB, decay fitting."""
 
+import time
+
 import numpy as np
 import pytest
 
-from cliffordt.arith import build_adder, build_multiplier, build_taylor
-from cliffordt.circuit import Circuit, simulate
+from cliffordt import verify
+from cliffordt.arith import (ArithInstance, build_adder, build_multiplier,
+                             build_subtractor, build_taylor)
+from cliffordt.circuit import Circuit, lower_to_clifford_t, simulate
 from cliffordt.errors import DomainError, FitError, ResourceError
 from cliffordt.gates import h, matrix, s, t, x
 from cliffordt.state import make_rng
 from cliffordt.verify import (ORACLES, EquivalenceReport, NoiseModel,
                               RBResult, bloch_vector, exhaustive_check,
                               fit_exponential_decay, oracle_adder,
-                              oracle_multiplier, oracle_taylor, run_rb,
-                              tomography_1q, unitarity_check)
+                              oracle_multiplier, oracle_subtractor,
+                              oracle_taylor, run_rb, tomography_1q,
+                              unitarity_check)
 
 
 def depolarizing_bloch_contraction(d):
@@ -85,6 +90,7 @@ def test_exhaustive_check_taylor_beyond_statevector_ceiling():
     report = exhaustive_check(inst, oracle_taylor(4))
     assert report.passed
     assert report.total_inputs == 16
+    assert report.method == "bitsliced"
 
 
 def test_exhaustive_check_rejects_wide_nonpermutation():
@@ -100,6 +106,76 @@ def test_equivalence_report_serialization():
     report = EquivalenceReport(4, ((1, 2, 3),), False)
     assert "passed: false" in report.to_text()
     assert report.to_dict()["mismatches"] == [[1, 2, 3]]
+    assert report.method == "bitsliced"
+    dense = EquivalenceReport(4, (), True, "statevector")
+    assert dense.to_dict()["method"] == "statevector"
+    assert dense.to_text() == ("passed: true\nmethod: statevector\n"
+                               "total_inputs: 4\nmismatch_count: 0\n")
+
+
+def dense_reference(inst, oracle):
+    """The statevector check, input by input: the reference the bit-sliced
+    evaluator must reproduce, mismatch order included."""
+    mismatches = []
+    for values in inst.input_space():
+        index_in = inst.encode(values)
+        index_exp = inst.encode(oracle({**values, **inst.constants}))
+        amps = simulate(inst.circuit, index_in).amps
+        if abs(amps[index_exp] - 1.0) > 1e-9:
+            mismatches.append((index_in, index_exp, int(np.argmax(np.abs(amps)))))
+    return tuple(mismatches)
+
+
+def mutants(inst):
+    """Every single-gate-deletion mutant of an instance."""
+    ops = inst.circuit.ops
+    for drop in range(len(ops)):
+        circ = Circuit(inst.circuit.n_qubits, ops[:drop] + ops[drop + 1:],
+                       inst.circuit.layout)
+        yield ArithInstance(inst.n_bits, circ, inst.input_names, inst.constants)
+
+
+@pytest.mark.parametrize("build,oracle", [(build_adder, oracle_adder),
+                                          (build_subtractor, oracle_subtractor)])
+def test_mutant_reports_match_dense_reference(build, oracle):
+    for mutant in mutants(build(3)):
+        report = exhaustive_check(mutant, oracle(3))
+        assert report.method == "bitsliced"
+        assert report.mismatches == dense_reference(mutant, oracle(3))
+        assert report.passed == (not report.mismatches)
+
+
+def test_batched_check_matches_one_pass(monkeypatch):
+    # 256 inputs in batches of 7: the last batch is partial
+    broken = next(m for m in mutants(build_adder(4))
+                  if len(dense_reference(m, oracle_adder(4))) > 100)
+    whole = exhaustive_check(broken, oracle_adder(4))
+    assert whole.total_inputs < verify.CHECK_BATCH
+    monkeypatch.setattr(verify, "CHECK_BATCH", 7)
+    assert exhaustive_check(broken, oracle_adder(4)) == whole
+    monkeypatch.setattr(verify, "CHECK_BATCH", 1)
+    assert exhaustive_check(broken, oracle_adder(4)) == whole
+
+
+def test_nonpermutation_circuit_takes_statevector_path():
+    inst = build_adder(2)
+    lowered = ArithInstance(2, lower_to_clifford_t(inst.circuit), inst.input_names)
+    report = exhaustive_check(lowered, oracle_adder(2))
+    assert report.method == "statevector"
+    assert report.passed and report.total_inputs == 16
+
+
+@pytest.mark.parametrize("build,oracle,n,inputs,limit_seconds", [
+    (build_adder, oracle_adder, 8, 65536, 10.0),
+    (build_multiplier, oracle_multiplier, 4, 256, 5.0),
+])
+def test_exhaustive_check_within_time_budget(build, oracle, n, inputs, limit_seconds):
+    inst = build(n)
+    start = time.perf_counter()
+    report = exhaustive_check(inst, oracle(n))
+    elapsed = time.perf_counter() - start
+    assert report.passed and report.total_inputs == inputs
+    assert elapsed < limit_seconds, f"{elapsed:.2f}s exceeds {limit_seconds}s"
 
 
 def test_oracle_registry_covers_all_kinds():
