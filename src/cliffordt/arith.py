@@ -11,7 +11,6 @@ seen in circuit diagrams is purely a drawing order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, Iterator, Mapping
 
 from .circuit import Circuit, Register, RegisterLayout
@@ -35,20 +34,26 @@ class ArithInstance:
     constants: dict[str, int] = field(default_factory=dict)
 
     def encode(self, values: Mapping[str, int]) -> int:
-        index = 0
-        for reg in self.circuit.layout.registers:
-            if reg.name in values:
-                v = values[reg.name]
-            elif reg.name in self.constants:
-                v = self.constants[reg.name]
-            else:
-                v = 0
-            if not 0 <= v < (1 << reg.size):
-                raise DomainError(
-                    f"value {v} does not fit register {reg.name} ({reg.size} bits)"
-                )
-            index |= v << reg.start
-        return index
+        return self.encoder()(values)
+
+    def encoder(self) -> Callable[[Mapping[str, int]], int]:
+        """``encode`` with the register layout read once, for packing many
+        assignments: registers missing from the values take their
+        constant, else 0, and a value that does not fit its register
+        raises ``DomainError``."""
+        fields = [(r.name, r.start, r.size, self.constants.get(r.name, 0))
+                  for r in self.circuit.layout.registers]
+
+        def encode(values: Mapping[str, int]) -> int:
+            index = 0
+            for name, start, size, default in fields:
+                v = values.get(name, default)
+                if v < 0 or v >> size:
+                    raise DomainError(
+                        f"value {v} does not fit register {name} ({size} bits)")
+                index |= v << start
+            return index
+        return encode
 
     def decode(self, basis_index: int) -> dict[str, int]:
         return {
@@ -60,11 +65,26 @@ class ArithInstance:
         """Every assignment of the free inputs (ancillae 0, constants pinned).
 
         Assignments come in odometer order: the last input register varies
-        fastest.
+        fastest.  They are generated lazily, the leading registers read off
+        one counter, so the first one comes at once at any width.
         """
-        sizes = [self.circuit.layout.register(n).size for n in self.input_names]
-        for values in product(*(range(1 << size) for size in sizes)):
-            yield dict(zip(self.input_names, values))
+        if not self.input_names:
+            yield {}
+            return
+        *leading, last = self.input_names
+        register = self.circuit.layout.register
+        fields = []
+        shift = 0
+        for name in reversed(leading):
+            size = register(name).size
+            fields.append((name, shift, (1 << size) - 1))
+            shift += size
+        fields.reverse()
+        inner = range(1 << register(last).size)
+        for k in range(1 << shift):
+            head = {name: (k >> at) & mask for name, at, mask in fields}
+            for v in inner:
+                yield {**head, last: v}
 
 
 def _add_core(b: list[int], a: list[int], z: int | None) -> list[Gate]:

@@ -23,7 +23,8 @@ from typing import Sequence
 from . import gates as G
 from .errors import DomainError, ParseError, ResourceError
 from .gates import Gate
-from .state import MAX_SIM_QUBITS, StateVector, apply_gate, new_basis_state
+from .state import (MAX_SIM_QUBITS, StateVector, apply_gate_inplace,
+                    new_basis_state)
 
 ROLES = ("input", "ancilla", "output", "garbage", "restored-input")
 
@@ -323,18 +324,20 @@ def parse(text: str) -> Circuit:
 def simulate(c: Circuit, input_basis: int) -> StateVector:
     """Full statevector of the circuit run on one basis input.
 
-    Folds gate application over the ops; capped at 24 qubits.  Pure and
-    reentrant, so distinct basis inputs may be evaluated concurrently.
+    Applies every gate in place to one private buffer and wraps it in a
+    ``StateVector`` at the end; capped at 24 qubits.  Pure and reentrant,
+    so distinct basis inputs may be evaluated concurrently.
     """
     if c.n_qubits > MAX_SIM_QUBITS:
         raise ResourceError(
             f"{c.n_qubits} qubits exceeds the {MAX_SIM_QUBITS}-qubit "
             "statevector ceiling"
         )
-    state = new_basis_state(c.n_qubits, input_basis)
+    amps = new_basis_state(c.n_qubits, input_basis).amps.copy()
+    psi = amps.reshape((2,) * c.n_qubits)
     for g in c.ops:
-        state = apply_gate(state, g)
-    return state
+        apply_gate_inplace(psi, g)
+    return StateVector(c.n_qubits, amps)
 
 
 def is_permutation_circuit(c: Circuit) -> bool:

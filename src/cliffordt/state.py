@@ -7,9 +7,14 @@ bit and an integer register laid out on consecutive qubits reads back by a
 plain bit-field extraction.
 
 States are immutable: every operation returns a fresh value and the
-amplitude buffers are marked read-only.  Statevector allocation is capped
-at 24 qubits (a ~270 MB vector); wider circuits must go through the exact
-classical permutation path in the circuit module.
+amplitude buffers are marked read-only.  Gates act in place on a private
+mutable buffer viewed as a (2,)*n tensor: ``simulate`` in the circuit
+module runs a whole circuit on one buffer and wraps it in a
+``StateVector`` once at the end, and ``apply_gate`` runs the same kernel
+on a copy, so no state a caller holds is ever written.  Statevector
+allocation is capped at 24 qubits (a ~270 MB vector); wider circuits
+must go through the exact classical permutation path in the circuit
+module.
 
 Randomness is never ambient.  Every sampling operation takes an explicit
 integer seed and draws from a Philox 64-bit counter-based generator, so
@@ -97,27 +102,80 @@ def new_basis_state(n_qubits: int, basis_index: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
+# Fixing one tensor axis to a bit by a length-1 slice keeps every axis,
+# so the views below stay views (never scalars) at any width.
+_BIT = (slice(0, 1), slice(1, 2))
+
+# The diagonal gates' q=1 phases and the Hadamard's 1/sqrt(2), read off
+# the gate matrices so the kernel and the matrices cannot disagree.
+_PHASES = {k: complex(matrix(Gate(k, (0,)))[1, 1]) for k in ("t", "tdg", "s", "sdg")}
+_H_SCALE = float(matrix(Gate("h", (0,)))[0, 0].real)
+
+
+def _view(psi: np.ndarray, bits) -> np.ndarray:
+    """The view of the (2,)*n tensor ``psi`` where each (qubit, bit) pair
+    of ``bits`` is fixed; axis n-1-q carries qubit q."""
+    n = psi.ndim
+    index = [slice(None)] * n
+    for q, bit in bits:
+        index[n - 1 - q] = _BIT[bit]
+    return psi[tuple(index)]
+
+
+def _exchange(psi: np.ndarray, controls, lo, hi) -> None:
+    """Swap the amplitudes at ``lo`` and ``hi`` where every control is 1."""
+    fixed = [(c, 1) for c in controls]
+    a = _view(psi, fixed + lo)
+    b = _view(psi, fixed + hi)
+    saved = a.copy()
+    a[...] = b
+    b[...] = saved
+
+
+def apply_gate_inplace(psi: np.ndarray, gate: Gate) -> None:
+    """Apply ``gate`` to the writable (2,)*n amplitude tensor ``psi``.
+
+    X, CNOT and Toffoli exchange the target's two halves inside the
+    control subspace, SWAP and Fredkin exchange |01> and |10> of their
+    pair there; T, S and their daggers multiply the q=1 half by a phase,
+    and H is a butterfly.  Permutation gates only move amplitudes, so
+    they are exact.  Qubit indices are not checked here.
+    """
+    kind, qubits = gate.kind, gate.qubits
+    if kind in _PHASES:
+        one = _view(psi, [(qubits[0], 1)])
+        one *= _PHASES[kind]
+    elif kind == "h":
+        q = qubits[0]
+        a = _view(psi, [(q, 0)])
+        b = _view(psi, [(q, 1)])
+        # scale first, so each output is r*a +- r*b, rounded as the
+        # matrix product rounds it
+        psi *= _H_SCALE
+        diff = a - b
+        a += b
+        b[...] = diff
+    elif kind in ("swap", "cswap"):
+        *controls, p, q = qubits
+        _exchange(psi, controls, [(p, 0), (q, 1)], [(p, 1), (q, 0)])
+    else:  # x, cnot, ccx: a bit flip of the last qubit
+        *controls, target = qubits
+        _exchange(psi, controls, [(target, 0)], [(target, 1)])
+
+
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply a gate's unitary, tensor-extended with identity, to the state.
 
+    Runs ``apply_gate_inplace`` on a copy, so ``state`` is unchanged.
     Norm is preserved to floating-point accuracy.  Gate qubit indices must
     be in range (pairwise distinctness is enforced by the Gate type).
     """
     n = state.n_qubits
     if any(q >= n for q in gate.qubits):
         raise DomainError(f"gate {gate.kind} {gate.qubits} exceeds {n} qubits")
-    k = len(gate.qubits)
-    mat = matrix(gate)
-    # Reshape to an n-axis tensor where axis (n-1-q) carries qubit q, pull
-    # the gate's qubits to the front (first listed = most significant), and
-    # contract with the gate matrix.
-    psi = state.amps.reshape((2,) * n)
-    axes = [n - 1 - q for q in gate.qubits]
-    psi = np.moveaxis(psi, axes, range(k))
-    shape = psi.shape
-    psi = mat @ psi.reshape(1 << k, -1)
-    psi = np.moveaxis(psi.reshape(shape), range(k), axes)
-    return StateVector(n, psi.reshape(-1))
+    amps = state.amps.copy()
+    apply_gate_inplace(amps.reshape((2,) * n), gate)
+    return StateVector(n, amps)
 
 
 def probabilities(state: StateVector) -> np.ndarray:

@@ -14,7 +14,10 @@ The noise model is trajectory sampling on pure states: after each Clifford
 application, with probability d the state is hit by a Pauli error drawn
 uniformly from {X, Y, Z}.  Averaged over trajectories this reproduces
 depolarizing statistics, shrinking the Bloch vector by (1 - 4d/3) per
-step, without ever forming a density matrix.
+step, without ever forming a density matrix.  The Paulis are themselves
+Cliffords, so a trajectory stays in the 24-element group and is followed
+exactly as a group index through a precomputed product table (Aaronson
+and Gottesman, quant-ph/0406196).
 """
 
 from __future__ import annotations
@@ -155,8 +158,8 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
             f"{circ.n_qubits} qubits exceeds the statevector ceiling and the "
             "circuit is not a basis permutation"
         )
-    cases = ((instance.encode(values),
-              instance.encode(oracle({**values, **instance.constants})))
+    encode = instance.encoder()
+    cases = ((encode(values), encode(oracle({**values, **instance.constants})))
              for values in instance.input_space())
     mismatches: list[tuple[int, int, int]] = []
     total = 0
@@ -227,42 +230,92 @@ def _canonical_key(m: np.ndarray) -> bytes:
     return (canon + (0.0 + 0.0j)).tobytes()  # flush signed zeros
 
 
-def _enumerate_cliffords() -> list[tuple[tuple[str, ...], np.ndarray]]:
-    """The 24 single-qubit Cliffords as {H, S} words, deduped up to phase."""
+def _enumerate_cliffords() -> tuple[list[tuple[tuple[str, ...], np.ndarray]],
+                                     dict[str, np.ndarray]]:
+    """The 24 single-qubit Cliffords as {H, S} words, deduped up to phase.
+
+    Element i with word (g_1, ..., g_k) is the matrix g_k ... g_1.  Also
+    returns, for each generator g, the index of g @ C_i for every i: the
+    48 generator actions the search computes anyway.
+    """
     generators = {"h": matrix(h(0)), "s": matrix(s(0))}
-    seen: dict[bytes, tuple[tuple[str, ...], np.ndarray]] = {}
-    frontier = [((), np.eye(2, dtype=complex))]
-    seen[_canonical_key(np.eye(2, dtype=complex))] = frontier[0]
+    identity = np.eye(2, dtype=complex)
+    start = _canonical_key(identity)
+    seen: dict[bytes, tuple[tuple[str, ...], np.ndarray]] = {start: ((), identity)}
+    edges = []
+    frontier = [start]
     while frontier:
         nxt = []
-        for word, mat in frontier:
+        for key in frontier:
+            word, mat = seen[key]
             for name, gen in generators.items():
-                new_word = word + (name,)
                 new_mat = gen @ mat
-                key = _canonical_key(new_mat)
-                if key not in seen:
-                    entry = (new_word, new_mat)
-                    seen[key] = entry
-                    nxt.append(entry)
+                new_key = _canonical_key(new_mat)
+                edges.append((name, key, new_key))
+                if new_key not in seen:
+                    seen[new_key] = (word + (name,), new_mat)
+                    nxt.append(new_key)
         frontier = nxt
-    elements = sorted(seen.values(), key=lambda e: (len(e[0]), e[0]))
-    assert len(elements) == 24
-    return elements
+    keys = sorted(seen, key=lambda k: (len(seen[k][0]), seen[k][0]))
+    assert len(keys) == 24
+    index = {k: i for i, k in enumerate(keys)}
+    actions = {name: np.empty(24, dtype=np.intp) for name in generators}
+    for name, src, dst in edges:
+        actions[name][index[src]] = index[dst]
+    return [seen[k] for k in keys], actions
 
 
-_CLIFFORDS = _enumerate_cliffords()
-_CLIFFORD_INDEX = {_canonical_key(m): i for i, (_, m) in enumerate(_CLIFFORDS)}
+def _clifford_tables():
+    """Exact group tables of the single-qubit Cliffords, up to phase.
 
-_PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+    ``MUL[a, b]`` is the index of C_a @ C_b, found by running the generators
+    of a's word over every b.  ``INV[a]`` is the inverse of a (the identity
+    is element 0), ``PAULI`` holds the indices of X, Y and Z, and ``P0[a]``
+    is the survival |<0|C_a|0>|^2, exactly 0, 1/2 or 1.
+    """
+    elements, actions = _enumerate_cliffords()
+    mul = np.empty((24, 24), dtype=np.intp)
+    for a, (word, _) in enumerate(elements):
+        row = np.arange(24)
+        for g in word:
+            row = actions[g][row]
+        mul[a] = row
+    inv = np.argmax(mul == 0, axis=1)
+    # Z = S S, X = H Z H, and Y = X Z up to phase
+    z = mul[actions["s"][0], actions["s"][0]]
+    x = mul[actions["h"][0], mul[z, actions["h"][0]]]
+    pauli = np.array([x, mul[x, z], z])
+    p0 = np.array([np.round(2 * abs(m[0, 0]) ** 2) / 2 for _, m in elements])
+    return elements, mul, inv, pauli, p0
 
 
-def _inverse_clifford(total: np.ndarray) -> np.ndarray:
-    idx = _CLIFFORD_INDEX[_canonical_key(total.conj().T)]
-    return _CLIFFORDS[idx][1]
+_CLIFFORDS, _MUL, _INV, _PAULI, _P0 = _clifford_tables()
+
+
+def _rb_step(noisy: np.ndarray, ideal: np.ndarray, picks: np.ndarray,
+             errors: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Apply one Clifford per sequence, then its Pauli error, by lookup.
+
+    ``noisy`` and ``ideal`` are the group indices of each sequence's
+    product with and without errors; ``errors`` holds the group index of
+    each sequence's error, the identity 0 where none struck (None: no
+    errors at all).
+    """
+    noisy = _MUL[picks, noisy]
+    if errors is not None:
+        noisy = _MUL[errors, noisy]
+    return noisy, _MUL[picks, ideal]
+
+
+def _draw_errors(rng: np.random.Generator, d: float, n: int) -> np.ndarray | None:
+    """Each sequence's error for one step: X, Y or Z uniformly with
+    probability d, else the identity."""
+    if d == 0.0:
+        return None
+    hit = rng.random(n) < d
+    errors = np.zeros(n, dtype=np.intp)
+    errors[hit] = _PAULI[rng.integers(3, size=int(hit.sum()))]
+    return errors
 
 
 def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
@@ -276,10 +329,14 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
     samples per sequence, averaged, and fitted to A*p^m + B.  The reported
     error per gate is (1-p)/2, the one-qubit conversion of the decay
     constant; the fit does not claim p itself is a fidelity.
+
+    All sequences of one length run in lockstep as arrays of group
+    indices, so each trajectory is followed exactly, with no amplitudes,
+    in memory proportional to ``n_sequences``.
     """
     lengths = tuple(int(m) for m in lengths)
-    if not lengths:
-        raise DomainError("lengths must be nonempty")
+    if len(lengths) < 3:
+        raise DomainError("need at least 3 sequence lengths to fit the decay")
     if any(m < 1 for m in lengths) or any(
             b <= a for a, b in zip(lengths, lengths[1:])):
         raise DomainError("lengths must be positive and strictly increasing")
@@ -287,28 +344,17 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
         raise DomainError("n_sequences and shots must be at least 1")
     d = noise.depolarizing_prob
     rng = make_rng(seed)
-    mats = [m for _, m in _CLIFFORDS]
     mean_fidelity = []
     for m in lengths:
-        survivals = np.empty(n_sequences)
-        for i in range(n_sequences):
-            psi = np.array([1.0, 0.0], dtype=complex)
-            total = np.eye(2, dtype=complex)
-            picks = rng.integers(0, len(mats), size=m)
-            for idx in picks:
-                psi = mats[idx] @ psi
-                total = mats[idx] @ total
-                if d > 0.0 and rng.random() < d:
-                    psi = _PAULIS[rng.integers(3)] @ psi
-            psi = _inverse_clifford(total) @ psi
-            if d > 0.0 and rng.random() < d:
-                psi = _PAULIS[rng.integers(3)] @ psi
-            p0 = abs(psi[0]) ** 2
-            if abs(p0 - 1.0) < 1e-9:
-                p0 = 1.0
-            p0 = min(max(p0, 0.0), 1.0)
-            survivals[i] = rng.binomial(shots, p0) / shots
-        mean_fidelity.append(float(survivals.mean()))
+        noisy = ideal = np.zeros(n_sequences, dtype=np.intp)
+        for _ in range(m):
+            picks = rng.integers(0, 24, size=n_sequences)
+            noisy, ideal = _rb_step(noisy, ideal, picks,
+                                    _draw_errors(rng, d, n_sequences))
+        noisy, _ = _rb_step(noisy, ideal, _INV[ideal],
+                            _draw_errors(rng, d, n_sequences))
+        zeros = rng.binomial(shots, _P0[noisy])
+        mean_fidelity.append(float(zeros.mean() / shots))
     fit = fit_exponential_decay(list(zip(lengths, mean_fidelity)))
     p = min(max(fit.p, 0.0), 1.0)
     return RBResult(lengths, tuple(mean_fidelity), fit.A, fit.B, p,

@@ -1,5 +1,7 @@
 """Arithmetic generators checked against plain integer arithmetic."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,14 @@ def test_input_space_order_is_odometer():
     assert list(space[1].items()) == [("ctrl", 0), ("b", 0), ("a", 1)]
     assert list(space[4].items()) == [("ctrl", 0), ("b", 1), ("a", 0)]
     assert list(space[-1].items()) == [("ctrl", 1), ("b", 3), ("a", 3)]
+
+
+def test_input_space_is_lazy():
+    # 80 free bits: a materialized enumeration could never yield
+    start = time.perf_counter()
+    first = next(iter(build_multiplier(40).input_space()))
+    assert first == {"b": 0, "a": 0}
+    assert time.perf_counter() - start < 1.0
 
 
 def test_self_inversion_consistency():

@@ -15,7 +15,8 @@ from cliffordt.circuit import (Circuit, Register, RegisterLayout,
                                schedule_layers, serialize, simulate)
 from cliffordt.errors import DomainError, ParseError, ResourceError
 from cliffordt.gates import (CLIFFORD_T_KINDS, GATE_ARITY, PERMUTATION_KINDS,
-                             Gate, ccx, cnot, cswap, h, swap, t, tdg, x)
+                             Gate, ccx, cnot, compose_matrices, cswap, h,
+                             swap, t, tdg, x)
 from cliffordt.state import states_equal_up_to_phase
 
 SQ2 = 1 / np.sqrt(2)
@@ -381,16 +382,20 @@ def test_permutation_path_validates_input_index():
         permutation_mismatches(c, [0, 1], [1])
 
 
+def gates_on(n, kinds):
+    """Gates of the given kinds that fit on n qubits, on random wires."""
+    kinds = sorted(k for k in kinds if GATE_ARITY[k] <= n)
+    return st.sampled_from(kinds).flatmap(
+        lambda k: st.permutations(range(n)).map(
+            lambda order: Gate(k, tuple(order[:GATE_ARITY[k]]))))
+
+
 @st.composite
 def permutation_circuits(draw):
     """A random circuit over every permutation gate kind, n <= 10, plus a
     batch of basis inputs."""
     n = draw(st.integers(1, 10))
-    kinds = sorted(k for k in PERMUTATION_KINDS if GATE_ARITY[k] <= n)
-    gate = st.sampled_from(kinds).flatmap(
-        lambda k: st.permutations(range(n)).map(
-            lambda order: Gate(k, tuple(order[:GATE_ARITY[k]]))))
-    ops = draw(st.lists(gate, max_size=30))
+    ops = draw(st.lists(gates_on(n, PERMUTATION_KINDS), max_size=30))
     inputs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
     return Circuit(n, tuple(ops)), inputs
 
@@ -413,3 +418,28 @@ def test_bitsliced_evaluator_agrees_with_statevector(case, data):
     expected = [d ^ 1 if r in wrong else d for r, d in enumerate(dense)]
     assert permutation_mismatches(c, inputs, expected) == [
         (inputs[r], expected[r], dense[r]) for r in sorted(wrong)]
+
+
+@st.composite
+def random_circuits(draw):
+    """A random circuit over all ten gate kinds, n <= 6."""
+    n = draw(st.integers(1, 6))
+    return Circuit(n, tuple(draw(st.lists(gates_on(n, GATE_ARITY), max_size=20))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_circuits())
+def test_simulate_matches_matrix_columns(c):
+    u = compose_matrices(c.ops, c.n_qubits)
+    for j in range(1 << c.n_qubits):
+        assert np.max(np.abs(simulate(c, j).amps - u[:, j])) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_circuits(), st.data())
+def test_lowering_preserves_random_circuits_up_to_phase(c, data):
+    lowered = lower_to_clifford_t(c)
+    inputs = data.draw(st.lists(st.integers(0, (1 << c.n_qubits) - 1),
+                                min_size=1, max_size=4))
+    for j in inputs:
+        assert states_equal_up_to_phase(simulate(lowered, j), simulate(c, j))

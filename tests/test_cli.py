@@ -243,6 +243,14 @@ def test_rb_json_schema(capsys):
                             "fit_p", "error_per_gate"}
 
 
+def test_rb_too_few_lengths_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "rb", "--d", "0.1", "--lengths", "1,5")
+    assert code == 1
+    assert out == ""
+    assert "at least 3 sequence lengths" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cliffordt.errors import DomainError, ResourceError
-from cliffordt.gates import Gate, ccx, cnot, h, s, swap, t, tdg, x
+from cliffordt.gates import GATE_ARITY, Gate, ccx, cnot, h, s, swap, t, tdg, x
 from cliffordt.state import (MAX_SIM_QUBITS, StateVector, apply_gate,
                              bloch_coords, canonical_phase, fidelity,
                              inner_product, new_basis_state, probabilities,
@@ -86,6 +86,17 @@ def test_apply_gate_respects_qubit_zero_is_lsb():
     assert np.argmax(np.abs(st.amps)) == 1
     st = apply_gate(new_basis_state(2, 0), x(1))
     assert np.argmax(np.abs(st.amps)) == 2
+
+
+@pytest.mark.parametrize("kind", sorted(GATE_ARITY))
+def test_apply_gate_leaves_input_unchanged(kind):
+    rng = np.random.default_rng(5)
+    raw = rng.normal(size=8) + 1j * rng.normal(size=8)
+    st = StateVector(3, raw / np.linalg.norm(raw))
+    before = st.amps.copy()
+    out = apply_gate(st, Gate(kind, (2, 0, 1)[:GATE_ARITY[kind]]))
+    assert np.array_equal(st.amps, before)
+    assert not np.shares_memory(out.amps, st.amps)
 
 
 def test_norm_preserved_over_random_sequences():

@@ -10,7 +10,7 @@ from cliffordt.arith import (ArithInstance, build_adder, build_multiplier,
                              build_subtractor, build_taylor)
 from cliffordt.circuit import Circuit, lower_to_clifford_t, simulate
 from cliffordt.errors import DomainError, FitError, ResourceError
-from cliffordt.gates import h, matrix, s, t, x
+from cliffordt.gates import h, matrix, phase_aligned_distance, s, t, x
 from cliffordt.state import make_rng
 from cliffordt.verify import (ORACLES, EquivalenceReport, NoiseModel,
                               RBResult, bloch_vector, exhaustive_check,
@@ -111,6 +111,13 @@ def test_equivalence_report_serialization():
     assert dense.to_dict()["method"] == "statevector"
     assert dense.to_text() == ("passed: true\nmethod: statevector\n"
                                "total_inputs: 4\nmismatch_count: 0\n")
+
+
+def test_exhaustive_check_rejects_oversized_oracle_value():
+    def oversized(values):
+        return {**oracle_adder(3)(values), "b": 8}
+    with pytest.raises(DomainError, match="does not fit register b"):
+        exhaustive_check(build_adder(3), oversized)
 
 
 def dense_reference(inst, oracle):
@@ -270,11 +277,79 @@ def test_rb_validation():
         NoiseModel(1.5)
 
 
+def test_rb_rejects_too_few_lengths_before_simulating(monkeypatch):
+    def no_simulation(seed):
+        raise AssertionError("sequences were simulated")
+    monkeypatch.setattr(verify, "make_rng", no_simulation)
+    with pytest.raises(DomainError, match="at least 3 sequence lengths"):
+        run_rb(NoiseModel(0.1), [1, 5], 10, 10, seed=0)
+
+
 def test_rb_result_serialization():
     result = run_rb(NoiseModel(0.0), [1, 2, 4], 5, 20, seed=12)
     assert "fit_p: 1.000000" in result.to_text()
     payload = result.to_dict()
     assert payload["lengths"] == [1, 2, 4]
+
+
+# ---------------------------------------------------------------------------
+# Clifford group tables
+# ---------------------------------------------------------------------------
+
+PAULIS = (np.array([[0, 1], [1, 0]], complex),
+          np.array([[0, -1j], [1j, 0]], complex),
+          np.array([[1, 0], [0, -1]], complex))
+CLIFFORDS = [m for _, m in verify._CLIFFORDS]
+
+
+def test_product_table_matches_matrix_products():
+    for a in range(24):
+        for b in range(24):
+            product = CLIFFORDS[a] @ CLIFFORDS[b]
+            assert phase_aligned_distance(CLIFFORDS[verify._MUL[a, b]], product) < 1e-12
+
+
+def test_inverse_table():
+    assert phase_aligned_distance(CLIFFORDS[0], np.eye(2)) < 1e-12
+    for a in range(24):
+        inv = verify._INV[a]
+        assert verify._MUL[a, inv] == verify._MUL[inv, a] == 0
+        assert phase_aligned_distance(CLIFFORDS[inv], CLIFFORDS[a].conj().T) < 1e-12
+
+
+def test_paulis_are_group_elements():
+    for index, pauli in zip(verify._PAULI, PAULIS):
+        assert phase_aligned_distance(CLIFFORDS[index], pauli) < 1e-12
+
+
+def test_survival_table_is_exact():
+    for a, m in enumerate(CLIFFORDS):
+        assert verify._P0[a] in (0.0, 0.5, 1.0)
+        assert abs(verify._P0[a] - abs(m[0, 0]) ** 2) < 1e-12
+
+
+def test_table_trajectories_match_matrix_products():
+    rng = np.random.default_rng(3)
+    m, n = 6, 64
+    picks = rng.integers(0, 24, size=(m, n))
+    hits = rng.random((m + 1, n)) < 0.3
+    which = rng.integers(0, 3, size=(m + 1, n))
+    errors = np.where(hits, verify._PAULI[which], 0)
+    noisy = ideal = np.zeros(n, dtype=np.intp)
+    for step in range(m):
+        noisy, ideal = verify._rb_step(noisy, ideal, picks[step], errors[step])
+    noisy, _ = verify._rb_step(noisy, ideal, verify._INV[ideal], errors[m])
+    # reference: each sequence as amplitudes and 2x2 matrix products
+    for i in range(n):
+        psi = np.array([1.0, 0.0], complex)
+        total = np.eye(2, dtype=complex)
+        for step in range(m + 1):
+            c = CLIFFORDS[picks[step, i]] if step < m else total.conj().T
+            psi = c @ psi
+            total = c @ total
+            if hits[step, i]:
+                psi = PAULIS[which[step, i]] @ psi
+        assert abs(verify._P0[noisy[i]] - abs(psi[0]) ** 2) < 1e-12
 
 
 # ---------------------------------------------------------------------------
