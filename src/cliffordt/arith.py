@@ -56,10 +56,7 @@ class ArithInstance:
         return encode
 
     def decode(self, basis_index: int) -> dict[str, int]:
-        return {
-            reg.name: (basis_index >> reg.start) & ((1 << reg.size) - 1)
-            for reg in self.circuit.layout.registers
-        }
+        return self.circuit.layout.decode(basis_index)
 
     def input_space(self) -> Iterator[dict[str, int]]:
         """Every assignment of the free inputs (ancillae 0, constants pinned).
@@ -87,101 +84,53 @@ class ArithInstance:
                 yield {**head, last: v}
 
 
-def _add_core(b: list[int], a: list[int], z: int | None) -> list[Gate]:
+def _ladder(b: list[int], a: list[int], ctrl: int | None = None,
+            carry: int | None = None, scratch: int | None = None) -> list[Gate]:
     """Ripple-carry sum of register a into register b, in place.
 
-    Leaves b holding (a+b) mod 2^n and a restored.  When ``z`` is given it
-    receives the carry-out; when None the addition is modular and the
-    carry circuitry is dropped entirely.
+    Leaves b holding (a+b) mod 2^n and a restored.  With ``ctrl`` the sum
+    lands only when ctrl is 1 and every wire is restored when it is 0:
+    carry generation runs unconditionally and is undone in place, and only
+    the writes that land the sum in b and the carry-out in ``carry`` go
+    through ``write``, which adds the control (the CNOTs that premix b
+    with a and unmix it cancel on their own).  With ``carry`` None the
+    addition is modular and the carry circuitry is dropped entirely;
+    otherwise ``carry`` receives the carry-out, directly when uncontrolled
+    and staged through ``scratch`` (which always returns to 0) when
+    controlled, because a triply-controlled write is outside the gate set.
 
     Carries c_i are built transiently on the a wires via the identity
     (a^b)(a^c) = a ^ MAJ(a,b,c), then consumed and uncomputed on the way
     back down.  The n=1 carry needs no preload CNOT because b_0 is never
     premixed with a_0; the general preload would double-count a_0 there.
     """
+    def write(src: int, dst: int) -> Gate:
+        return cnot(src, dst) if ctrl is None else ccx(ctrl, src, dst)
+
     n = len(b)
-    ops: list[Gate] = []
-    for i in range(1, n):
-        ops.append(cnot(a[i], b[i]))
-    if z is not None and n >= 2:
-        ops.append(cnot(a[n - 1], z))
-    for i in range(n - 2, 0, -1):
-        ops.append(cnot(a[i], a[i + 1]))
-    for i in range(n - 1):
-        ops.append(ccx(b[i], a[i], a[i + 1]))
-    if z is not None:
-        ops.append(ccx(b[n - 1], a[n - 1], z))
+    ops = [cnot(a[i], b[i]) for i in range(1, n)]
+    if carry is not None and n >= 2:
+        ops.append(write(a[n - 1], carry))
+    ops += [cnot(a[i], a[i + 1]) for i in range(n - 2, 0, -1)]
+    ops += [ccx(b[i], a[i], a[i + 1]) for i in range(n - 1)]
+    if carry is not None:
+        if ctrl is None:
+            ops.append(ccx(b[n - 1], a[n - 1], carry))
+        else:
+            stage = ccx(b[n - 1], a[n - 1], scratch)
+            ops += [stage, write(scratch, carry), stage]
     for i in range(n - 1, 0, -1):
-        ops.append(cnot(a[i], b[i]))
-        ops.append(ccx(b[i - 1], a[i - 1], a[i]))
-    ops.append(cnot(a[0], b[0]))
-    for i in range(1, n - 1):
-        ops.append(cnot(a[i], a[i + 1]))
-    for i in range(1, n):
-        ops.append(cnot(a[i], b[i]))
+        ops += [write(a[i], b[i]), ccx(b[i - 1], a[i - 1], a[i])]
+    ops.append(write(a[0], b[0]))
+    ops += [cnot(a[i], a[i + 1]) for i in range(1, n - 1)]
+    ops += [cnot(a[i], b[i]) for i in range(1, n)]
     return ops
 
 
 def _sub_core(b: list[int], a: list[int]) -> list[Gate]:
     """b <- (b - a) mod 2^n via the complement identity b-a = ~(~b + a)."""
     flips = [x(q) for q in b]
-    return flips + _add_core(b, a, None) + flips
-
-
-def _ctrl_add_core(ctrl: int, b: list[int], a: list[int],
-                   z: int, scratch: int) -> list[Gate]:
-    """Conditional ripple-carry add with carry-out.
-
-    When ctrl is 1: b <- (a+b) mod 2^n and z <- carry.  When ctrl is 0
-    every wire is restored.  Carry generation runs unconditionally and is
-    undone in place; only the writes that land the sum in b (and the copy
-    of the carry into z) are controlled.  The carry-out itself is staged
-    through ``scratch``, which always returns to 0, because a direct
-    triply-controlled write is outside the gate set.
-    """
-    n = len(b)
-    ops: list[Gate] = []
-    for i in range(1, n):
-        ops.append(cnot(a[i], b[i]))
-    if n >= 2:
-        ops.append(ccx(ctrl, a[n - 1], z))
-    for i in range(n - 2, 0, -1):
-        ops.append(cnot(a[i], a[i + 1]))
-    for i in range(n - 1):
-        ops.append(ccx(b[i], a[i], a[i + 1]))
-    ops.append(ccx(b[n - 1], a[n - 1], scratch))
-    ops.append(ccx(ctrl, scratch, z))
-    ops.append(ccx(b[n - 1], a[n - 1], scratch))
-    for i in range(n - 1, 0, -1):
-        ops.append(ccx(ctrl, a[i], b[i]))
-        ops.append(ccx(b[i - 1], a[i - 1], a[i]))
-    ops.append(ccx(ctrl, a[0], b[0]))
-    for i in range(1, n - 1):
-        ops.append(cnot(a[i], a[i + 1]))
-    for i in range(1, n):
-        ops.append(cnot(a[i], b[i]))
-    return ops
-
-
-def _ctrl_add_mod_core(ctrl: int, b: list[int], a: list[int]) -> list[Gate]:
-    """Conditional modular add (no carry-out, no scratch)."""
-    n = len(b)
-    ops: list[Gate] = []
-    for i in range(1, n):
-        ops.append(cnot(a[i], b[i]))
-    for i in range(n - 2, 0, -1):
-        ops.append(cnot(a[i], a[i + 1]))
-    for i in range(n - 1):
-        ops.append(ccx(b[i], a[i], a[i + 1]))
-    for i in range(n - 1, 0, -1):
-        ops.append(ccx(ctrl, a[i], b[i]))
-        ops.append(ccx(b[i - 1], a[i - 1], a[i]))
-    ops.append(ccx(ctrl, a[0], b[0]))
-    for i in range(1, n - 1):
-        ops.append(cnot(a[i], a[i + 1]))
-    for i in range(1, n):
-        ops.append(cnot(a[i], b[i]))
-    return ops
+    return flips + _ladder(b, a) + flips
 
 
 def _mod_mul_ops(b: list[int], a: list[int], p: list[int]) -> list[Gate]:
@@ -194,8 +143,20 @@ def _mod_mul_ops(b: list[int], a: list[int], p: list[int]) -> list[Gate]:
     n = len(b)
     ops = [ccx(b[0], a[i], p[i]) for i in range(n)]
     for k in range(1, n):
-        ops += _ctrl_add_mod_core(b[k], p[k:], a[: n - k])
+        ops += _ladder(p[k:], a[: n - k], ctrl=b[k])
     return ops
+
+
+def _registers(*specs: tuple[str, int, str]
+               ) -> tuple[RegisterLayout, dict[str, list[int]]]:
+    """Lay (name, size, role) registers out contiguously in the given
+    order; returns the layout and each register's qubits by name."""
+    registers: list[Register] = []
+    for name, size, role in specs:
+        start = registers[-1].stop if registers else 0
+        registers.append(Register(name, start, size, role))
+    return (RegisterLayout(tuple(registers)),
+            {r.name: list(r.qubits()) for r in registers})
 
 
 def build_adder(n: int) -> ArithInstance:
@@ -207,16 +168,10 @@ def build_adder(n: int) -> ArithInstance:
     """
     if n < 1:
         raise DomainError("adder width must be at least 1")
-    b = list(range(n))
-    a = list(range(n, 2 * n))
-    z = 2 * n
-    layout = RegisterLayout((
-        Register("b", 0, n, "output"),
-        Register("a", n, n, "restored-input"),
-        Register("z", 2 * n, 1, "ancilla"),
-    ))
-    circ = Circuit(2 * n + 1, tuple(_add_core(b, a, z)), layout)
-    return ArithInstance(n, circ, ("b", "a"))
+    layout, q = _registers(("b", n, "output"), ("a", n, "restored-input"),
+                           ("z", 1, "ancilla"))
+    ops = _ladder(q["b"], q["a"], carry=q["z"][0])
+    return ArithInstance(n, Circuit(2 * n + 1, tuple(ops), layout), ("b", "a"))
 
 
 def build_subtractor(n: int) -> ArithInstance:
@@ -227,14 +182,9 @@ def build_subtractor(n: int) -> ArithInstance:
     """
     if n < 1:
         raise DomainError("subtractor width must be at least 1")
-    b = list(range(n))
-    a = list(range(n, 2 * n))
-    layout = RegisterLayout((
-        Register("b", 0, n, "output"),
-        Register("a", n, n, "restored-input"),
-    ))
-    circ = Circuit(2 * n, tuple(_sub_core(b, a)), layout)
-    return ArithInstance(n, circ, ("b", "a"))
+    layout, q = _registers(("b", n, "output"), ("a", n, "restored-input"))
+    ops = _sub_core(q["b"], q["a"])
+    return ArithInstance(n, Circuit(2 * n, tuple(ops), layout), ("b", "a"))
 
 
 def build_ctrl_add(n: int) -> ArithInstance:
@@ -248,18 +198,11 @@ def build_ctrl_add(n: int) -> ArithInstance:
     """
     if n < 1:
         raise DomainError("controlled adder width must be at least 1")
-    ctrl = 0
-    b = list(range(1, n + 1))
-    a = list(range(n + 1, 2 * n + 1))
-    z, g = 2 * n + 1, 2 * n + 2
-    layout = RegisterLayout((
-        Register("ctrl", 0, 1, "restored-input"),
-        Register("b", 1, n, "output"),
-        Register("a", n + 1, n, "restored-input"),
-        Register("z", 2 * n + 1, 1, "ancilla"),
-        Register("g", 2 * n + 2, 1, "ancilla"),
-    ))
-    circ = Circuit(2 * n + 3, tuple(_ctrl_add_core(ctrl, b, a, z, g)), layout)
+    layout, q = _registers(("ctrl", 1, "restored-input"), ("b", n, "output"),
+                           ("a", n, "restored-input"), ("z", 1, "ancilla"),
+                           ("g", 1, "ancilla"))
+    ops = _ladder(q["b"], q["a"], q["ctrl"][0], q["z"][0], q["g"][0])
+    circ = Circuit(2 * n + 3, tuple(ops), layout)
     return ArithInstance(n, circ, ("ctrl", "b", "a"))
 
 
@@ -275,19 +218,14 @@ def build_multiplier(n: int) -> ArithInstance:
     """
     if n < 1:
         raise DomainError("multiplier width must be at least 1")
-    b = list(range(n))
-    a = list(range(n, 2 * n))
-    p = list(range(2 * n, 4 * n + 1))
+    layout, q = _registers(("b", n, "restored-input"),
+                           ("a", n, "restored-input"),
+                           ("p", 2 * n + 1, "ancilla"))
+    b, a, p = q["b"], q["a"], q["p"]
     ops = [ccx(b[0], a[i], p[i]) for i in range(n)]
     for k in range(1, n):
-        ops += _ctrl_add_core(b[k], p[k:k + n], a, p[k + n], p[k + n + 1])
-    layout = RegisterLayout((
-        Register("b", 0, n, "restored-input"),
-        Register("a", n, n, "restored-input"),
-        Register("p", 2 * n, 2 * n + 1, "ancilla"),
-    ))
-    circ = Circuit(4 * n + 1, tuple(ops), layout)
-    return ArithInstance(n, circ, ("b", "a"))
+        ops += _ladder(p[k:k + n], a, b[k], p[k + n], p[k + n + 1])
+    return ArithInstance(n, Circuit(4 * n + 1, tuple(ops), layout), ("b", "a"))
 
 
 #: Taylor register names in qubit order; each holds n bits.
@@ -315,35 +253,26 @@ def build_taylor(n: int, f_c: int, fp_c: int, fpp_half_c: int, c: int) -> ArithI
     for name, v in consts.items():
         if not 0 <= v < (1 << n):
             raise DomainError(f"constant {name}={v} outside [0, 2^{n})")
-    r = {name: list(range(i * n, (i + 1) * n))
-         for i, name in enumerate(TAYLOR_REGISTERS)}
+    layout, r = _registers(*(
+        (name, n, "restored-input" if name in consts or name == "x" else "ancilla")
+        for name in TAYLOR_REGISTERS))
     ops: list[Gate] = []
     ops += _sub_core(r["x"], r["c"])
     ops += [cnot(r["x"][i], r["xc"][i]) for i in range(n)]
     ops += _mod_mul_ops(r["x"], r["fp"], r["y1"])
     ops += _mod_mul_ops(r["x"], r["xc"], r["y2"])
     ops += _mod_mul_ops(r["y2"], r["fpp"], r["y4"])
-    ops += _add_core(r["y1"], r["fc"], None)
-    ops += _add_core(r["y4"], r["y1"], None)
-    # garbage removal: every scratch register retraces its construction
-    ops += _reversed_ops(_mod_mul_ops(r["x"], r["xc"], r["y2"]))
+    ops += _ladder(r["y1"], r["fc"])
+    ops += _ladder(r["y4"], r["y1"])
+    # garbage removal: every scratch register retraces its construction;
+    # X/CNOT/Toffoli are self-inverse, so reversal alone inverts a block
+    ops += _mod_mul_ops(r["x"], r["xc"], r["y2"])[::-1]
     ops += _sub_core(r["y1"], r["fc"])
-    ops += _reversed_ops(_mod_mul_ops(r["x"], r["fp"], r["y1"]))
+    ops += _mod_mul_ops(r["x"], r["fp"], r["y1"])[::-1]
     ops += [cnot(r["x"][i], r["xc"][i]) for i in range(n)]
-    ops += _add_core(r["x"], r["c"], None)
-    roles = {"c": "restored-input", "x": "restored-input", "fc": "restored-input",
-             "fp": "restored-input", "fpp": "restored-input"}
-    layout = RegisterLayout(tuple(
-        Register(name, i * n, n, roles.get(name, "ancilla"))
-        for i, name in enumerate(TAYLOR_REGISTERS)
-    ))
+    ops += _ladder(r["x"], r["c"])
     circ = Circuit(9 * n, tuple(ops), layout)
     return ArithInstance(n, circ, ("x",), constants=consts)
-
-
-def _reversed_ops(ops: list[Gate]) -> list[Gate]:
-    # X/CNOT/Toffoli are self-inverse, so reversal alone inverts the block
-    return list(reversed(ops))
 
 
 BUILDERS: dict[str, Callable[..., ArithInstance]] = {

@@ -86,6 +86,11 @@ class RegisterLayout:
     def qubits_with_role(self, role: str) -> list[int]:
         return [q for r in self.registers if r.role == role for q in r.qubits()]
 
+    def decode(self, index: int) -> dict[str, int]:
+        """Each register's value in a basis index, in register order."""
+        return {r.name: (index >> r.start) & ((1 << r.size) - 1)
+                for r in self.registers}
+
 
 def default_layout(n_qubits: int) -> RegisterLayout:
     return RegisterLayout((Register("q", 0, n_qubits, "input"),))

@@ -62,7 +62,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_sim(args) -> int:
     with open(args.path, encoding="utf-8") as fh:
         circ = parse(fh.read())
-    if not 0 <= args.input < (1 << circ.n_qubits):
+    if args.input < 0 or args.input.bit_length() > circ.n_qubits:
         raise CliffordTError(
             f"input {args.input} out of range for {circ.n_qubits} qubits")
     permutation = is_permutation_circuit(circ)
@@ -81,8 +81,7 @@ def _cmd_sim(args) -> int:
         return 0
     if permutation:
         out_index = permutation_output(circ, args.input)
-        decoded = {r.name: (out_index >> r.start) & ((1 << r.size) - 1)
-                   for r in circ.layout.registers}
+        decoded = circ.layout.decode(out_index)
         text = "".join(f"{name}: {value}\n" for name, value in decoded.items())
         _emit(args, {"basis_index": out_index, "registers": decoded}, text)
         return 0
@@ -195,6 +194,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliffordTError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

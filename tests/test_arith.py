@@ -1,14 +1,16 @@
 """Arithmetic generators checked against plain integer arithmetic."""
 
+import hashlib
 import time
 
 import numpy as np
 import pytest
 
-from cliffordt.arith import (TAYLOR_REGISTERS, build_adder, build_ctrl_add,
-                             build_multiplier, build_subtractor, build_taylor)
+from cliffordt.arith import (BUILDERS, TAYLOR_REGISTERS, build_adder,
+                             build_ctrl_add, build_multiplier, build_subtractor,
+                             build_taylor)
 from cliffordt.circuit import (is_permutation_circuit, permutation_output,
-                               simulate)
+                               serialize, simulate)
 from cliffordt.errors import DomainError
 
 
@@ -269,6 +271,18 @@ def test_restored_inputs_hold_on_every_basis_input(inst):
             assert out[r.name] == before[r.name]
 
 
+@pytest.mark.parametrize("inst", [build_adder(3), build_ctrl_add(2)],
+                         ids=["adder3", "ctrladd2"])
+def test_layout_decode_matches_instance_decode(inst):
+    layout = inst.circuit.layout
+    for j in range(1 << inst.circuit.n_qubits):
+        bits = {r.name: sum(((j >> q) & 1) << i
+                            for i, q in enumerate(r.qubits()))
+                for r in layout.registers}
+        assert layout.decode(j) == inst.decode(j) == bits
+        assert list(layout.decode(j)) == [r.name for r in layout.registers]
+
+
 def test_encode_rejects_oversize_values():
     inst = build_adder(3)
     with pytest.raises(DomainError):
@@ -307,3 +321,77 @@ def test_self_inversion_consistency():
         cc = compose(c, inverse_circuit(c))
         for j in range(1 << c.n_qubits):
             assert permutation_output(cc, j) == j
+
+
+# ---------------------------------------------------------------------------
+# golden serialize() digests
+# ---------------------------------------------------------------------------
+
+# sha256 of serialize(circuit), pinned so that a refactor of the generators
+# is shown to emit byte-identical circuits.
+GOLDEN_DIGESTS = {
+    ("adder", 1): "f4460213cc5db92702d95108169e934277188794d9e477c1fe158e34371c2e8d",
+    ("adder", 2): "deaca43282ba7e6e9a667d0b6d129b7713e482dded1af8cad326e1f74ed7baa0",
+    ("adder", 3): "1610405321ebfc49f67ecd2d00ddbd6d0d6c81b47b53356b57cb5491cfc2028f",
+    ("adder", 4): "21f0b3ff0b50502278a23a06fe7f4f8548ef8af1dc25cae302969f65a02573c8",
+    ("adder", 5): "f1ca9eb3dec3c8f57085aa9bbe5714b7c9a79e264d225fe999817acfb8abb690",
+    ("adder", 6): "f87a77988b4504e8f3d8037910ad83617ef31a443d8d0b5ed4740539cc8a2755",
+    ("adder", 7): "4ff01e94656f3952739f524ecc769d29fdab32844c4f97070c0a497e1cd06d72",
+    ("adder", 8): "013c0809f80978cb61af0bd8b8b4e9d2b3388fd88d833caf32f1d8627c667c13",
+    ("sub", 1): "2610227a84d8fc2f74ab5b80abeb2d09bd5bda97beb1bb51c520bc06df10a8ea",
+    ("sub", 2): "8ad26599f5db9bc38d04c621ba9ef612f712e5d5dc2e443c1e00bb98c928d182",
+    ("sub", 3): "20a54cf21fe0f165fa08306a2da295acbf0a2cf53f66b34e393fc9fd6001e2c7",
+    ("sub", 4): "cc0d15c0a3594c178072879b2d2a48721c879913546e352465124f9ebc9f5f2c",
+    ("sub", 5): "598588f9c59959bff0cbcdb819f2953a33332ea77c3d904b547116bd70b9081e",
+    ("sub", 6): "0977a3f74383e59bd7c92b44a290809c5505a60e62e60577d82d31c3eee69b5f",
+    ("sub", 7): "2a38668231d0c839e19f933997e8b7b96407e7bd5a876e7f1b913e865e6bdd74",
+    ("sub", 8): "d602ebc980284158a2d4d54d30b982ba8326e80c3c9a90091bda4548f74d883c",
+    ("ctrladd", 1): "ac0c6cedfa660c8e230b54f3d22c278b8a6be039057a13dc2649ba71ce8792e7",
+    ("ctrladd", 2): "2f00eb05e2ef0caf2fbd528cd4dbd7fde57a163f78b156beb8b70a9bcdf02c92",
+    ("ctrladd", 3): "c18bb3e61d161ce5b34a53d6b9271d87cef91594bc841acccf063e0c759a8a47",
+    ("ctrladd", 4): "f03d715d8fc09eaafa4180baa9d24701f5c097ee78891909e549c31ef0fbb375",
+    ("ctrladd", 5): "e569ca73bfc02c8e187ac1c531b6eea2ad0815dd64cbf2d13a78311f30001d59",
+    ("ctrladd", 6): "286d2e4113548e331f61f60f1826a00a82dbbd96593afa525d282057fd6c1e85",
+    ("ctrladd", 7): "fed464b4547b029f4b6ad842ff92b648d57d8e2fff2216d1cfdff11079c1cf86",
+    ("ctrladd", 8): "feeb78d8f82fe7de399ebd3827503bfeafbaafac701910331cf44b44ff7df607",
+    ("mul", 1): "1b4fdbb804e67c223ddb74b8e7fcd78594e8addfe966762936430c0247d9fdfd",
+    ("mul", 2): "f5685f8ef6633d29dfecada281289937bcc95ddd755249356d41ced21ded8a57",
+    ("mul", 3): "7d178fb8fcfa2cca1d53f69a7db791e1925af46033b71779fa3aea0aa00b4f48",
+    ("mul", 4): "84eabea6f8042bbaffce8d86fc2ab2bf1b823675a1ad7926c076faf227f2fe39",
+    ("mul", 5): "e4a5eb0c1e6a4cb3d6de045af860ae97fc4d53d743dee0fbb67fe8b89da4d773",
+    ("mul", 6): "fc81b146ca299616db2a0e26ff51de18d89cadb0045a83f32fcc887364748fb8",
+    ("mul", 7): "ba8eda1d24a2b0bc071b0188a1910b932844ac2f29c3663be963bb68d6760003",
+    ("mul", 8): "7379e3048bdf5efefec2db8aac8fcbc564e3fd94e2cbe6e8d87f8fa094fafb4f",
+}
+
+# Taylor constants are pinned register contents, not gates, so both
+# constant sets of one width share a digest.
+GOLDEN_TAYLOR_DIGESTS = {
+    1: "2698828c02b57bc0e08e2e64d2519c1a4c98e2646ea5ed44b02254420eb91e95",
+    2: "fde1a2ff7b22093e210633df83be5ee90e44d48a78ac21b9d5e50e8bdaa50a0e",
+    3: "d8107c77c7912425a58fabe976ae7036e41ad06f58379a1d56b1ae38ed1b249a",
+    4: "f81df7dc3988950c4588f71d37cfde2f1f1bcc22b772c7205301febea118cf05",
+    5: "049b0ae72ce10d96ede6a621d8a3f751548414233ea716dc6d43626898aeb3bd",
+    6: "c75d6bbf3a4db85e2439cd5949e33442793fe9c6adfdd148c879cc882cd91310",
+    7: "99c5158567cf23d9623588fd6941e99ee28565ecadf7db9f787057d4feaf009c",
+    8: "3be28054067167a2bacd2837310009c4c8972810e3f87f3040f36b2be9afa59c",
+}
+
+
+def _digest(inst):
+    return hashlib.sha256(serialize(inst.circuit).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind,n", sorted(GOLDEN_DIGESTS))
+def test_golden_serialize_digest(kind, n):
+    assert _digest(BUILDERS[kind](n)) == GOLDEN_DIGESTS[kind, n]
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_TAYLOR_DIGESTS))
+@pytest.mark.parametrize("consts", ["ones", "top"])
+def test_golden_serialize_digest_taylor(n, consts):
+    m = 1 << n
+    f_c, fp_c, fpp_half_c, c = ((1 % m, 1 % m, 1 % m, 0) if consts == "ones"
+                                else (m - 1, (m - 1) // 2, 1 % m, m - 1))
+    inst = BUILDERS["taylor"](n, f_c, fp_c, fpp_half_c, c)
+    assert _digest(inst) == GOLDEN_TAYLOR_DIGESTS[n]

@@ -1,9 +1,15 @@
 """Command-line behavior: every subcommand, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import cliffordt
 from cliffordt import cli
 from cliffordt.circuit import parse
 from cliffordt.cli import main
@@ -107,6 +113,62 @@ def test_sim_adder_decodes_registers(tmp_path, capsys):
                             str(5 | (3 << 4)))
     assert code == 0
     assert "b: 8" in text and "a: 3" in text and "z: 0" in text
+
+
+@pytest.mark.parametrize("kind,index,text,payload", [
+    ("adder", 5 | (3 << 3), "b: 0\na: 3\nz: 1\n",
+     {"basis_index": 88, "registers": {"b": 0, "a": 3, "z": 1}}),
+    ("ctrladd", 1 | (6 << 1) | (3 << 4), "ctrl: 1\nb: 1\na: 3\nz: 1\ng: 0\n",
+     {"basis_index": 179,
+      "registers": {"ctrl": 1, "b": 1, "a": 3, "z": 1, "g": 0}}),
+], ids=["adder", "ctrladd"])
+def test_sim_permutation_register_lines(tmp_path, capsys, kind, index, text,
+                                        payload):
+    # one line per register, in layout order, with the exact values
+    path = tmp_path / "circ.qc"
+    run_cli(capsys, "gen", kind, "3", str(path))
+    code, out, _ = run_cli(capsys, "sim", str(path), "--input", str(index))
+    assert code == 0
+    assert out == text
+    code, out, _ = run_cli(capsys, "sim", str(path), "--input", str(index),
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out) == payload
+
+
+@pytest.mark.parametrize("index,message", [
+    (0, "statevector ceiling"), (1 << 40, "statevector ceiling"),
+    (-1, "out of range"),
+])
+def test_sim_huge_width_range_check(tmp_path, capsys, index, message):
+    # the range check reads the input's bit length instead of building
+    # 2^n; in-range inputs then meet the statevector ceiling
+    path = tmp_path / "huge.qc"
+    path.write_text("qubits 99999999999\nh 0\n")
+    code, out, err = run_cli(capsys, "sim", str(path), "--input", str(index))
+    assert code == 1
+    assert out == "" and message in err
+
+
+def test_sim_huge_permutation_reports_out_of_memory(tmp_path):
+    # the bit-sliced evaluator cannot hold 10^11 qubit columns; the child
+    # runs under a 2 GiB address-space limit, so the allocation fails on
+    # any machine instead of eating its memory
+    path = tmp_path / "huge.qc"
+    path.write_text("qubits 99999999999\nx 0\n")
+    limit = 1 << 31
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from cliffordt.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(cliffordt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "sim", str(path), "--input", "0"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory\n"
 
 
 def test_sim_bell_counts_only_00_and_11(tmp_path, capsys):
@@ -213,6 +275,15 @@ def test_verify_multiplier_n3(capsys):
     code, out, _ = run_cli(capsys, "verify", "mul", "3")
     assert code == 0
     assert "total_inputs: 64" in out
+
+
+def test_verify_refuses_huge_input_space(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "mul", "40")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "2^80 inputs" in err
+    assert time.perf_counter() - start < 5.0
 
 
 def test_verify_taylor(capsys):

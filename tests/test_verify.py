@@ -102,6 +102,23 @@ def test_exhaustive_check_rejects_wide_nonpermutation():
         exhaustive_check(inst, lambda v: {"q": 0})
 
 
+def test_exhaustive_check_refuses_huge_input_space():
+    # 2^80 inputs: refused before the oracle sees a single one
+    def untouchable(values):
+        pytest.fail("an input was drawn")
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=r"2\^80 inputs"):
+        exhaustive_check(build_multiplier(40), untouchable)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_input_ceiling_admits_a_space_of_exactly_the_limit(monkeypatch):
+    monkeypatch.setattr(verify, "MAX_CHECK_INPUTS", 64)
+    assert exhaustive_check(build_adder(3), oracle_adder(3)).total_inputs == 64
+    with pytest.raises(ResourceError, match=r"2\^8 inputs"):
+        exhaustive_check(build_adder(4), oracle_adder(4))
+
+
 def test_equivalence_report_serialization():
     report = EquivalenceReport(4, ((1, 2, 3),), False)
     assert "passed: false" in report.to_text()
