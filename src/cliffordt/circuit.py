@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Sequence
 
 from . import gates as G
@@ -27,6 +28,12 @@ from .state import (MAX_SIM_QUBITS, StateVector, apply_gate_inplace,
                     new_basis_state)
 
 ROLES = ("input", "ancilla", "output", "garbage", "restored-input")
+
+#: Most bits (qubits x batch rows) the bit-sliced evaluator holds at once.
+#: Its columns, and the text they are sliced from, grow with this product,
+#: so a larger batch raises ``ResourceError`` before anything is allocated;
+#: 2^24 bits are a 1,024-qubit circuit over a full verify batch.
+MAX_SLICED_BITS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -111,11 +118,11 @@ class Circuit:
         if self.layout is None:
             object.__setattr__(self, "layout", default_layout(self.n_qubits))
         self.layout.validate(self.n_qubits)
-        for g in self.ops:
-            if any(q >= self.n_qubits for q in g.qubits):
-                raise DomainError(
-                    f"gate {g.kind} {g.qubits} exceeds {self.n_qubits} qubits"
-                )
+        n = self.n_qubits
+        qubits = chain.from_iterable(map(attrgetter("qubits"), self.ops))
+        if self.ops and max(qubits) >= n:
+            g = next(g for g in self.ops if max(g.qubits) >= n)
+            raise DomainError(f"gate {g.kind} {g.qubits} exceeds {n} qubits")
 
 
 @dataclass(frozen=True)
@@ -189,19 +196,49 @@ def lower_to_clifford_t(c: Circuit) -> Circuit:
     """Expand SWAP, Toffoli and Fredkin into Clifford+T primitives.
 
     Output gates all lie in {h, t, tdg, s, sdg, x, cnot}; the circuit is
-    functionally unchanged up to one global phase.
+    functionally unchanged up to one global phase.  Each distinct composite
+    gate is decomposed once per call and its expansion reused wherever the
+    gate recurs (gates are immutable, so sharing them is safe).
     """
     out: list[Gate] = []
+    expansions: dict[tuple[str, tuple[int, ...]], list[Gate]] = {}
     for g in c.ops:
-        if g.kind == "ccx":
-            out.extend(G.decompose_toffoli(*g.qubits))
-        elif g.kind == "cswap":
-            out.extend(G.decompose_fredkin(*g.qubits))
-        elif g.kind == "swap":
-            out.extend(G.decompose_swap(*g.qubits))
-        else:
+        if g.kind in G.CLIFFORD_T_KINDS:
             out.append(g)
+            continue
+        key = (g.kind, g.qubits)
+        steps = expansions.get(key)
+        if steps is None:
+            if g.kind == "ccx":
+                steps = G.decompose_toffoli(*g.qubits)
+            elif g.kind == "cswap":
+                steps = G.decompose_fredkin(*g.qubits)
+            else:
+                steps = G.decompose_swap(*g.qubits)
+            expansions[key] = steps
+        out.extend(steps)
     return Circuit(c.n_qubits, tuple(out), c.layout)
+
+
+# Every kind as the Clifford+T steps it lowers to, each step a
+# (kind, operand positions) pair: swap is three ("cnot", ...) steps on
+# positions (0, 1), (1, 0), (0, 1) of the swapped qubits.  Read off the
+# lowering of one gate on wires 0, 1, 2, so they cannot drift from it.
+TEMPLATES = {
+    kind: tuple((step.kind, step.qubits) for step in lower_to_clifford_t(
+        Circuit(arity, (Gate(kind, tuple(range(arity))),))).ops)
+    for kind, arity in G.GATE_ARITY.items()
+}
+
+
+def _place(frontier: dict[int, int], qubits: Sequence[int]) -> int:
+    """ASAP placement of one gate: the layer after the latest layer that
+    holds any of its qubits.  Records the gate there in ``frontier`` (qubit
+    -> layer of its last gate) and returns the layer."""
+    at = max([frontier.get(q, -1) for q in qubits]) + 1
+    for q in qubits:
+        frontier[q] = at
+    return at
 
 
 def schedule_layers(c: Circuit) -> list[list[Gate]]:
@@ -216,30 +253,39 @@ def schedule_layers(c: Circuit) -> list[list[Gate]]:
     layers: list[list[Gate]] = []
     frontier: dict[int, int] = {}
     for g in c.ops:
-        at = max((frontier.get(q, -1) for q in g.qubits), default=-1) + 1
+        at = _place(frontier, g.qubits)
         if at == len(layers):
             layers.append([])
         layers[at].append(g)
-        for q in g.qubits:
-            frontier[q] = at
     return layers
 
 
 def resources(c: Circuit) -> ResourceReport:
-    """Resource metrics, measured on the Clifford+T lowering of ``c``.
+    """Resource metrics of the Clifford+T lowering of ``c``.
 
     T-count totals t and tdg gates; T-depth counts schedule layers holding
     at least one of them; depth is the total layer count.  Ancilla and
-    garbage counts are read from the register layout.
+    garbage counts are read from the register layout.  The lowering is
+    never built: each gate is costed from its kind's template
+    (``TEMPLATES``), whose steps are scheduled in place as the lowered
+    gates would be.
     """
-    lowered = lower_to_clifford_t(c)
-    hist = Counter(g.kind for g in lowered.ops)
-    layers = schedule_layers(lowered)
-    t_kinds = {"t", "tdg"}
+    hist: Counter[str] = Counter()
+    for kind, count in Counter(g.kind for g in c.ops).items():
+        for step, _ in TEMPLATES[kind]:
+            hist[step] += count
+    frontier: dict[int, int] = {}
+    t_layers = set()
+    for g in c.ops:
+        q = g.qubits
+        for kind, where in TEMPLATES[g.kind]:
+            at = _place(frontier, [q[i] for i in where])
+            if kind == "t" or kind == "tdg":
+                t_layers.add(at)
     return ResourceReport(
         t_count=hist["t"] + hist["tdg"],
-        t_depth=sum(1 for layer in layers if any(g.kind in t_kinds for g in layer)),
-        depth=len(layers),
+        t_depth=len(t_layers),
+        depth=max(frontier.values(), default=-1) + 1,
         qubit_cost=c.n_qubits,
         ancilla_count=len(c.layout.qubits_with_role("ancilla")),
         garbage_count=len(c.layout.qubits_with_role("garbage")),
@@ -248,12 +294,20 @@ def resources(c: Circuit) -> ResourceReport:
 
 
 def serialize(c: Circuit) -> str:
-    """Render a circuit in the text format (see module docstring)."""
+    """Render a circuit in the text format (see module docstring).
+
+    Each distinct gate is formatted once per call.
+    """
     lines = [f"qubits {c.n_qubits}"]
     for r in c.layout.registers:
         lines.append(f"register {r.name} {r.start}..{r.stop - 1} {r.role}")
+    formatted: dict[tuple[str, tuple[int, ...]], str] = {}
     for g in c.ops:
-        lines.append(" ".join([g.kind] + [str(q) for q in g.qubits]))
+        key = (g.kind, g.qubits)
+        line = formatted.get(key)
+        if line is None:
+            line = formatted[key] = " ".join([g.kind] + [str(q) for q in g.qubits])
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -268,13 +322,19 @@ def parse(text: str) -> Circuit:
     """Parse the text format back into a circuit.
 
     ``parse(serialize(c))`` is structurally identical to ``c``.  Errors
-    report the offending line number and reason.
+    report the offending line number and reason.  Each distinct gate line
+    is checked once per call; a line that recurs reuses its ``Gate``.
     """
     n_qubits = None
     registers: list[Register] = []
     first_register_line = 0
     ops: list[Gate] = []
+    gates: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        gate = gates.get(raw)
+        if gate is not None:
+            ops.append(gate)
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -316,7 +376,8 @@ def parse(text: str) -> Circuit:
             raise ParseError(lineno, f"qubit index out of range in {line!r}")
         if len(set(qubits)) != len(qubits):
             raise ParseError(lineno, "duplicate qubit")
-        ops.append(Gate(kind, qubits))
+        gate = gates[raw] = Gate(kind, qubits)
+        ops.append(gate)
     if n_qubits is None:
         raise ParseError(0, "missing 'qubits' header")
     layout = RegisterLayout(tuple(registers)) if registers else None
@@ -357,7 +418,12 @@ def _to_columns(indices: Sequence[int], n_qubits: int) -> list[int]:
 
     Each index is written as an ``n_qubits``-digit binary string, last row
     first, so column q is every ``n_qubits``-th digit read as one integer.
+    Batches of more than ``MAX_SLICED_BITS`` bits raise ``ResourceError``.
     """
+    if n_qubits * len(indices) > MAX_SLICED_BITS:
+        raise ResourceError(
+            f"{n_qubits} qubits x {len(indices)} rows exceeds the "
+            f"{MAX_SLICED_BITS}-bit limit of the bit-sliced evaluator")
     if min(indices) < 0 or max(indices) >> n_qubits:
         raise DomainError(f"basis index out of range for {n_qubits} qubits")
     text = "".join(map(format, reversed(indices), repeat(f"0{n_qubits}b")))

@@ -54,7 +54,7 @@ class Gate:
                 f"{self.kind} takes {GATE_ARITY[self.kind]} qubits, "
                 f"got {len(self.qubits)}"
             )
-        if any(q < 0 for q in self.qubits):
+        if min(self.qubits) < 0:
             raise DomainError(f"negative qubit index in {self.kind}")
         if len(set(self.qubits)) != len(self.qubits):
             raise DomainError(f"duplicate qubit in {self.kind} {self.qubits}")

@@ -29,8 +29,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .arith import ArithInstance
-from .circuit import (Circuit, is_permutation_circuit, permutation_mismatches,
-                      simulate)
+from .circuit import (MAX_SLICED_BITS, Circuit, is_permutation_circuit,
+                      permutation_mismatches, simulate)
 from .errors import DomainError, FitError, ResourceError
 from .gates import Gate, h, matrix, s, sdg
 from .state import (MAX_SIM_QUBITS, apply_gate, bloch_coords, make_rng,
@@ -41,7 +41,8 @@ Oracle = Callable[[Mapping[str, int]], dict[str, int]]
 #: Basis inputs per bit-sliced batch of ``exhaustive_check``.  A batch's
 #: input and expected indices and its qubit columns (Python ints of this
 #: many bits) are all that is held at once, so peak memory stays bounded
-#: on input spaces of any size.
+#: on input spaces of any size.  Circuits wider than 1,024 qubits run in
+#: smaller batches, so that a batch fits ``circuit.MAX_SLICED_BITS``.
 CHECK_BATCH = 1 << 14
 
 #: Largest input space ``exhaustive_check`` accepts: 2^28 inputs, about
@@ -175,7 +176,8 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     mismatches: list[tuple[int, int, int]] = []
     total = 0
     if method == "bitsliced":
-        while batch := list(islice(cases, CHECK_BATCH)):
+        rows = max(1, min(CHECK_BATCH, MAX_SLICED_BITS // circ.n_qubits))
+        while batch := list(islice(cases, rows)):
             inputs, expected = zip(*batch)
             total += len(batch)
             mismatches += permutation_mismatches(circ, inputs, expected)

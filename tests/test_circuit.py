@@ -1,23 +1,30 @@
 """Circuit IR: compose/inverse, lowering, scheduling, metrics, text format."""
 
+import hashlib
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffordt.arith import (build_adder, build_ctrl_add, build_multiplier,
-                             build_subtractor, build_taylor)
+from cliffordt.arith import (BUILDERS, build_adder, build_ctrl_add,
+                             build_multiplier, build_subtractor, build_taylor)
 from cliffordt.circuit import (Circuit, Register, RegisterLayout,
-                               compose, default_layout, inverse_circuit,
+                               ResourceReport, compose, default_layout,
+                               inverse_circuit,
                                is_permutation_circuit, lower_to_clifford_t,
                                parse, permutation_mismatches,
                                permutation_output, resources,
                                schedule_layers, serialize, simulate)
 from cliffordt.errors import DomainError, ParseError, ResourceError
 from cliffordt.gates import (CLIFFORD_T_KINDS, GATE_ARITY, PERMUTATION_KINDS,
-                             Gate, ccx, cnot, compose_matrices, cswap, h,
-                             swap, t, tdg, x)
+                             Gate, ccx, cnot, compose_matrices, cswap,
+                             decompose_fredkin, decompose_swap,
+                             decompose_toffoli, h, swap, t, tdg, x)
 from cliffordt.state import states_equal_up_to_phase
+from cliffordt.uncompute import BennettSpec, bennett_wrap
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -239,6 +246,170 @@ def test_resources_invariant_under_round_trip(c):
     assert resources(parse(serialize(c))) == resources(c)
 
 
+# sha256 of serialize(lower_to_clifford_t(c)) and of the sorted JSON of
+# resources(c), pinned so that a change to lowering or costing is shown to
+# produce byte-identical lowered circuits and identical reports.  Taylor
+# constants are register contents, so both constant sets share a pair.
+GOLDEN_LOWERED_AND_RESOURCES = {
+    ("adder", 1): (
+        "cfbefbe63049b4b9c54e62c8edce449473c95afed976479f8cecb3b810c3937d",
+        "1d4399da0b9ca1035b1672d3a552485f4aaaed1c36bf441b1522cf0d8e819721"),
+    ("adder", 2): (
+        "ebc6a22c3e5dee1702a28677e6b4ed142a55ac2375a4085237396492e9eda772",
+        "7a7ec2e891f4c0a654376c107e55cf11725d0cb244eae8579cee0ccfbb9893ef"),
+    ("adder", 3): (
+        "344eca09d22af568e16c61d340d5e94d079cc8771307dd476dedc5da137479c5",
+        "49b6e36f5ef618016aecd7f99b1e772f3d985641c35f33d31ac6eccf74e5ac2a"),
+    ("adder", 4): (
+        "6a0375cd1c6d30b04d875fd102c39c9c0df9a5078afb5d0dd58baa6b597f43c1",
+        "76009d99765a18091bcab390680280371b87047b521dbb400b1330d86f3aaa27"),
+    ("adder", 5): (
+        "13e2165f545f25d9952794ae37423b34ef66ddb30dd3a3fdbe83909a3d15370c",
+        "0626a643d00d466cc56439f04c4c7d96ab41d7cc984adbdd9c82334092859eb3"),
+    ("adder", 6): (
+        "7db97cc9ab10476a3c18b77b96ab3d95436757b33377b0b4c028f6fd46392746",
+        "5d9614f201b4c70b17c7b0f90ba0abec012fc2eb69dc8f560049b0f21efb62b4"),
+    ("adder", 7): (
+        "62a6c2f056eb9ad53017f2c43c11a83ce5387049e9f6ba72c668dedac1a770c5",
+        "35c20ff14b9b4dcd953a4bb62bfba57a2c46c437a489e08bd6cc875400fab707"),
+    ("adder", 8): (
+        "508fa1b3c2ac6eaeb693b0cec78304cfd50b6277f5bac0346d0c0266568dff21",
+        "4441f7da85602d9974fe4f22563a12e55a12cd93a342069f1b7830bed9dff9c8"),
+    ("sub", 1): (
+        "2610227a84d8fc2f74ab5b80abeb2d09bd5bda97beb1bb51c520bc06df10a8ea",
+        "92a3494ee12a4ea990172101d2afdfd50940a9c9981c713cac1a0be6fd28de0b"),
+    ("sub", 2): (
+        "9253493fcdd09dcfd37e874191f336ca766f9c87dc9b04b7e4db82b61c280f04",
+        "b97656ac8b2bcec3307a136161bc9cfad8c640e82eba1fd756c204aa7044867a"),
+    ("sub", 3): (
+        "af6a532cb34de06be899d00eefd50d130668c7e0832bb4e88ac1778fadfc1220",
+        "b326e707104a6571b32c4b2b9c7d06c8ef0037b8c6d2e6b396419a2468507fb5"),
+    ("sub", 4): (
+        "a3fba02fe94ab364d64497c63d11f319ce3ca032ae5339f0879388a61adcdec8",
+        "d7fbdc8d435460428d901b7d45389e59f645588ece622cf90527b0627bbe7772"),
+    ("sub", 5): (
+        "938ca1c6c2966d206c05dbd543bb4320c46c0774cf0714f33a6b35cc16361c43",
+        "e8bbff42f526d708b45134feacbfc9a24623043faf8ac187031f528d4762017a"),
+    ("sub", 6): (
+        "83a4c71ba1251a43851732ffd901cd30137dc66673f3757d8e19f2d60ebab545",
+        "2fc41ab44eb74aa97b4f1671c3fb0ad87335d2e653dc311c1b1639ddcb350dc1"),
+    ("sub", 7): (
+        "2492b91b80fb787045203500c2c884463ffbc92221689f2f26772e1e1b5de130",
+        "234fc17a0368c7a574933a54fca482a6a5b5ff26f77af7761a11f1d46b9628d8"),
+    ("sub", 8): (
+        "620e2e7671052044bd31097ab2a481a81ae23b76f47d035fdaa8c712fa344fda",
+        "a9c51f58e37f6fc1b5f49df80dfee837183aab79cfe6923a512fb31356a9f44e"),
+    ("ctrladd", 1): (
+        "54c5be8d6bf29aa3a0e1765d0d13aa4fbbee6b49a56d8ae30f9604b47e8c523f",
+        "9a23da2b7d96c522d6a97a2eab6c7e4e87cc23ce35104a78b4d95b3cf32ba484"),
+    ("ctrladd", 2): (
+        "e20a171ef99ef88676430d72a720a6d96d31e017fe47ef0d9c710c6f093bc633",
+        "628ee004bb55c3e5106f2ebeecdc84265c04d858b890614289ca53f963a0095c"),
+    ("ctrladd", 3): (
+        "2367231bd673e10f6bfcefce3ee16b7bacfd63f5417a9f91b152dfe069158a5c",
+        "a911eb6decdf39c0d9ddb816485a38764c028a6750b55a3cbe864b4c60badfb0"),
+    ("ctrladd", 4): (
+        "7f58633bd27bdc5141b917bf4675b6042c50eecac9a2a211b194d63c4d18b838",
+        "451efca5fdeb3c92b582b2640430ba089d37cac977f71946b2629d8e30429b42"),
+    ("ctrladd", 5): (
+        "45d51efcc5077ae3fabc14ec93970c32fe4f1ada5b5f607511819bd6d9cb3999",
+        "bc3d09c17cd4473e26fd63fdcdd77ef247192951c183ab1cb295c65253e3364a"),
+    ("ctrladd", 6): (
+        "a37c11ab564433f1b72dac781a8e1ce0e19af87ed73f04eb886de7bb3a8de3d9",
+        "dca5c6973eb0b33067a8b8fb5404a2339322e5e294a98bf8a53a5678f544273a"),
+    ("ctrladd", 7): (
+        "2026072fa73917be5d91e83b76b62542885e055d8ceae1c37a5d7a9b293f353f",
+        "ceae69977a8e82f440a3215505e7f5d1d2ff225c88415fe920b883d8706c16ae"),
+    ("ctrladd", 8): (
+        "3bf96fda742368865f601e8e76034f4b6a5aefd11c13fe288150163729f9ae61",
+        "a76c740c8b09b0a23f720321cf116eb0398cc5a5f620d039d8494fb7ecbe8a65"),
+    ("mul", 1): (
+        "c7437bf6d82fa0ff39ddd1a4ebb901d93daf6bde256e8d2205ae746121574aed",
+        "30b632d9a2292414c68d2c842e83d62085dc5884d7aa13910a33934d997fa019"),
+    ("mul", 2): (
+        "9aee2ae4d7b7de516c8cf6940efb0ce8ec47470e231b43cad95e38102ef48fde",
+        "9ef7a008307d20f7ccebfa5da7c7658cccc9dbad236d6460d081b32dfc717f3e"),
+    ("mul", 3): (
+        "e352cf5f72ecb3fef0772dc379a2b76bc98ec4fd02891e624daea6ab5db8947c",
+        "9cc8f81d418412e765b95ae4a3889098db30a11f9149b9d5915f24de4c7321f0"),
+    ("mul", 4): (
+        "29f2cbe80db7a51f9d249680679f021e569959f0e432551ba34020f399b697a5",
+        "6954971af999d1bbe1b7f6530abc2e524f988f523e3696fb73a82cfedf49c5f5"),
+    ("mul", 5): (
+        "b82971b294693645b922c3bf8015eb45a5f5605dcdbbd9823c0bcd565e0b1545",
+        "2bbd23f92a242eb6bb735c5940ea4c4c99043445b1a24a75531962db37f9d221"),
+    ("mul", 6): (
+        "caf173958c4d0874330636027b4583619c7c05dbb210284ff1f1fb2600b12b39",
+        "22868de173a163f62a8cf77fe4567fe1fe965dc444685e3a3e42ae9fcb2af7ba"),
+    ("mul", 7): (
+        "a9ce45f8b021870df1244214d744a6aa787ac7ea40fd8c0237df89b317326cc5",
+        "7c82dc7893a39ee31bcab772a5b282f302af47b5d4856a1da19742df9db49647"),
+    ("mul", 8): (
+        "3b2cd2ebb5913724e6c610e1473b528d4c6cce08a9c1558c0d4ac6ef3cd5b9f8",
+        "1cedf4b6c9f3b0f9a56c00da67aa76dd3db3d11b5a30d20324ea18e6b65cacf0"),
+    ("taylor", 1): (
+        "680d3b4344550bf3a98e4a91294f9afc595c7af5b2bd48683bb0ad27ba6c8b81",
+        "b50583d3f224379fcab7b3d01b780cb41f8666be73e0a1ec58c9367ffd97fca7"),
+    ("taylor", 2): (
+        "34ba57935287217e5ded75e3182255ab8ae7b974b5c48e8198aed8f3d31e0743",
+        "6264deedead5e40d5aa95791e0f4b6624982ae5116008b6c1fe7d844437e09d4"),
+    ("taylor", 3): (
+        "a4911b4241ea4ac21be9089253104c04edbda5dcea09c389403592c59bbd2a76",
+        "77694e9f19e8949d77a8d02f4d9e908b8d8353a932912e4f14cd45a115f015b2"),
+    ("taylor", 4): (
+        "419fe70a6b06f153d00827a1e9929691f5c43f35ac3de4795e97d5976a1f1cda",
+        "a4e24d1d7a73b8d36cd422bfbde5b0b7aa8ca4dd54806bb57d4502995e1ae32a"),
+    ("taylor", 5): (
+        "8e52b369bf749aeabb8736e290c5ed979098f7e0baa1249de04b677a27858a4c",
+        "f939634d7f2171f9a2bd881699767c16640ff2d59d6f8ce9d762f93779f3c03b"),
+    ("taylor", 6): (
+        "60eb195f5d572735ac699031662964bc0179e870837ee33de66e3dd3e969748f",
+        "f421dd0d4e6a09ef8aff1765cef52e3bc0eb7720c32505f8ac310dd3e549d01d"),
+    ("taylor", 7): (
+        "7b404c9fea80056544f71098cfbd8aa28d4a18c8c373280f3b0717322ffe95c4",
+        "3ce232cc826bc45c3b813e984c233b6a682da9678f414200227eea76e5c1cc1c"),
+    ("taylor", 8): (
+        "264d382e9ce2d27e3738f7e958948d4299ac65a386c410c46cee2cc0c6828ae2",
+        "6412c86b97de95cb3ff216dcc0c92d0eaebbccd15ba822d434245bd2ae481c54"),
+    ("bennett", 1): (
+        "565c40126e75c9a92c9fbc4dbb27301c52107110473f9a730a2936feb3f40850",
+        "66a77f678a06666257a7431004aeb576e102755123b4e8790250356bdcb5930c"),
+    ("bennett", 2): (
+        "a980f959309dadd17cb0cf47accf28f1e3a1aa9c257d78556894cfcde1b9549d",
+        "91b807307a4e9af4d7524665abfb16244c4098431982637eaa529f2b06c3427a"),
+    ("bennett", 3): (
+        "eecf7600812af6a0d97c620254a224367aabfa332479e815b017e28707779c1f",
+        "f2ea9fad1b408db84a96cd0cedf5c2b6cfef4a567f9dfb11277b3952482cb167"),
+    ("bennett", 4): (
+        "0987a652d71269a2e83d34beec489ca2e234809f94e93c4f7c2252897a38288a",
+        "d9f9611d7e83ec3146cd09748a5dca8b7ca0ec2d2122579058e4af84a7456458"),
+}
+
+
+def _golden_circuit(kind, n, consts):
+    if kind == "bennett":
+        inner = build_multiplier(n).circuit
+        wires = tuple(inner.layout.register("p").qubits())
+        return bennett_wrap(BennettSpec(inner, wires))
+    if kind == "taylor":
+        m = 1 << n
+        return build_taylor(n, *((1 % m, 1 % m, 1 % m, 0) if consts == "ones"
+                                 else (m - 1, (m - 1) // 2, 1 % m, m - 1))).circuit
+    return BUILDERS[kind](n).circuit
+
+
+@pytest.mark.parametrize("kind,n,consts", [
+    (kind, n, consts) for kind, n in sorted(GOLDEN_LOWERED_AND_RESOURCES)
+    for consts in (("ones", "top") if kind == "taylor" else (None,))])
+def test_golden_lowering_and_resources_digests(kind, n, consts):
+    c = _golden_circuit(kind, n, consts)
+    lowered = serialize(lower_to_clifford_t(c))
+    report = json.dumps(resources(c).to_dict(), sort_keys=True)
+    assert (hashlib.sha256(lowered.encode()).hexdigest(),
+            hashlib.sha256(report.encode()).hexdigest()) == \
+        GOLDEN_LOWERED_AND_RESOURCES[kind, n]
+
+
 # ---------------------------------------------------------------------------
 # text format
 # ---------------------------------------------------------------------------
@@ -296,6 +467,43 @@ def test_parse_register_errors():
         parse("qubits 3\nregister a 0..1 input\n")
     with pytest.raises(ParseError, match="arity|indices"):
         parse("qubits 2\ncnot 0\n")
+
+
+@pytest.mark.parametrize("bad,match", [("cnot 0 2", "out of range"),
+                                       ("cnot 1 1", "duplicate qubit")])
+def test_parse_repeated_bad_line_fails_at_first_occurrence(bad, match):
+    with pytest.raises(ParseError, match=match) as err:
+        parse(f"qubits 2\nh 0\n{bad}\nh 0\n{bad}\n")
+    assert err.value.lineno == 3
+
+
+def test_parse_same_gate_in_any_spelling_is_one_gate():
+    c = parse("qubits 3\nccx 0 1 2\n  ccx   0  1\t2  \nccx 0 1 2 # again\n"
+              "ccx 0 1 2\nccx 0 1 2\n")
+    assert c.ops == (ccx(0, 1, 2),) * 5
+
+
+_LINES = st.sampled_from([
+    "qubits 3", "qubits 0", "qubits x", "register a 0..2 input",
+    "register a 0..1 input", "register b 2..2 ancilla", "register c 1..0 input",
+    "register d 0-2 output", "h 0", "h 3", "h -1", "cnot 0 1", "cnot 1 1",
+    "cnot 0", "ccx 0 1 2", "cswap 2 1 0", "swap 0 1 2", "t 1 # c", "x 1.5",
+    "bogus 0", "", "# only a comment"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_LINES, st.text()), max_size=8))
+def test_parse_raises_only_parse_error(lines):
+    try:
+        c = parse("\n".join(lines))
+    except ParseError:
+        return
+    assert parse(serialize(c)) == c
+
+
+def test_circuit_names_the_first_gate_past_its_width():
+    with pytest.raises(DomainError, match=r"cnot \(0, 3\) exceeds 2 qubits"):
+        Circuit(2, (h(0), cnot(0, 1), cnot(0, 3), x(5)))
 
 
 def test_layout_validation():
@@ -382,6 +590,15 @@ def test_permutation_path_validates_input_index():
         permutation_mismatches(c, [0, 1], [1])
 
 
+def test_permutation_path_refuses_widths_it_cannot_slice():
+    # checked before the columns are allocated, so this allocates nothing
+    c = Circuit(10**11, (x(0),))
+    with pytest.raises(ResourceError, match="bit-sliced evaluator"):
+        permutation_output(c, 0)
+    with pytest.raises(ResourceError, match="bit-sliced evaluator"):
+        permutation_mismatches(c, [0], [1])
+
+
 def gates_on(n, kinds):
     """Gates of the given kinds that fit on n qubits, on random wires."""
     kinds = sorted(k for k in kinds if GATE_ARITY[k] <= n)
@@ -443,3 +660,40 @@ def test_lowering_preserves_random_circuits_up_to_phase(c, data):
                                 min_size=1, max_size=4))
     for j in inputs:
         assert states_equal_up_to_phase(simulate(lowered, j), simulate(c, j))
+
+
+def reference_resources(c):
+    """resources() as defined: counted and scheduled on the built lowering."""
+    lowered = lower_to_clifford_t(c)
+    hist = Counter(g.kind for g in lowered.ops)
+    layers = schedule_layers(lowered)
+    return ResourceReport(
+        t_count=hist["t"] + hist["tdg"],
+        t_depth=sum(1 for layer in layers
+                    if any(g.kind in ("t", "tdg") for g in layer)),
+        depth=len(layers),
+        qubit_cost=c.n_qubits,
+        ancilla_count=len(c.layout.qubits_with_role("ancilla")),
+        garbage_count=len(c.layout.qubits_with_role("garbage")),
+        gate_histogram=dict(hist))
+
+
+def decompose_each(ops):
+    out = []
+    for g in ops:
+        if g.kind == "ccx":
+            out += decompose_toffoli(*g.qubits)
+        elif g.kind == "cswap":
+            out += decompose_fredkin(*g.qubits)
+        elif g.kind == "swap":
+            out += decompose_swap(*g.qubits)
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_circuits())
+def test_templates_match_lowering_gate_by_gate(c):
+    assert lower_to_clifford_t(c).ops == decompose_each(c.ops)
+    assert resources(c) == reference_resources(c)

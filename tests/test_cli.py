@@ -151,9 +151,10 @@ def test_sim_huge_width_range_check(tmp_path, capsys, index, message):
 
 
 def test_sim_huge_permutation_reports_out_of_memory(tmp_path):
-    # the bit-sliced evaluator cannot hold 10^11 qubit columns; the child
-    # runs under a 2 GiB address-space limit, so the allocation fails on
-    # any machine instead of eating its memory
+    # the bit-sliced evaluator refuses 10^11 qubit columns before it
+    # allocates them; the child runs under a 2 GiB address-space limit, so
+    # an allocation that slipped past the check would fail instead of
+    # eating the machine's memory
     path = tmp_path / "huge.qc"
     path.write_text("qubits 99999999999\nx 0\n")
     limit = 1 << 31
@@ -168,7 +169,17 @@ def test_sim_huge_permutation_reports_out_of_memory(tmp_path):
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == "error: out of memory\n"
+    assert proc.stderr == ("error: 99999999999 qubits x 1 rows exceeds the "
+                           "16777216-bit limit of the bit-sliced evaluator\n")
+
+
+def test_memory_error_reported_without_traceback(tmp_path, capsys, monkeypatch):
+    def exhausted(circ):
+        raise MemoryError
+    monkeypatch.setattr(cli, "resources", exhausted)
+    path = tmp_path / "x.qc"
+    path.write_text("qubits 1\nx 0\n")
+    assert run_cli(capsys, "metrics", str(path)) == (1, "", "error: out of memory\n")
 
 
 def test_sim_bell_counts_only_00_and_11(tmp_path, capsys):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from cliffordt import verify
+from cliffordt import circuit, verify
 from cliffordt.arith import (ArithInstance, build_adder, build_multiplier,
                              build_subtractor, build_taylor)
 from cliffordt.circuit import Circuit, lower_to_clifford_t, simulate
@@ -179,6 +179,21 @@ def test_batched_check_matches_one_pass(monkeypatch):
     assert exhaustive_check(broken, oracle_adder(4)) == whole
     monkeypatch.setattr(verify, "CHECK_BATCH", 1)
     assert exhaustive_check(broken, oracle_adder(4)) == whole
+
+
+def test_batches_shrink_to_the_bit_slice_limit(monkeypatch):
+    broken = next(m for m in mutants(build_adder(4))
+                  if len(dense_reference(m, oracle_adder(4))) > 100)
+    whole = exhaustive_check(broken, oracle_adder(4))
+    n = broken.circuit.n_qubits
+    for limit in (7 * n, n):  # batches of 7 rows, then of 1
+        monkeypatch.setattr(circuit, "MAX_SLICED_BITS", limit)
+        monkeypatch.setattr(verify, "MAX_SLICED_BITS", limit)
+        assert exhaustive_check(broken, oracle_adder(4)) == whole
+    monkeypatch.setattr(circuit, "MAX_SLICED_BITS", n - 1)
+    monkeypatch.setattr(verify, "MAX_SLICED_BITS", n - 1)
+    with pytest.raises(ResourceError, match="bit-sliced evaluator"):
+        exhaustive_check(broken, oracle_adder(4))
 
 
 def test_nonpermutation_circuit_takes_statevector_path():
