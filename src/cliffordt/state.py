@@ -9,12 +9,12 @@ plain bit-field extraction.
 States are immutable: every operation returns a fresh value and the
 amplitude buffers are marked read-only.  Gates act in place on a private
 mutable buffer viewed as a (2,)*n tensor: ``simulate`` in the circuit
-module runs a whole circuit on one buffer and wraps it in a
-``StateVector`` once at the end, and ``apply_gate`` runs the same kernel
-on a copy, so no state a caller holds is ever written.  Statevector
-allocation is capped at 24 qubits (a ~270 MB vector); wider circuits
-must go through the exact classical permutation path in the circuit
-module.
+module finishes a run on one buffer, once its exact sparse evaluator
+holds too many basis states, and wraps it in a ``StateVector`` at the
+end, and ``apply_gate`` runs the same kernel on a copy, so no state a
+caller holds is ever written.  Statevector allocation is capped at 24
+qubits (a ~270 MB vector); wider circuits must go through the exact
+bit-sliced or sparse evaluators of the circuit module.
 
 Randomness is never ambient.  Every sampling operation takes an explicit
 integer seed and draws from a Philox 64-bit counter-based generator, so
@@ -186,16 +186,19 @@ def probabilities(state: StateVector) -> np.ndarray:
 def sample(state: StateVector, shots: int, seed: int) -> MeasurementCounts:
     """Draw ``shots`` independent basis-state measurements.
 
-    Deterministic for a fixed seed; see ``make_rng`` for the generator.
+    All shots come from one multinomial draw over the outcome
+    probabilities, so the cost grows with the number of basis states, not
+    with ``shots``.  Outcomes drawn at least once are listed in ascending
+    order.  Deterministic for a fixed seed; see ``make_rng`` for the
+    generator.
     """
     if shots < 1:
         raise DomainError("shots must be at least 1")
     rng = make_rng(seed)
     p = probabilities(state)
-    p = p / p.sum()
-    outcomes = rng.choice(len(p), size=shots, p=p)
-    values, freqs = np.unique(outcomes, return_counts=True)
-    return MeasurementCounts(shots, {int(v): int(c) for v, c in zip(values, freqs)})
+    counts = rng.multinomial(shots, p / p.sum())
+    hit = np.flatnonzero(counts)
+    return MeasurementCounts(shots, dict(zip(hit.tolist(), counts[hit].tolist())))
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

@@ -30,11 +30,10 @@ import numpy as np
 
 from .arith import ArithInstance
 from .circuit import (MAX_SLICED_BITS, Circuit, is_permutation_circuit,
-                      permutation_mismatches, simulate)
+                      permutation_mismatches, simulate, sparse_mismatches)
 from .errors import DomainError, FitError, ResourceError
 from .gates import Gate, h, matrix, s, sdg
-from .state import (MAX_SIM_QUBITS, apply_gate, bloch_coords, make_rng,
-                    new_basis_state, probabilities)
+from .state import apply_gate, bloch_coords, make_rng, probabilities
 
 Oracle = Callable[[Mapping[str, int]], dict[str, int]]
 
@@ -43,6 +42,7 @@ Oracle = Callable[[Mapping[str, int]], dict[str, int]]
 #: many bits) are all that is held at once, so peak memory stays bounded
 #: on input spaces of any size.  Circuits wider than 1,024 qubits run in
 #: smaller batches, so that a batch fits ``circuit.MAX_SLICED_BITS``.
+#: The sparse evaluator takes the same batches and runs them row by row.
 CHECK_BATCH = 1 << 14
 
 #: Largest input space ``exhaustive_check`` accepts: 2^28 inputs, about
@@ -69,7 +69,9 @@ class EquivalenceReport:
     Mismatches are (input, expected, observed) basis-index triples;
     ``passed`` holds exactly when there are none.  ``method`` names the
     evaluator that produced the outputs: ``bitsliced`` for permutation
-    circuits, ``statevector`` for dense simulation.
+    circuits, ``sparse`` for the exact sparse evaluator, which runs every
+    other circuit.  A sparse mismatch's observed index is the lowest basis
+    index among the amplitudes of largest magnitude, compared exactly.
     """
 
     total_inputs: int
@@ -148,23 +150,20 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
 
     Inputs range over the instance's free registers with ancillae held at
     0 and constants pinned.  Each run must land exactly on the oracle's
-    predicted basis state.  Permutation circuits (X, CNOT, SWAP, Toffoli,
-    Fredkin) are run bit-sliced, ``CHECK_BATCH`` inputs at a time, at any
-    width.  Other circuits within the statevector ceiling are simulated
-    densely per input, and the target amplitude has to be within 1e-9 of
-    1; wider ones raise ``ResourceError``, as do input spaces larger than
-    ``MAX_CHECK_INPUTS``.
+    predicted basis state, with amplitude exactly 1.  Permutation circuits
+    (X, CNOT, SWAP, Toffoli, Fredkin) are run bit-sliced,
+    ``CHECK_BATCH`` inputs at a time; every other circuit runs on the
+    exact sparse evaluator (``circuit.sparse_evaluate``), one input at a
+    time.  Both work at any width.  Input spaces larger than
+    ``MAX_CHECK_INPUTS``, and sparse runs that hold more than
+    ``circuit.MAX_SPARSE_SUPPORT`` basis states at once, raise
+    ``ResourceError``.
     """
     circ = instance.circuit
     if is_permutation_circuit(circ):
-        method = "bitsliced"
-    elif circ.n_qubits <= MAX_SIM_QUBITS:
-        method = "statevector"
+        method, evaluate = "bitsliced", permutation_mismatches
     else:
-        raise ResourceError(
-            f"{circ.n_qubits} qubits exceeds the statevector ceiling and the "
-            "circuit is not a basis permutation"
-        )
+        method, evaluate = "sparse", sparse_mismatches
     bits = sum(circ.layout.register(name).size for name in instance.input_names)
     if 1 << bits > MAX_CHECK_INPUTS:
         raise ResourceError(
@@ -175,19 +174,11 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
              for values in instance.input_space())
     mismatches: list[tuple[int, int, int]] = []
     total = 0
-    if method == "bitsliced":
-        rows = max(1, min(CHECK_BATCH, MAX_SLICED_BITS // circ.n_qubits))
-        while batch := list(islice(cases, rows)):
-            inputs, expected = zip(*batch)
-            total += len(batch)
-            mismatches += permutation_mismatches(circ, inputs, expected)
-    else:
-        for index_in, index_exp in cases:
-            total += 1
-            amps = simulate(circ, index_in).amps
-            if abs(amps[index_exp] - 1.0) > 1e-9:
-                observed = int(np.argmax(np.abs(amps)))
-                mismatches.append((index_in, index_exp, observed))
+    rows = max(1, min(CHECK_BATCH, MAX_SLICED_BITS // circ.n_qubits))
+    while batch := list(islice(cases, rows)):
+        inputs, expected = zip(*batch)
+        total += len(batch)
+        mismatches += evaluate(circ, inputs, expected)
     return EquivalenceReport(total, tuple(mismatches), not mismatches, method)
 
 

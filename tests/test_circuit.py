@@ -17,7 +17,9 @@ from cliffordt.circuit import (Circuit, Register, RegisterLayout,
                                is_permutation_circuit, lower_to_clifford_t,
                                parse, permutation_mismatches,
                                permutation_output, resources,
-                               schedule_layers, serialize, simulate)
+                               schedule_layers, serialize, simulate,
+                               sparse_evaluate)
+from cliffordt.circuit import _spill_support
 from cliffordt.errors import DomainError, ParseError, ResourceError
 from cliffordt.gates import (CLIFFORD_T_KINDS, GATE_ARITY, PERMUTATION_KINDS,
                              Gate, ccx, cnot, compose_matrices, cswap,
@@ -477,6 +479,20 @@ def test_parse_repeated_bad_line_fails_at_first_occurrence(bad, match):
     assert err.value.lineno == 3
 
 
+@pytest.mark.parametrize("token", ["1_2", "\u0663", "+1"],
+                         ids=["underscore", "arabic-indic-three", "plus"])
+def test_parse_operands_must_be_ascii_decimal(token):
+    # int() accepts each of these; the format admits [0-9]+ only
+    texts = [f"qubits {token}\n",
+             f"qubits 20\nregister q {token}..19 input\n",
+             f"qubits 20\nregister q 0..{token} input\n",
+             f"qubits 20\nh 0\ncnot 0 {token}\n"]
+    for text in texts:
+        with pytest.raises(ParseError, match="not an integer") as err:
+            parse(text)
+        assert err.value.lineno == text.count("\n")
+
+
 def test_parse_same_gate_in_any_spelling_is_one_gate():
     c = parse("qubits 3\nccx 0 1 2\n  ccx   0  1\t2  \nccx 0 1 2 # again\n"
               "ccx 0 1 2\nccx 0 1 2\n")
@@ -642,6 +658,74 @@ def random_circuits(draw):
     """A random circuit over all ten gate kinds, n <= 6."""
     n = draw(st.integers(1, 6))
     return Circuit(n, tuple(draw(st.lists(gates_on(n, GATE_ARITY), max_size=20))))
+
+
+@st.composite
+def clifford_t_circuits(draw, min_qubits=1):
+    """A random circuit over h/t/tdg/s/sdg/x/cnot, n <= 8."""
+    n = draw(st.integers(min_qubits, 8))
+    return Circuit(n, tuple(draw(st.lists(gates_on(n, CLIFFORD_T_KINDS),
+                                          max_size=24))))
+
+
+def sparse_column(c, j):
+    """The exact sparse state of ``c`` on input j as a dense vector."""
+    amps, k = sparse_evaluate(c, j)
+    w = np.exp(1j * np.pi / 4)
+    col = np.zeros(1 << c.n_qubits, dtype=complex)
+    for index, (a, b, cc, d) in amps.items():
+        col[index] = (a + b * w + cc * w ** 2 + d * w ** 3) / np.sqrt(2) ** k
+    return col
+
+
+@settings(max_examples=40, deadline=None)
+@given(clifford_t_circuits())
+def test_sparse_evaluator_matches_matrix_columns(c):
+    u = compose_matrices(c.ops, c.n_qubits)
+    for j in range(1 << c.n_qubits):
+        amps, k = sparse_evaluate(c, j)
+        assert all(any(v) for v in amps.values())  # no stored zeros
+        assert np.max(np.abs(sparse_column(c, j) - u[:, j])) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(clifford_t_circuits(min_qubits=2))
+def test_simulate_past_spill_matches_matrix_columns(c):
+    # H on every qubit first: the whole basis is in superposition, past
+    # the spill support at every width, so the dense kernel finishes
+    n = c.n_qubits
+    spread = Circuit(n, tuple(h(q) for q in range(n)) + c.ops)
+    assert 1 << n > _spill_support(n)
+    u = compose_matrices(spread.ops, n)
+    for j in range(0, 1 << n, 5):
+        assert np.max(np.abs(simulate(spread, j).amps - u[:, j])) < 1e-12
+
+
+def test_sparse_form_is_canonical():
+    # (H S)^3 = w I on qubit 0, and tdg on qubit 1 takes the w back off:
+    # three H gates, yet amplitude exactly 1 with exponent 0
+    c = Circuit(2, (h(0), Gate("s", (0,))) * 3 + (tdg(1),))
+    assert sparse_evaluate(c, 2) == ({2: (1, 0, 0, 0)}, 0)
+    assert sparse_evaluate(Circuit(1, (h(0), h(0))), 1) == ({1: (1, 0, 0, 0)}, 0)
+
+
+def test_lowered_circuits_stay_exact_on_the_sparse_path():
+    # a Toffoli template holds 2 basis states, under the spill support
+    # from 8 qubits on, so simulate never leaves the exact evaluator
+    inst = build_adder(4)
+    lowered = lower_to_clifford_t(inst.circuit)
+    assert _spill_support(lowered.n_qubits) >= 2
+    for j in range(0, 1 << lowered.n_qubits, 37):
+        amps = simulate(lowered, j).amps
+        out = permutation_output(inst.circuit, j)
+        assert amps[out] == 1.0
+        assert np.count_nonzero(amps) == 1
+
+
+def test_sparse_evaluator_validates_input_index():
+    for bad in (-1, 8):
+        with pytest.raises(DomainError):
+            sparse_evaluate(Circuit(3, (h(0),)), bad)
 
 
 @settings(max_examples=50, deadline=None)

@@ -10,7 +10,8 @@ from cliffordt.arith import (ArithInstance, build_adder, build_multiplier,
                              build_subtractor, build_taylor)
 from cliffordt.circuit import Circuit, lower_to_clifford_t, simulate
 from cliffordt.errors import DomainError, FitError, ResourceError
-from cliffordt.gates import h, matrix, phase_aligned_distance, s, t, x
+from cliffordt.gates import (compose_matrices, h, matrix,
+                             phase_aligned_distance, s, t, x)
 from cliffordt.state import make_rng
 from cliffordt.verify import (ORACLES, EquivalenceReport, NoiseModel,
                               RBResult, bloch_vector, exhaustive_check,
@@ -196,12 +197,59 @@ def test_batches_shrink_to_the_bit_slice_limit(monkeypatch):
         exhaustive_check(broken, oracle_adder(4))
 
 
-def test_nonpermutation_circuit_takes_statevector_path():
+def test_nonpermutation_circuit_takes_sparse_path():
     inst = build_adder(2)
     lowered = ArithInstance(2, lower_to_clifford_t(inst.circuit), inst.input_names)
     report = exhaustive_check(lowered, oracle_adder(2))
-    assert report.method == "statevector"
+    assert report.method == "sparse"
     assert report.passed and report.total_inputs == 16
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sparse_check_proves_lowered_taylor_past_statevector_ceiling(n):
+    # 27 and 36 qubits: no statevector could hold them
+    inst = build_taylor(n, 5, 3, 1, 2)
+    lowered = ArithInstance(n, lower_to_clifford_t(inst.circuit),
+                            inst.input_names, inst.constants)
+    assert lowered.circuit.n_qubits == 9 * n
+    report = exhaustive_check(lowered, oracle_taylor(n))
+    assert report.method == "sparse"
+    assert report.passed and report.total_inputs == 1 << n
+
+
+def matrix_reference(inst, oracle):
+    """The sparse check, rebuilt from the circuit's full unitary: a row
+    passes when its column is the expected basis state with amplitude 1,
+    and observed is the lowest index of largest magnitude."""
+    u = compose_matrices(inst.circuit.ops, inst.circuit.n_qubits)
+    mismatches = []
+    for values in inst.input_space():
+        index_in = inst.encode(values)
+        index_exp = inst.encode(oracle({**values, **inst.constants}))
+        mags = np.abs(u[:, index_in])
+        if abs(u[index_exp, index_in] - 1.0) > 1e-9:
+            observed = int(np.argmax(mags >= mags.max() - 1e-9))
+            mismatches.append((index_in, index_exp, observed))
+    return tuple(mismatches)
+
+
+_LOWERED_ADDER2 = lower_to_clifford_t(build_adder(2).circuit)
+
+
+# deleting a t leaves phase errors and uneven superpositions; deleting an
+# h leaves amplitudes of equal magnitude, where the lowest index wins
+@pytest.mark.parametrize("drop", [i for i, g in enumerate(_LOWERED_ADDER2.ops)
+                                  if g.kind in ("t", "h")])
+def test_sparse_mutant_reports_match_matrix_reference(drop):
+    ops = _LOWERED_ADDER2.ops
+    mutant = ArithInstance(2, Circuit(_LOWERED_ADDER2.n_qubits,
+                                      ops[:drop] + ops[drop + 1:],
+                                      _LOWERED_ADDER2.layout), ("b", "a"))
+    report = exhaustive_check(mutant, oracle_adder(2))
+    assert report.method == "sparse"
+    assert report.mismatches == matrix_reference(mutant, oracle_adder(2))
+    assert not report.passed
+
 
 
 @pytest.mark.parametrize("build,oracle,n,inputs,limit_seconds", [
