@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Sequence
 
 import numpy as np
@@ -486,10 +486,12 @@ def _to_complex(v: tuple, k: int) -> complex:
                    c / half + (b + d) / half * _SQRT_HALF)
 
 
-def _check_index(n_qubits: int, index: int) -> None:
-    if not 0 <= index < (1 << n_qubits):
+def _check_index(n_qubits: int, basis: int) -> None:
+    # compare bit lengths: 1 << n_qubits would allocate n_qubits bits
+    basis = index(basis)
+    if basis < 0 or basis.bit_length() > n_qubits:
         raise DomainError(
-            f"basis index {index} out of range for {n_qubits} qubits")
+            f"basis index {basis} out of range for {n_qubits} qubits")
 
 
 def sparse_evaluate(c: Circuit, input_basis: int) -> tuple[dict[int, tuple], int]:

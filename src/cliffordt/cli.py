@@ -19,8 +19,8 @@ import numpy as np
 from .arith import ArithInstance, BUILDERS
 from .circuit import (is_permutation_circuit, parse, permutation_output,
                       resources, serialize, simulate)
-from .errors import CliffordTError, DomainError
-from .state import probabilities, sample
+from .errors import CliffordTError
+from .state import check_shots, probabilities, sample
 from .uncompute import BennettSpec, bennett_wrap
 from .verify import ORACLES, NoiseModel, exhaustive_check, run_rb
 
@@ -69,8 +69,7 @@ def _cmd_sim(args) -> int:
     if args.shots is not None:
         if permutation:
             # a basis permutation lands every shot on one outcome
-            if args.shots < 1:
-                raise DomainError("shots must be at least 1")
+            check_shots(args.shots)
             ordered = {permutation_output(circ, args.input): args.shots}
         else:
             counts = sample(simulate(circ, args.input), args.shots, args.seed)

@@ -42,6 +42,15 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
+def check_shots(shots: int, name: str = "shots") -> None:
+    """Raise ``DomainError`` unless 1 <= shots <= 2^63 - 1: numpy's
+    binomial and multinomial draws take their count as a 64-bit int."""
+    if shots < 1:
+        raise DomainError(f"{name} must be at least 1")
+    if shots > (1 << 63) - 1:
+        raise DomainError(f"{name} must be at most 2^63 - 1")
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitude vector over the 2^n computational basis states.
@@ -192,8 +201,7 @@ def sample(state: StateVector, shots: int, seed: int) -> MeasurementCounts:
     order.  Deterministic for a fixed seed; see ``make_rng`` for the
     generator.
     """
-    if shots < 1:
-        raise DomainError("shots must be at least 1")
+    check_shots(shots)
     rng = make_rng(seed)
     p = probabilities(state)
     counts = rng.multinomial(shots, p / p.sum())

@@ -16,8 +16,11 @@ uniformly from {X, Y, Z}.  Averaged over trajectories this reproduces
 depolarizing statistics, shrinking the Bloch vector by (1 - 4d/3) per
 step, without ever forming a density matrix.  The Paulis are themselves
 Cliffords, so a trajectory stays in the 24-element group and is followed
-exactly as a group index through a precomputed product table (Aaronson
-and Gottesman, quant-ph/0406196).
+exactly as a group index through a precomputed product table.  The tables
+are built from each element's exact action on the Pauli axes: up to
+phase, a one-qubit Clifford is the signed permutation it makes of X, Y
+and Z under conjugation, its stabilizer tableau (Aaronson and Gottesman,
+quant-ph/0406196), so no matrix, rounding or tolerance enters.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from .arith import ArithInstance
 from .circuit import (MAX_SLICED_BITS, Circuit, is_permutation_circuit,
                       permutation_mismatches, simulate, sparse_mismatches)
 from .errors import DomainError, FitError, ResourceError
-from .gates import Gate, h, matrix, s, sdg
-from .state import apply_gate, bloch_coords, make_rng, probabilities
+from .gates import Gate, h, sdg
+from .state import (apply_gate, bloch_coords, check_shots, make_rng,
+                    probabilities)
 
 Oracle = Callable[[Mapping[str, int]], dict[str, int]]
 
@@ -201,8 +205,7 @@ def tomography_1q(state_prep: Circuit, shots_per_axis: int,
     """
     if state_prep.n_qubits != 1:
         raise DomainError("tomography_1q needs a one-qubit circuit")
-    if shots_per_axis < 1:
-        raise DomainError("shots_per_axis must be at least 1")
+    check_shots(shots_per_axis, "shots_per_axis")
     rng = make_rng(seed)
     prepared = simulate(state_prep, 0)
     estimates = {}
@@ -224,73 +227,38 @@ def bloch_vector(state) -> tuple[float, float, float]:
             float(np.cos(2 * theta)))
 
 
-def _canonical_key(m: np.ndarray) -> bytes:
-    # Pivot on the first entry within tolerance of the max magnitude, so
-    # float noise cannot flip which of several tied entries sets the phase.
-    flat = m.reshape(-1)
-    mags = np.abs(flat)
-    pivot = flat[int(np.argmax(mags >= mags.max() - 1e-6))]
-    canon = np.round(m * (abs(pivot) / pivot), 6)
-    return (canon + (0.0 + 0.0j)).tobytes()  # flush signed zeros
+# A one-qubit Clifford up to phase: the (axis, sign) images of X, Y, Z.
+_GENERATORS = {"h": ((2, 1), (1, -1), (0, 1)), "s": ((1, 1), (0, -1), (2, 1))}
 
 
-def _enumerate_cliffords() -> tuple[list[tuple[tuple[str, ...], np.ndarray]],
-                                     dict[str, np.ndarray]]:
-    """The 24 single-qubit Cliffords as {H, S} words, deduped up to phase.
-
-    Element i with word (g_1, ..., g_k) is the matrix g_k ... g_1.  Also
-    returns, for each generator g, the index of g @ C_i for every i: the
-    48 generator actions the search computes anyway.
-    """
-    generators = {"h": matrix(h(0)), "s": matrix(s(0))}
-    identity = np.eye(2, dtype=complex)
-    start = _canonical_key(identity)
-    seen: dict[bytes, tuple[tuple[str, ...], np.ndarray]] = {start: ((), identity)}
-    edges = []
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for key in frontier:
-            word, mat = seen[key]
-            for name, gen in generators.items():
-                new_mat = gen @ mat
-                new_key = _canonical_key(new_mat)
-                edges.append((name, key, new_key))
-                if new_key not in seen:
-                    seen[new_key] = (word + (name,), new_mat)
-                    nxt.append(new_key)
-        frontier = nxt
-    keys = sorted(seen, key=lambda k: (len(seen[k][0]), seen[k][0]))
-    assert len(keys) == 24
-    index = {k: i for i, k in enumerate(keys)}
-    actions = {name: np.empty(24, dtype=np.intp) for name in generators}
-    for name, src, dst in edges:
-        actions[name][index[src]] = index[dst]
-    return [seen[k] for k in keys], actions
+def _after(a: tuple, b: tuple) -> tuple:
+    """The Pauli images of C_a C_b: C_b first, then C_a."""
+    return tuple((a[axis][0], sign * a[axis][1]) for axis, sign in b)
 
 
 def _clifford_tables():
-    """Exact group tables of the single-qubit Cliffords, up to phase.
+    """Exact tables of the 24 single-qubit Cliffords, found breadth first.
 
-    ``MUL[a, b]`` is the index of C_a @ C_b, found by running the generators
-    of a's word over every b.  ``INV[a]`` is the inverse of a (the identity
-    is element 0), ``PAULI`` holds the indices of X, Y and Z, and ``P0[a]``
-    is the survival |<0|C_a|0>|^2, exactly 0, 1/2 or 1.
+    Word (g_1, ..., g_k) is the matrix g_k ... g_1; elements are ordered by
+    (length, word).  ``MUL[a, b]`` indexes C_a C_b, ``INV[a]`` C_a^-1,
+    ``PAULI`` X, Y, Z, and ``P0[a]`` is |<0|C_a|0>|^2 = (1 + z)/2, where z
+    is the sign of Z's image if that image lies on Z, else 0.
     """
-    elements, actions = _enumerate_cliffords()
-    mul = np.empty((24, 24), dtype=np.intp)
-    for a, (word, _) in enumerate(elements):
-        row = np.arange(24)
-        for g in word:
-            row = actions[g][row]
-        mul[a] = row
-    inv = np.argmax(mul == 0, axis=1)
-    # Z = S S, X = H Z H, and Y = X Z up to phase
-    z = mul[actions["s"][0], actions["s"][0]]
-    x = mul[actions["h"][0], mul[z, actions["h"][0]]]
-    pauli = np.array([x, mul[x, z], z])
-    p0 = np.array([np.round(2 * abs(m[0, 0]) ** 2) / 2 for _, m in elements])
-    return elements, mul, inv, pauli, p0
+    elements = [((0, 1), (1, 1), (2, 1))]
+    words = {elements[0]: ()}
+    for old in elements:
+        for name, gen in _GENERATORS.items():
+            if (new := _after(gen, old)) not in words:
+                words[new] = words[old] + (name,)
+                elements.append(new)
+    elements.sort(key=lambda e: (len(words[e]), words[e]))
+    index = {e: i for i, e in enumerate(elements)}
+    mul = np.array([[index[_after(a, b)] for b in elements] for a in elements])
+    pauli = [index[tuple((axis, 1 if axis == p else -1) for axis in range(3))]
+             for p in range(3)]
+    p0 = [(1 + sign) / 2 if axis == 2 else 0.5 for _, _, (axis, sign) in elements]
+    return ([words[e] for e in elements], mul, np.argmax(mul == 0, axis=1),
+            np.array(pauli), np.array(p0))
 
 
 _CLIFFORDS, _MUL, _INV, _PAULI, _P0 = _clifford_tables()
@@ -344,8 +312,9 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
     if any(m < 1 for m in lengths) or any(
             b <= a for a, b in zip(lengths, lengths[1:])):
         raise DomainError("lengths must be positive and strictly increasing")
-    if n_sequences < 1 or shots < 1:
-        raise DomainError("n_sequences and shots must be at least 1")
+    if n_sequences < 1:
+        raise DomainError("n_sequences must be at least 1")
+    check_shots(shots)
     d = noise.depolarizing_prob
     rng = make_rng(seed)
     mean_fidelity = []

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cliffordt
 from cliffordt.arith import (BUILDERS, build_adder, build_ctrl_add,
                              build_multiplier, build_subtractor, build_taylor)
 from cliffordt.circuit import (Circuit, Register, RegisterLayout,
@@ -728,6 +733,24 @@ def test_sparse_evaluator_validates_input_index():
             sparse_evaluate(Circuit(3, (h(0),)), bad)
 
 
+def test_sparse_evaluator_checks_index_without_building_two_to_the_n():
+    # 2^35 qubits: a range check through 1 << n_qubits would build a 4 GiB
+    # integer; the child runs under a 1 GiB address-space limit, so it
+    # would fail at once instead of eating the machine's memory
+    limit = 1 << 30
+    code = ("import resource\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from cliffordt.circuit import parse, sparse_evaluate\n"
+            "c = parse('qubits 34359738368\\nh 0\\n')\n"
+            "print(sparse_evaluate(c, 0))\n")
+    src = str(Path(cliffordt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stderr == ""
+    assert proc.stdout == "({0: (1, 0, 0, 0), 1: (1, 0, 0, 0)}, 1)\n"
+
+
 @settings(max_examples=50, deadline=None)
 @given(random_circuits())
 def test_simulate_matches_matrix_columns(c):
@@ -781,3 +804,26 @@ def decompose_each(ops):
 def test_templates_match_lowering_gate_by_gate(c):
     assert lower_to_clifford_t(c).ops == decompose_each(c.ops)
     assert resources(c) == reference_resources(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_circuits())
+def test_round_trip_on_random_circuits(c):
+    back = parse(serialize(c))
+    assert back == c
+    assert resources(back) == resources(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_circuits(), st.data())
+def test_bennett_wrap_restores_inner_wires_and_copies_outputs(case, data):
+    c, inputs = case
+    wires = data.draw(st.lists(st.integers(0, c.n_qubits - 1), min_size=1,
+                               unique=True))
+    start = data.draw(st.integers(c.n_qubits, c.n_qubits + 2))
+    wrapped = bennett_wrap(BennettSpec(c, tuple(wires), start))
+    for j in inputs:
+        out = permutation_output(c, j)
+        copies = sum(((out >> w) & 1) << (start + i)
+                     for i, w in enumerate(wires))
+        assert permutation_output(wrapped, j) == j | copies

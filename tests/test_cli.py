@@ -254,6 +254,44 @@ def test_sim_shots_past_statevector_ceiling(tmp_path, capsys):
     assert "shots" in err
 
 
+HUGE_SHOTS = str(1 << 63)
+
+
+def assert_one_error_line(result):
+    code, out, err = result
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_sim_permutation_shots_past_int64_is_the_same_error(tmp_path, capsys,
+                                                           monkeypatch):
+    path = tmp_path / "chain.qc"
+    path.write_text("qubits 2\ncnot 0 1\n")
+    argv = ["sim", str(path), "--input", "1", "--shots", HUGE_SHOTS]
+    served = run_cli(capsys, *argv)
+    assert_one_error_line(served)
+    monkeypatch.setattr(cli, "is_permutation_circuit", lambda c: False)
+    assert run_cli(capsys, *argv) == served
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "{tmp}/missing.qc"],
+    ["sim", "{tmp}/missing.qc", "--input", "0"],
+    ["uncompute", "{tmp}/x.qc", "--wires", "0,,1", "--out", "{tmp}/y.qc"],
+    ["rb", "--d", "0.1", "--lengths", "1,x"],
+    ["sim", "{tmp}/bell.qc", "--input", "0", "--shots", HUGE_SHOTS],
+    ["rb", "--d", "0.02", "--lengths", "1,5,10", "--shots", HUGE_SHOTS],
+])
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
+    (tmp_path / "x.qc").write_text("qubits 2\ncnot 0 1\n")
+    (tmp_path / "bell.qc").write_text("qubits 2\nh 0\ncnot 0 1\n")
+    assert_one_error_line(run_cli(capsys, *[a.format(tmp=tmp_path)
+                                            for a in argv]))
+    assert not (tmp_path / "y.qc").exists()
+
+
 # ---------------------------------------------------------------------------
 # uncompute
 # ---------------------------------------------------------------------------

@@ -178,6 +178,17 @@ def test_sample_validates_shots():
         sample(new_basis_state(1, 0), 0, seed=1)
 
 
+def test_sample_refuses_counts_past_int64():
+    with pytest.raises(DomainError, match=r"at most 2\^63 - 1"):
+        sample(new_basis_state(1, 0), 1 << 63, seed=1)
+
+
+def test_sample_takes_the_largest_int64_count():
+    shots = (1 << 63) - 1
+    counts = sample(bell_state(), shots, seed=1)
+    assert sum(counts.counts.values()) == counts.shots == shots
+
+
 # ---------------------------------------------------------------------------
 # overlaps
 # ---------------------------------------------------------------------------

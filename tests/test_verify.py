@@ -1,5 +1,7 @@
 """Verification suite: oracle equivalence, tomography, RB, decay fitting."""
 
+import hashlib
+import json
 import time
 
 import numpy as np
@@ -307,6 +309,11 @@ def test_tomography_validation():
         tomography_1q(Circuit(1), 0, seed=1)
 
 
+def test_tomography_refuses_counts_past_int64():
+    with pytest.raises(DomainError, match=r"shots_per_axis must be at most"):
+        tomography_1q(Circuit(1), 1 << 63, 1)
+
+
 # ---------------------------------------------------------------------------
 # randomized benchmarking
 # ---------------------------------------------------------------------------
@@ -357,6 +364,13 @@ def test_rb_validation():
         NoiseModel(1.5)
 
 
+def test_rb_refuses_counts_past_int64():
+    with pytest.raises(DomainError, match=r"shots must be at most 2\^63 - 1"):
+        run_rb(NoiseModel(0.1), [1, 2, 3], 10, 1 << 63, seed=0)
+    result = run_rb(NoiseModel(0.1), [1, 2, 3], 10, (1 << 63) - 1, seed=0)
+    assert all(0.0 <= f <= 1.0 for f in result.mean_fidelity)
+
+
 def test_rb_rejects_too_few_lengths_before_simulating(monkeypatch):
     def no_simulation(seed):
         raise AssertionError("sequences were simulated")
@@ -379,7 +393,8 @@ def test_rb_result_serialization():
 PAULIS = (np.array([[0, 1], [1, 0]], complex),
           np.array([[0, -1j], [1j, 0]], complex),
           np.array([[1, 0], [0, -1]], complex))
-CLIFFORDS = [m for _, m in verify._CLIFFORDS]
+CLIFFORDS = [compose_matrices([{"h": h, "s": s}[g](0) for g in word], 1)
+             for word in verify._CLIFFORDS]
 
 
 def test_product_table_matches_matrix_products():
@@ -406,6 +421,45 @@ def test_survival_table_is_exact():
     for a, m in enumerate(CLIFFORDS):
         assert verify._P0[a] in (0.0, 0.5, 1.0)
         assert abs(verify._P0[a] - abs(m[0, 0]) ** 2) < 1e-12
+
+
+# sha256 of the sorted-key JSON of run_rb(NoiseModel(d), RB_GOLDEN_LENGTHS,
+# 50, 100, seed).to_dict(), and of the bytes of the four group tables; any
+# change to the tables, the draw order or the fit shows here
+RB_GOLDEN_LENGTHS = (1, 5, 10, 20, 40, 70, 100)
+RB_GOLDEN = {
+    (0, 1): "fff3ed2c91cc94cbee88e261548afcfd5364010d1f9baf62116c6c90b4ff042f",
+    (0, 2): "fff3ed2c91cc94cbee88e261548afcfd5364010d1f9baf62116c6c90b4ff042f",
+    (0, 3): "fff3ed2c91cc94cbee88e261548afcfd5364010d1f9baf62116c6c90b4ff042f",
+    (0, 4): "fff3ed2c91cc94cbee88e261548afcfd5364010d1f9baf62116c6c90b4ff042f",
+    (0.02, 1): "b53fd4369f48089075795d402695655ddf0e98217ab85a4521453dc71e500b73",
+    (0.02, 2): "2454ca31e9678d84916b9a702d3c0e13ffa62df82486a209e29dd24379a365ea",
+    (0.02, 3): "e704a2c84798d8cb2bb27e9530f824076e53c03a70deddbe020bb9631b9ef81a",
+    (0.02, 4): "9e84dfd5bcb02ddf3b255b48f74be27afdd55f00998c17526a7caa34ffb46964",
+    (0.3, 1): "3861213cb8e60ea53ebeaa6ab04c442e7e17d37b9d36dfbdf3372b326abcc6bb",
+    (0.3, 2): "d541611ddac0922360063517306de7a6e4e8bfa2758ad8a9901c1c1df3448d83",
+    (0.3, 3): "b6e9b0d6789fc85aa99c272b6a4964c3b05c03fb20e0ea51c23bb3499e114fde",
+    (0.3, 4): "04a1b998914cc4d272657d5f96fae17be90177808e86e596f52f678e5f76131d",
+    (1, 1): "8d78a163ca8f0be6de78d93705cdc9c3ad04db6c477a5428635bdb349f9f8f12",
+    (1, 2): "03f60b91e84293514c0ff94e5202f6159817ea4fbaebe622330027947c4dfce1",
+    (1, 3): "db871aa31855e00684d5d490917ddaa13d8ceb48a26fdb1284dbd9ed89750ae8",
+    (1, 4): "f00c363d22b399d1950200d29830b5e43128f730512add45ce9b8d11b123a376",
+}
+TABLES_GOLDEN = "0f1e010d5fc2babc3bd6a7e2ab8b193eb58cf0bfcdcb65f1f801a7036b200436"
+
+
+@pytest.mark.parametrize("d, seed", sorted(RB_GOLDEN))
+def test_rb_golden_digest(d, seed):
+    result = run_rb(NoiseModel(d), RB_GOLDEN_LENGTHS, 50, 100, seed)
+    payload = json.dumps(result.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == RB_GOLDEN[d, seed]
+
+
+def test_clifford_tables_golden_digest():
+    tables = (verify._MUL, verify._INV, verify._PAULI, verify._P0)
+    assert [t.dtype for t in tables] == [np.intp, np.intp, np.intp, np.float64]
+    digest = hashlib.sha256(b"".join(t.tobytes() for t in tables))
+    assert digest.hexdigest() == TABLES_GOLDEN
 
 
 def test_table_trajectories_match_matrix_products():
