@@ -13,8 +13,8 @@ from .circuit import (Circuit, Register, RegisterLayout, ResourceReport,
                       compose, default_layout, inverse_circuit,
                       is_permutation_circuit, lower_to_clifford_t, parse,
                       permutation_mismatches, permutation_output, resources,
-                      schedule_layers, serialize, simulate, sparse_evaluate,
-                      sparse_mismatches)
+                      schedule_layers, serialize, simulate, sliced_mismatches,
+                      sparse_evaluate, sparse_mismatches)
 from .errors import (CliffordTError, DomainError, FitError, ParseError,
                      ResourceError)
 from .gates import (Gate, ccx, cnot, cswap, decompose_fredkin,

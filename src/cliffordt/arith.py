@@ -34,26 +34,16 @@ class ArithInstance:
     constants: dict[str, int] = field(default_factory=dict)
 
     def encode(self, values: Mapping[str, int]) -> int:
-        return self.encoder()(values)
-
-    def encoder(self) -> Callable[[Mapping[str, int]], int]:
-        """``encode`` with the register layout read once, for packing many
-        assignments: registers missing from the values take their
-        constant, else 0, and a value that does not fit its register
-        raises ``DomainError``."""
-        fields = [(r.name, r.start, r.size, self.constants.get(r.name, 0))
-                  for r in self.circuit.layout.registers]
-
-        def encode(values: Mapping[str, int]) -> int:
-            index = 0
-            for name, start, size, default in fields:
-                v = values.get(name, default)
-                if v < 0 or v >> size:
-                    raise DomainError(
-                        f"value {v} does not fit register {name} ({size} bits)")
-                index |= v << start
-            return index
-        return encode
+        """Registers missing from ``values`` take their constant, else 0; a
+        value that does not fit its register raises ``DomainError``."""
+        index = 0
+        for r in self.circuit.layout.registers:
+            v = values.get(r.name, self.constants.get(r.name, 0))
+            if v < 0 or v >> r.size:
+                raise DomainError(
+                    f"value {v} does not fit register {r.name} ({r.size} bits)")
+            index |= v << r.start
+        return index
 
     def decode(self, basis_index: int) -> dict[str, int]:
         return self.circuit.layout.decode(basis_index)

@@ -538,19 +538,22 @@ def _peak(amps: dict[int, tuple]) -> int:
     return best
 
 
-def sparse_mismatches(c: Circuit, inputs: Sequence[int],
-                      expected: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Run ``c`` exactly on each basis input with ``sparse_evaluate``.
+def sparse_mismatches(c: Circuit, cols: list[int], expected: list[int],
+                      n_rows: int) -> list[tuple[int, int, int]]:
+    """Run ``c`` exactly on each row of a bit-sliced batch with
+    ``sparse_evaluate``.
 
+    ``cols`` and ``expected`` hold the batch's input and expected basis
+    indices as bit columns (see ``_to_columns``), ``n_rows`` rows each.
     A row passes only when its final state is exactly its expected basis
     state with amplitude 1.  Returns an (input, expected, observed) triple
     for every other row, in row order; observed is the lowest basis index
     among the amplitudes of largest magnitude.
     """
-    if len(inputs) != len(expected):
-        raise DomainError("inputs and expected outputs differ in length")
+    every = range(n_rows)
     out = []
-    for index_in, index_exp in zip(inputs, expected):
+    for index_in, index_exp in zip(_from_columns(cols, n_rows, every),
+                                   _from_columns(expected, n_rows, every)):
         amps, k = sparse_evaluate(c, index_in)
         if k or amps != {index_exp: _ONE}:
             out.append((index_in, index_exp, _peak(amps)))
@@ -601,7 +604,16 @@ def is_permutation_circuit(c: Circuit) -> bool:
     """True when every gate is a classical basis permutation (X, CNOT,
     SWAP, Toffoli, Fredkin), so basis states map to basis states with
     amplitude exactly 1."""
-    return all(g.kind in G.PERMUTATION_KINDS for g in c.ops)
+    return {g.kind for g in c.ops} <= G.PERMUTATION_KINDS
+
+
+def check_sliced_bits(n_qubits: int, n_rows: int) -> None:
+    """Raise ``ResourceError`` before slicing a batch of more than
+    ``MAX_SLICED_BITS`` bits."""
+    if n_qubits * n_rows > MAX_SLICED_BITS:
+        raise ResourceError(
+            f"{n_qubits} qubits x {n_rows} rows exceeds the "
+            f"{MAX_SLICED_BITS}-bit limit of the bit-sliced evaluator")
 
 
 def _to_columns(indices: Sequence[int], n_qubits: int) -> list[int]:
@@ -611,10 +623,7 @@ def _to_columns(indices: Sequence[int], n_qubits: int) -> list[int]:
     first, so column q is every ``n_qubits``-th digit read as one integer.
     Batches of more than ``MAX_SLICED_BITS`` bits raise ``ResourceError``.
     """
-    if n_qubits * len(indices) > MAX_SLICED_BITS:
-        raise ResourceError(
-            f"{n_qubits} qubits x {len(indices)} rows exceeds the "
-            f"{MAX_SLICED_BITS}-bit limit of the bit-sliced evaluator")
+    check_sliced_bits(n_qubits, len(indices))
     if min(indices) < 0 or max(indices) >> n_qubits:
         raise DomainError(f"basis index out of range for {n_qubits} qubits")
     text = "".join(map(format, reversed(indices), repeat(f"0{n_qubits}b")))
@@ -655,33 +664,40 @@ def _run_columns(ops: Sequence[Gate], cols: list[int], ones: int) -> None:
             raise DomainError(f"{k} is not a basis permutation gate")
 
 
-def permutation_mismatches(c: Circuit, inputs: Sequence[int],
-                           expected: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Run a permutation circuit on a batch of basis inputs in one pass.
+def sliced_mismatches(c: Circuit, cols: list[int], expected: list[int],
+                      n_rows: int) -> list[tuple[int, int, int]]:
+    """Run a permutation circuit on a bit-sliced batch in one pass.
 
-    The batch is bit-sliced (Biham, FSE 1997): each qubit becomes one
-    Python int with a bit per input, so a gate costs a few big-int
-    operations for the whole batch, at any circuit width.  Returns an
-    (input, expected, observed) triple for every row whose output is not
-    its expected index, in row order; observed indices are rebuilt for
-    those rows only.
+    ``cols`` and ``expected`` hold the batch's input and expected basis
+    indices as bit columns (see ``_to_columns``), ``n_rows`` rows each;
+    neither list is modified.  Each qubit is one Python int with a bit per
+    row (Biham, FSE 1997), so a gate costs a few big-int operations for
+    the whole batch, at any circuit width.  Returns an (input, expected,
+    observed) triple for every row whose output is not its expected index,
+    in row order; the three indices are rebuilt for those rows only.
     """
-    if len(inputs) != len(expected):
-        raise DomainError("inputs and expected outputs differ in length")
-    if not inputs:
-        return []
-    n_rows = len(inputs)
-    cols = _to_columns(inputs, c.n_qubits)
-    _run_columns(c.ops, cols, (1 << n_rows) - 1)
+    out = list(cols)
+    _run_columns(c.ops, out, (1 << n_rows) - 1)
     diff = 0
-    for got, want in zip(cols, _to_columns(expected, c.n_qubits)):
+    for got, want in zip(out, expected):
         diff |= got ^ want
     if not diff:
         return []
     flags = format(diff, f"0{n_rows}b")[::-1]
     rows = [r for r, bit in enumerate(flags) if bit == "1"]
-    observed = _from_columns(cols, n_rows, rows)
-    return [(inputs[r], expected[r], o) for r, o in zip(rows, observed)]
+    return list(zip(*(_from_columns(x, n_rows, rows)
+                      for x in (cols, expected, out))))
+
+
+def permutation_mismatches(c: Circuit, inputs: Sequence[int],
+                           expected: Sequence[int]) -> list[tuple[int, int, int]]:
+    """``sliced_mismatches`` on lists of input and expected basis indices."""
+    if len(inputs) != len(expected):
+        raise DomainError("inputs and expected outputs differ in length")
+    if not inputs:
+        return []
+    return sliced_mismatches(c, _to_columns(inputs, c.n_qubits),
+                             _to_columns(expected, c.n_qubits), len(inputs))
 
 
 def permutation_output(c: Circuit, input_basis: int) -> int:

@@ -186,9 +186,15 @@ def main(argv=None) -> int:
     try:
         default_seed = int(env_seed)
     except ValueError:
-        parser.error(f"CLIFFORDT_SEED must be an integer, got {env_seed!r}")
-    if hasattr(args, "seed") and args.seed is None:
-        args.seed = default_seed
+        default_seed = -1
+    if default_seed < 0:
+        parser.error("CLIFFORDT_SEED must be a non-negative integer, "
+                     f"got {env_seed!r}")
+    if hasattr(args, "seed"):
+        if args.seed is None:
+            args.seed = default_seed
+        elif args.seed < 0:
+            parser.error(f"--seed must be non-negative, got {args.seed}")
     try:
         return args.func(args)
     except (CliffordTError, OSError, ValueError) as exc:

@@ -394,22 +394,113 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("argv", [
+#: One valid invocation of every subcommand.
+EVERY_SUBCOMMAND = [
     ["gen", "adder", "2", "{tmp}/x.qc"],
     ["metrics", "{tmp}/x.qc"],
     ["sim", "{tmp}/x.qc", "--input", "0"],
     ["uncompute", "{tmp}/x.qc", "--wires", "0", "--out", "{tmp}/y.qc"],
     ["verify", "adder", "2"],
     ["rb", "--d", "0", "--lengths", "1,2,3", "--seed", "1"],
-])
-def test_malformed_seed_env_is_a_usage_error(tmp_path, capsys, monkeypatch,
-                                             argv):
-    monkeypatch.setenv("CLIFFORDT_SEED", "abc")
+]
+
+
+def assert_usage_error(capsys, argv, *needles):
+    """argparse's exit 2: usage and the needles on stderr, nothing on
+    stdout, no traceback."""
     with pytest.raises(SystemExit) as exc:
-        main([a.format(tmp=tmp_path) for a in argv])
+        main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "CLIFFORDT_SEED" in captured.err and "'abc'" in captured.err
+    assert captured.err.startswith("usage: ")
+    assert all(needle in captured.err for needle in needles)
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND)
+def test_malformed_seed_env_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                             argv):
+    monkeypatch.setenv("CLIFFORDT_SEED", "abc")
+    assert_usage_error(capsys, [a.format(tmp=tmp_path) for a in argv],
+                       "CLIFFORDT_SEED", "'abc'")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND)
+def test_negative_seed_env_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                            argv):
+    monkeypatch.setenv("CLIFFORDT_SEED", "-3")
+    assert_usage_error(capsys, [a.format(tmp=tmp_path) for a in argv],
+                       "CLIFFORDT_SEED must be a non-negative integer", "'-3'")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["rb", "--d", "0.1", "--lengths", "1,2,3", "--seed", "-5"],
+    ["sim", "{tmp}/bell.qc", "--input", "0", "--shots", "10", "--seed", "-1"],
+    ["sim", "{tmp}/bell.qc", "--input", "0", "--seed", "-1"],
+    ["sim", "{tmp}/x.qc", "--input", "0", "--shots", "10", "--seed", "-1"],
+    ["sim", "{tmp}/x.qc", "--input", "0", "--seed", "-1"],
+])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    (tmp_path / "x.qc").write_text("qubits 2\ncnot 0 1\n")
+    (tmp_path / "bell.qc").write_text("qubits 2\nh 0\ncnot 0 1\n")
+    assert_usage_error(capsys, [a.format(tmp=tmp_path) for a in argv],
+                       "--seed must be non-negative")
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (argv, bad) for argv in EVERY_SUBCOMMAND
+    for bad in (["--bogus"], ["--format", "yaml"], ["--seed", "x"])
+] + [
+    (["gen", "adder", "two", "{tmp}/x.qc"], []),
+    (["gen", "divider", "2", "{tmp}/x.qc"], []),
+    (["metrics"], []),
+    (["sim", "{tmp}/x.qc", "--input", "x"], []),
+    (["sim", "{tmp}/x.qc", "--input", "0", "--shots", "1.5"], []),
+    (["uncompute", "{tmp}/x.qc", "--out", "{tmp}/y.qc"], []),
+    (["verify", "adder"], []),
+    (["rb", "--d", "high", "--lengths", "1,2,3"], []),
+    (["rb", "--lengths", "1,2,3"], []),
+    ([], []),
+])
+def test_bad_flag_is_a_usage_error(tmp_path, capsys, argv, bad):
+    (tmp_path / "x.qc").write_text("qubits 2\ncnot 0 1\n")
+    assert_usage_error(capsys, [a.format(tmp=tmp_path) for a in argv + bad])
+    assert [p.name for p in tmp_path.iterdir()] == ["x.qc"]
+
+
+BAD_CIRCUITS = {
+    "unknown gate": b"qubits 2\nfrobnicate 0\n",
+    "operand out of range": b"qubits 2\ncnot 0 5\n",
+    "repeated operand": b"qubits 2\ncnot 1 1\n",
+    "no header": b"cnot 0 1\n",
+    "not utf-8": b"qubits 2\n\xff\xfe\n",
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "{tmp}/bad.qc"],
+    ["metrics", "{tmp}/bad.qc", "--format", "json"],
+    ["sim", "{tmp}/bad.qc", "--input", "0"],
+    ["sim", "{tmp}/bad.qc", "--input", "0", "--shots", "5"],
+    ["uncompute", "{tmp}/bad.qc", "--wires", "0", "--out", "{tmp}/y.qc"],
+])
+@pytest.mark.parametrize("text", list(BAD_CIRCUITS.values()),
+                         ids=list(BAD_CIRCUITS))
+def test_bad_circuit_file_is_one_error_line(tmp_path, capsys, argv, text):
+    if text is not None:
+        (tmp_path / "bad.qc").write_bytes(text)
+    assert_one_error_line(run_cli(capsys, *[a.format(tmp=tmp_path)
+                                            for a in argv]))
+    assert not (tmp_path / "y.qc").exists()
+
+
+def test_unwritable_circuit_file_is_one_error_line(tmp_path, capsys):
+    # gen and uncompute write a circuit file; a directory cannot take it
+    (tmp_path / "x.qc").write_text("qubits 2\ncnot 0 1\n")
+    assert_one_error_line(run_cli(capsys, "gen", "adder", "2", str(tmp_path)))
+    assert_one_error_line(run_cli(capsys, "uncompute", str(tmp_path / "x.qc"),
+                                  "--wires", "0", "--out", str(tmp_path)))

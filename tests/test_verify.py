@@ -6,11 +6,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffordt import circuit, verify
-from cliffordt.arith import (ArithInstance, build_adder, build_multiplier,
-                             build_subtractor, build_taylor)
-from cliffordt.circuit import Circuit, lower_to_clifford_t, simulate
+from cliffordt.arith import (ArithInstance, build_adder, build_ctrl_add,
+                             build_multiplier, build_subtractor, build_taylor)
+from cliffordt.circuit import (Circuit, Register, RegisterLayout,
+                               lower_to_clifford_t, simulate)
 from cliffordt.errors import DomainError, FitError, ResourceError
 from cliffordt.gates import (compose_matrices, h, matrix,
                              phase_aligned_distance, s, t, x)
@@ -197,6 +200,175 @@ def test_batches_shrink_to_the_bit_slice_limit(monkeypatch):
     monkeypatch.setattr(verify, "MAX_SLICED_BITS", n - 1)
     with pytest.raises(ResourceError, match="bit-sliced evaluator"):
         exhaustive_check(broken, oracle_adder(4))
+
+
+def _taylor(n):
+    return build_taylor(n, *(v % (1 << n) for v in (5, 3, 1, 2)))
+
+
+CHECK_BUILDERS = {"adder": build_adder, "sub": build_subtractor,
+                  "ctrladd": build_ctrl_add, "mul": build_multiplier,
+                  "taylor": _taylor}
+
+
+def check_instances(kind, n, variant):
+    inst = CHECK_BUILDERS[kind](n)
+    if variant == "mutants":
+        return list(mutants(inst))
+    if variant == "lowered":
+        return [ArithInstance(n, lower_to_clifford_t(inst.circuit),
+                              inst.input_names, inst.constants)]
+    return [inst]
+
+
+# sha256 of the sorted-key JSON list of exhaustive_check(...).to_dict() over
+# a case's instances: the builder itself ("plain", bit-sliced), its lowering
+# ("lowered", sparse) or every gate-deletion mutant of it ("mutants").
+# Recorded with the per-input encoder that the column packer replaced, so
+# reports, mismatch order included, are pinned across that rewrite.
+CHECK_GOLDEN = {
+    ("adder", 1, "plain"): "80961093e77c1cb8c4e315d24cbd8b83daba0072045944d0083ee6e4a5b844b0",
+    ("adder", 2, "plain"): "8f00db1e72ccdca5cd4478d3e524feed4d37d8ba65e4d778c7db0f017b551cad",
+    ("adder", 3, "plain"): "456772a9c7ba7cf48bbc2c160a6c487013b3d4f6bcf302334571f10817c3ed36",
+    ("adder", 4, "plain"): "93daf268239e9d30921356540768b3af40558ea472648c6ea39a5d8f0c9cb6f2",
+    ("sub", 1, "plain"): "80961093e77c1cb8c4e315d24cbd8b83daba0072045944d0083ee6e4a5b844b0",
+    ("sub", 2, "plain"): "8f00db1e72ccdca5cd4478d3e524feed4d37d8ba65e4d778c7db0f017b551cad",
+    ("sub", 3, "plain"): "456772a9c7ba7cf48bbc2c160a6c487013b3d4f6bcf302334571f10817c3ed36",
+    ("sub", 4, "plain"): "93daf268239e9d30921356540768b3af40558ea472648c6ea39a5d8f0c9cb6f2",
+    ("ctrladd", 1, "plain"): "f85c3102a3cdc9372e526aa8af5c69fd4647ec3490dfb8b2e08f60201ceed5b5",
+    ("ctrladd", 2, "plain"): "0d85ed51ae413c925979c406f682cc5fc049ff6b3d6f9740a05f9f85bbd6372c",
+    ("ctrladd", 3, "plain"): "77ed92bd79fa6210b28e9c254076ce64433127fbbde50640095b5471bdec7dd4",
+    ("mul", 1, "plain"): "80961093e77c1cb8c4e315d24cbd8b83daba0072045944d0083ee6e4a5b844b0",
+    ("mul", 2, "plain"): "8f00db1e72ccdca5cd4478d3e524feed4d37d8ba65e4d778c7db0f017b551cad",
+    ("mul", 3, "plain"): "456772a9c7ba7cf48bbc2c160a6c487013b3d4f6bcf302334571f10817c3ed36",
+    ("taylor", 1, "plain"): "2d59893c80de5d59bdd908460a9e28e5dc5ba16d818a6a09fe42e53536d58c0f",
+    ("taylor", 2, "plain"): "80961093e77c1cb8c4e315d24cbd8b83daba0072045944d0083ee6e4a5b844b0",
+    ("taylor", 3, "plain"): "f85c3102a3cdc9372e526aa8af5c69fd4647ec3490dfb8b2e08f60201ceed5b5",
+    ("taylor", 4, "plain"): "8f00db1e72ccdca5cd4478d3e524feed4d37d8ba65e4d778c7db0f017b551cad",
+    ("adder", 1, "lowered"): "b64eb9c1b892509c0c094a1f6606f1b38ee5512709de9795f522a856a68145a5",
+    ("adder", 2, "lowered"): "d7bdd0f87ec8d945001d50cca5082763c5cb57cc259adf6a8e364054e004e9e0",
+    ("sub", 1, "lowered"): "80961093e77c1cb8c4e315d24cbd8b83daba0072045944d0083ee6e4a5b844b0",
+    ("sub", 2, "lowered"): "d7bdd0f87ec8d945001d50cca5082763c5cb57cc259adf6a8e364054e004e9e0",
+    ("ctrladd", 1, "lowered"): "8a2abcea9fb4261e4022dc22a5ebf5c0184a8ea6ae031bf505f00348ee73d659",
+    ("mul", 1, "lowered"): "b64eb9c1b892509c0c094a1f6606f1b38ee5512709de9795f522a856a68145a5",
+    ("mul", 2, "lowered"): "d7bdd0f87ec8d945001d50cca5082763c5cb57cc259adf6a8e364054e004e9e0",
+    ("taylor", 1, "lowered"): "708ab208ab74f76d4ea3ce022ddea2f4718c1d56871bd83b86de893bbbd52547",
+    ("taylor", 2, "lowered"): "b64eb9c1b892509c0c094a1f6606f1b38ee5512709de9795f522a856a68145a5",
+    ("adder", 4, "mutants"): "b4c91f7f4d7f74482e1f2c2c0bbe46cca9da836ae234dfcfaca64ec29e30ce2b",
+    ("sub", 4, "mutants"): "42069201f30a7d3ea8c35e647b742b324d2e76339d1d4d65f078ff66ed29c4ef",
+    ("ctrladd", 3, "mutants"): "f12526b5c348a29c9bf46bfccfa8b1d4d3d694769ee6d9ff0b4c2ac973452efb",
+    ("mul", 3, "mutants"): "8d5599ab79d7da91018c7201076908dd3a0b85e5a8d2b5804d6ffb882e2c6336",
+    ("taylor", 4, "mutants"): "9e77b6557c1fd92317df45b100e06633fb1d1e72d71ba3b1c42969914591805f",
+}
+
+
+@pytest.mark.parametrize("batch", [verify.CHECK_BATCH, 7, 1])
+@pytest.mark.parametrize("kind, n, variant", list(CHECK_GOLDEN))
+def test_check_reports_golden_digest(monkeypatch, kind, n, variant, batch):
+    monkeypatch.setattr(verify, "CHECK_BATCH", batch)
+    reports = [exhaustive_check(inst, ORACLES[kind](n)).to_dict()
+               for inst in check_instances(kind, n, variant)]
+    payload = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == CHECK_GOLDEN[kind, n, variant]
+
+
+def test_exhaustive_check_refuses_registers_wider_than_64_bits():
+    def layout(width):
+        return RegisterLayout((Register("a", 0, 2, "input"),
+                               Register("w", 2, width, "ancilla")))
+    flip_w = tuple(x(q) for q in range(2, 66))
+    ones = ArithInstance(2, Circuit(66, flip_w, layout(64)), ("a",))
+    report = exhaustive_check(ones, lambda v: {
+        "a": v["a"], "w": np.full_like(v["a"], (1 << 64) - 1)})
+    assert report.passed and report.total_inputs == 4
+    # -1 as int64 has the bits of 2^64 - 1 but is still refused
+    with pytest.raises(DomainError, match="value -1 does not fit register w"):
+        exhaustive_check(ones, lambda v: {
+            "a": v["a"], "w": np.full(v["a"].shape, -1, dtype=np.int64)})
+
+    def untouchable(values):
+        pytest.fail("the oracle was called")
+    wide = ArithInstance(2, Circuit(67, flip_w, layout(65)), ("a",))
+    with pytest.raises(ResourceError, match=r"register w \(65 bits\)"):
+        exhaustive_check(wide, untouchable)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda v: {"a": -1}, "value -1 does not fit register a"),
+    (lambda v: {"b": v["b"].astype(np.int64) - 8}, "value -8 does not fit register b"),
+    (lambda v: {"b": v["b"] + 8}, "value 8 does not fit register b"),
+    (lambda v: {"b": v["b"] / 2}, "register b needs an integer"),
+    (lambda v: {"b": v["b"][:1]}, "register b needs an integer"),
+])
+def test_exhaustive_check_rejects_oracle_values_outside_their_register(
+        change, message):
+    def oracle(values):
+        return {**oracle_adder(3)(values), **change(values)}
+    with pytest.raises(DomainError, match=message):
+        exhaustive_check(build_adder(3), oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_columns_match_encoded_indices(data):
+    # registers up to 64 bits, each given as a uint64 array or as one int
+    sizes = data.draw(st.lists(st.integers(1, 64), min_size=1, max_size=4))
+    rows = data.draw(st.integers(1, 20))
+    registers, start = [], 0
+    for i, size in enumerate(sizes):
+        registers.append(Register(f"r{i}", start, size, "input"))
+        start += size
+    inst = ArithInstance(1, Circuit(start, (), RegisterLayout(tuple(registers))), ())
+    values = {}
+    for r in registers:
+        word = st.integers(0, (1 << r.size) - 1)
+        values[r.name] = (data.draw(word) if data.draw(st.booleans()) else
+                          np.array(data.draw(st.lists(word, min_size=rows,
+                                                      max_size=rows)),
+                                   dtype=np.uint64))
+    indices = [inst.encode({name: int(np.broadcast_to(v, rows)[row])
+                            for name, v in values.items()})
+               for row in range(rows)]
+    packed = verify._pack([(r.name, r.size, 0) for r in registers], values, rows)
+    assert packed == circuit._to_columns(indices, start)
+
+
+ORACLE_INPUTS = {"adder": ("a", "b"), "sub": ("a", "b"),
+                 "ctrladd": ("ctrl", "a", "b"), "mul": ("a", "b"),
+                 "taylor": ("x",)}
+
+
+@st.composite
+def oracle_batches(draw, kind):
+    """A width n <= 28, the kind's constants and a batch of input rows,
+    register by register, with n = 28, 0 and 2^n - 1 drawn often."""
+    n = draw(st.just(28) | st.integers(1, 28))
+    top = (1 << n) - 1
+    word = st.sampled_from((0, top)) | st.integers(0, top)
+    rows = draw(st.integers(1, 8))
+    values = {name: draw(st.lists(st.integers(0, 1) if name == "ctrl" else word,
+                                  min_size=rows, max_size=rows))
+              for name in ORACLE_INPUTS[kind]}
+    constants = ({name: draw(st.integers(0, top)) for name in ("c", "fc", "fp", "fpp")}
+                 if kind == "taylor" else {})
+    return n, constants, values, rows
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_array_oracles_match_scalar_oracles(kind, data):
+    n, constants, values, rows = data.draw(oracle_batches(kind))
+    oracle = ORACLES[kind](n)
+    arrays = oracle({**constants, **{name: np.array(v, dtype=np.uint64)
+                                     for name, v in values.items()}})
+    for out in arrays.values():
+        assert type(out) is int or out.dtype == np.uint64
+    for r in range(rows):
+        want = oracle({**constants, **{name: v[r] for name, v in values.items()}})
+        assert all(type(out) is int for out in want.values())
+        assert {name: int(np.broadcast_to(out, rows)[r])
+                for name, out in arrays.items()} == want
 
 
 def test_nonpermutation_circuit_takes_sparse_path():
