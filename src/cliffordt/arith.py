@@ -48,30 +48,25 @@ class ArithInstance:
     def decode(self, basis_index: int) -> dict[str, int]:
         return self.circuit.layout.decode(basis_index)
 
-    def input_space(self) -> Iterator[dict[str, int]]:
-        """Every assignment of the free inputs (ancillae 0, constants pinned).
-
-        Assignments come in odometer order: the last input register varies
-        fastest.  They are generated lazily, the leading registers read off
-        one counter, so the first one comes at once at any width.
-        """
-        if not self.input_names:
-            yield {}
-            return
-        *leading, last = self.input_names
-        register = self.circuit.layout.register
-        fields = []
-        shift = 0
-        for name in reversed(leading):
-            size = register(name).size
+    def counter(self) -> list[tuple[str, int, int]]:
+        """The odometer over the free inputs: ``(name, shift, mask)`` of
+        each input register, in ``input_names`` order, so that counter
+        value k assigns ``(k >> shift) & mask`` to each.  The last
+        register sits in the low bits and so varies fastest."""
+        fields, shift = [], 0
+        for name in reversed(self.input_names):
+            size = self.circuit.layout.register(name).size
             fields.append((name, shift, (1 << size) - 1))
             shift += size
-        fields.reverse()
-        inner = range(1 << register(last).size)
-        for k in range(1 << shift):
-            head = {name: (k >> at) & mask for name, at, mask in fields}
-            for v in inner:
-                yield {**head, last: v}
+        return fields[::-1]
+
+    def input_space(self) -> Iterator[dict[str, int]]:
+        """Every assignment of the free inputs (ancillae 0, constants
+        pinned), lazily, in ``counter`` order."""
+        fields = self.counter()
+        bits = sum(mask.bit_length() for _, _, mask in fields)
+        for k in range(1 << bits):
+            yield {name: (k >> at) & mask for name, at, mask in fields}
 
 
 def _ladder(b: list[int], a: list[int], ctrl: int | None = None,

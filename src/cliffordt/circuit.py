@@ -1,4 +1,5 @@
-"""Circuit IR: composition, lowering, scheduling, metrics, and text format.
+"""Circuit IR: composition, lowering, scheduling, metrics, text format and
+the evaluators.
 
 Circuit text format (bit exact, UTF-8, newline terminated):
 
@@ -11,7 +12,14 @@ Every number (qubit count, register bounds, qubit operands) is ASCII
 decimal digits only, ``[0-9]+``.  ``#`` starts a comment that runs to end
 of line; blank lines are ignored.  Register roles are input, ancilla, output,
 garbage and restored-input; ancilla registers must enter the circuit
-holding the constant 0.  Unknown mnemonics or roles are hard errors.
+holding the constant 0.  Unknown mnemonics or roles are hard errors.  A
+register name is one token with no ``#``, so every layout the format
+carries parses back as written.
+
+Evaluators: ``sparse_evaluate`` runs any circuit exactly on one basis
+input at any width (``permutation_output`` reads its one output);
+``sliced_mismatches`` runs a permutation circuit on a batch of bit
+columns; ``simulate`` builds a statevector of at most 24 qubits.
 """
 
 from __future__ import annotations
@@ -27,14 +35,14 @@ import numpy as np
 from . import gates as G
 from .errors import DomainError, ParseError, ResourceError
 from .gates import Gate
-from .state import MAX_SIM_QUBITS, StateVector, apply_gate_inplace
+from .state import _H_SCALE, MAX_SIM_QUBITS, StateVector, apply_gate_inplace
 
 ROLES = ("input", "ancilla", "output", "garbage", "restored-input")
 
 #: Most bits (qubits x batch rows) the bit-sliced evaluator holds at once.
-#: Its columns, and the text they are sliced from, grow with this product,
-#: so a larger batch raises ``ResourceError`` before anything is allocated;
-#: 2^24 bits are a 1,024-qubit circuit over a full verify batch.
+#: Its columns grow with this product, so a larger batch raises
+#: ``ResourceError`` before anything is allocated; 2^24 bits are a
+#: 1,024-qubit circuit over a full verify batch.
 MAX_SLICED_BITS = 1 << 24
 
 #: Most basis states the exact sparse evaluator holds in superposition.
@@ -48,7 +56,8 @@ class Register:
     """A named, contiguous run of qubits with a declared role.
 
     Bit i of the register value lives on qubit ``start + i`` (little
-    endian).  Registers with role ``ancilla`` require initial value 0.
+    endian).  Registers with role ``ancilla`` require initial value 0.  The
+    name must be one text-format token: not empty, no whitespace, no ``#``.
     """
 
     name: str
@@ -57,6 +66,9 @@ class Register:
     role: str
 
     def __post_init__(self):
+        if self.name.split() != [self.name] or "#" in self.name:
+            raise DomainError(f"register name {self.name!r} is not one token "
+                              "without '#'")
         if self.size < 1 or self.start < 0:
             raise DomainError(f"bad register extent {self.name}")
         if self.role not in ROLES:
@@ -101,8 +113,10 @@ class RegisterLayout:
         return [q for r in self.registers if r.role == role for q in r.qubits()]
 
     def decode(self, index: int) -> dict[str, int]:
-        """Each register's value in a basis index, in register order."""
-        return {r.name: (index >> r.start) & ((1 << r.size) - 1)
+        """Each register's value in a basis index, in register order.  The
+        bits above a register are shifted out rather than masked, so the
+        cost follows the index, not the register width."""
+        return {r.name: (index >> r.start) ^ (index >> r.stop << r.size)
                 for r in self.registers}
 
 
@@ -410,8 +424,6 @@ _ROTATE = {
     "sdg": lambda v: (v[2], v[3], -v[0], -v[1]),  # * w^6 = -i
     "tdg": lambda v: (v[1], v[2], v[3], -v[0]),   # * w^7
 }
-# the Hadamard's 1/sqrt(2), read off its matrix as the dense kernel reads it
-_SQRT_HALF = float(G.matrix(G.h(0))[0, 0].real)
 
 
 def _hadamard(amps: dict[int, tuple], k: int, m: int) -> tuple[dict, int]:
@@ -476,14 +488,16 @@ def _to_complex(v: tuple, k: int) -> complex:
     w = (1+i)/sqrt(2), so the real part is a + (b-d)/sqrt(2) and the
     imaginary part c + (b+d)/sqrt(2).  Integers are divided by the power
     of two exactly (int / int rounds once), so no coefficient overflows a
-    float however many H gates the run held."""
+    float however many H gates the run held.  1/sqrt(2) is the dense
+    kernel's own ``_H_SCALE``, so converted and dense amplitudes round
+    alike."""
     a, b, c, d = v
     half = 1 << (k >> 1)
     if k & 1:
-        return complex(a / half * _SQRT_HALF + (b - d) / (2 * half),
-                       c / half * _SQRT_HALF + (b + d) / (2 * half))
-    return complex(a / half + (b - d) / half * _SQRT_HALF,
-                   c / half + (b + d) / half * _SQRT_HALF)
+        return complex(a / half * _H_SCALE + (b - d) / (2 * half),
+                       c / half * _H_SCALE + (b + d) / (2 * half))
+    return complex(a / half + (b - d) / half * _H_SCALE,
+                   c / half + (b + d) / half * _H_SCALE)
 
 
 def _check_index(n_qubits: int, basis: int) -> None:
@@ -544,9 +558,9 @@ def sparse_mismatches(c: Circuit, cols: list[int], expected: list[int],
     ``sparse_evaluate``.
 
     ``cols`` and ``expected`` hold the batch's input and expected basis
-    indices as bit columns (see ``_to_columns``), ``n_rows`` rows each.
-    A row passes only when its final state is exactly its expected basis
-    state with amplitude 1.  Returns an (input, expected, observed) triple
+    indices as bit columns (as ``verify._pack`` builds them), ``n_rows``
+    rows each.  A row passes only when its final state is exactly its
+    expected basis state with amplitude 1.  Returns an (input, expected, observed) triple
     for every other row, in row order; observed is the lowest basis index
     among the amplitudes of largest magnitude.
     """
@@ -616,20 +630,6 @@ def check_sliced_bits(n_qubits: int, n_rows: int) -> None:
             f"{MAX_SLICED_BITS}-bit limit of the bit-sliced evaluator")
 
 
-def _to_columns(indices: Sequence[int], n_qubits: int) -> list[int]:
-    """Bit-slice basis indices: bit r of column q is bit q of ``indices[r]``.
-
-    Each index is written as an ``n_qubits``-digit binary string, last row
-    first, so column q is every ``n_qubits``-th digit read as one integer.
-    Batches of more than ``MAX_SLICED_BITS`` bits raise ``ResourceError``.
-    """
-    check_sliced_bits(n_qubits, len(indices))
-    if min(indices) < 0 or max(indices) >> n_qubits:
-        raise DomainError(f"basis index out of range for {n_qubits} qubits")
-    text = "".join(map(format, reversed(indices), repeat(f"0{n_qubits}b")))
-    return [int(text[n_qubits - 1 - q::n_qubits], 2) for q in range(n_qubits)]
-
-
 def _from_columns(cols: list[int], n_rows: int, rows: Sequence[int]) -> list[int]:
     """The basis indices of the given rows, read back out of bit columns."""
     text = "".join(map(format, reversed(cols), repeat(f"0{n_rows}b")))
@@ -669,8 +669,9 @@ def sliced_mismatches(c: Circuit, cols: list[int], expected: list[int],
     """Run a permutation circuit on a bit-sliced batch in one pass.
 
     ``cols`` and ``expected`` hold the batch's input and expected basis
-    indices as bit columns (see ``_to_columns``), ``n_rows`` rows each;
-    neither list is modified.  Each qubit is one Python int with a bit per
+    indices as bit columns: bit r of column q is qubit q of row r (as
+    ``verify._pack`` builds them), ``n_rows`` rows each; neither list is
+    modified.  Each qubit is one Python int with a bit per
     row (Biham, FSE 1997), so a gate costs a few big-int operations for
     the whole batch, at any circuit width.  Returns an (input, expected,
     observed) triple for every row whose output is not its expected index,
@@ -689,25 +690,15 @@ def sliced_mismatches(c: Circuit, cols: list[int], expected: list[int],
                       for x in (cols, expected, out))))
 
 
-def permutation_mismatches(c: Circuit, inputs: Sequence[int],
-                           expected: Sequence[int]) -> list[tuple[int, int, int]]:
-    """``sliced_mismatches`` on lists of input and expected basis indices."""
-    if len(inputs) != len(expected):
-        raise DomainError("inputs and expected outputs differ in length")
-    if not inputs:
-        return []
-    return sliced_mismatches(c, _to_columns(inputs, c.n_qubits),
-                             _to_columns(expected, c.n_qubits), len(inputs))
-
-
 def permutation_output(c: Circuit, input_basis: int) -> int:
     """Exact basis output of a permutation circuit, at any width.
 
-    The bit-sliced evaluator on a batch of one: the amplitude of a
-    permutation circuit stays pinned at 1 on a single basis state, so only
-    the index needs tracking.  Agrees with ``simulate`` wherever both
-    apply.
+    The one basis state that ``sparse_evaluate`` leaves: a permutation
+    circuit moves a basis input to a basis output with amplitude exactly
+    1.  Any other circuit raises ``DomainError``.
     """
-    cols = _to_columns((input_basis,), c.n_qubits)
-    _run_columns(c.ops, cols, 1)
-    return _from_columns(cols, 1, (0,))[0]
+    if not is_permutation_circuit(c):
+        raise DomainError("permutation_output needs a circuit of X, CNOT, "
+                          "SWAP, Toffoli and Fredkin gates only")
+    (out,) = sparse_evaluate(c, input_basis)[0]
+    return out

@@ -100,35 +100,6 @@ def cswap(control: int, t1: int, t2: int) -> Gate:
     return Gate("cswap", (control, t1, t2))
 
 
-def _permutation_matrix(dim: int, mapping) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=complex)
-    for src in range(dim):
-        m[mapping(src), src] = 1.0
-    return m
-
-
-def _cnot_map(j: int) -> int:
-    c, tg = (j >> 1) & 1, j & 1
-    return (c << 1) | (tg ^ c)
-
-
-def _swap_map(j: int) -> int:
-    a, b = (j >> 1) & 1, j & 1
-    return (b << 1) | a
-
-
-def _ccx_map(j: int) -> int:
-    c1, c2 = (j >> 2) & 1, (j >> 1) & 1
-    return j ^ (c1 & c2)
-
-
-def _cswap_map(j: int) -> int:
-    c, t1, t2 = (j >> 2) & 1, (j >> 1) & 1, j & 1
-    if c:
-        t1, t2 = t2, t1
-    return (c << 2) | (t1 << 1) | t2
-
-
 _T_PHASE = np.exp(1j * np.pi / 4)
 
 _MATRICES = {
@@ -136,10 +107,11 @@ _MATRICES = {
     "t": np.array([[1, 0], [0, _T_PHASE]], dtype=complex),
     "s": np.array([[1, 0], [0, 1j]], dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "cnot": _permutation_matrix(4, _cnot_map),
-    "swap": _permutation_matrix(4, _swap_map),
-    "ccx": _permutation_matrix(8, _ccx_map),
-    "cswap": _permutation_matrix(8, _cswap_map),
+    # basis permutations: row i is the basis state that lands on |i>
+    "cnot": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+    "swap": np.eye(4, dtype=complex)[[0, 2, 1, 3]],
+    "ccx": np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]],
+    "cswap": np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]],
 }
 # Daggered phases are built by conjugation, not re-evaluation, so that
 # matrix(inverse(g)) is the entrywise-exact conjugate transpose.

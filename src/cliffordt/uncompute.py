@@ -1,10 +1,11 @@
 """Garbage removal by the compute, copy, uncompute scheme.
 
 Given a circuit U whose declared ancillae enter as 0, the wrapped circuit
-runs U, fans the declared output wires out onto fresh copy qubits with
-CNOTs, then runs U inverse.  On every basis input the copy register holds
-the computed function value while all of U's own qubits return to their
-initial values, so former garbage wires become restored inputs.
+runs U, fans the declared output wires out with CNOTs onto fresh copy
+qubits appended above U's own, then runs U inverse.  On every basis input
+the copy register holds the computed function value while all of U's own
+qubits return to their initial values, so former garbage wires become
+restored inputs.
 
 The restoration guarantee is stated for basis inputs, which covers every
 classical-reversible circuit here; wrapping a superposition-creating U is
@@ -22,16 +23,11 @@ from .gates import cnot
 
 @dataclass(frozen=True)
 class BennettSpec:
-    """Wrap request: inner circuit, its output wires, and the copy block.
-
-    ``copy_start`` defaults to the top of the inner qubit space; the copy
-    register is one fresh qubit per output wire and must not overlap the
-    inner circuit.
-    """
+    """Wrap request: the inner circuit and its output wires, each copied
+    onto one fresh qubit above the inner circuit."""
 
     inner: Circuit
     output_wires: tuple[int, ...]
-    copy_start: int | None = None
 
     def __post_init__(self):
         wires = tuple(self.output_wires)
@@ -42,10 +38,6 @@ class BennettSpec:
         if any(w < 0 or w >= self.inner.n_qubits for w in wires):
             raise DomainError("output wire outside the inner circuit")
         object.__setattr__(self, "output_wires", wires)
-        start = self.inner.n_qubits if self.copy_start is None else self.copy_start
-        if start < self.inner.n_qubits:
-            raise DomainError("copy register overlaps the inner circuit")
-        object.__setattr__(self, "copy_start", start)
 
 
 def bennett_wrap(spec: BennettSpec) -> Circuit:
@@ -57,10 +49,8 @@ def bennett_wrap(spec: BennettSpec) -> Circuit:
     register is appended with role output.
     """
     inner = spec.inner
-    k = len(spec.output_wires)
-    n_total = spec.copy_start + k
-    copies = [cnot(w, spec.copy_start + i)
-              for i, w in enumerate(spec.output_wires)]
+    start, k = inner.n_qubits, len(spec.output_wires)
+    copies = [cnot(w, start + i) for i, w in enumerate(spec.output_wires)]
     ops = inner.ops + tuple(copies) + inverse_circuit(inner).ops
     regs = [
         Register(r.name, r.start, r.size,
@@ -68,14 +58,8 @@ def bennett_wrap(spec: BennettSpec) -> Circuit:
         for r in inner.layout.registers
     ]
     taken = {r.name for r in regs}
-
-    def fresh(name: str) -> str:
-        while name in taken:
-            name += "_"
-        return name
-
-    if spec.copy_start > inner.n_qubits:
-        regs.append(Register(fresh("pad"), inner.n_qubits,
-                             spec.copy_start - inner.n_qubits, "ancilla"))
-    regs.append(Register(fresh("copy"), spec.copy_start, k, "output"))
-    return Circuit(n_total, ops, RegisterLayout(tuple(regs)))
+    name = "copy"
+    while name in taken:
+        name += "_"
+    regs.append(Register(name, start, k, "output"))
+    return Circuit(start + k, ops, RegisterLayout(tuple(regs)))

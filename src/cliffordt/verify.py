@@ -164,10 +164,11 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     constants pinned.  Each run must land exactly on the oracle's
     predicted basis state, with amplitude exactly 1.  Inputs go
     ``CHECK_BATCH`` at a time: each free register of a batch is one slice
-    of a ``uint64`` counter, the oracle is called once per batch on those
-    arrays (see ``Oracle``), and inputs and expected outputs are packed
-    into one bit column per qubit.  Permutation circuits (X, CNOT, SWAP,
-    Toffoli, Fredkin) then run bit-sliced on the whole batch; every other
+    of a ``uint64`` counter (``ArithInstance.counter``), the oracle is
+    called once per batch on those arrays (see ``Oracle``), and ``_pack``,
+    the one bit-column encoder, turns inputs and expected outputs into one
+    bit column per qubit.  Permutation circuits (X, CNOT, SWAP, Toffoli,
+    Fredkin) then run bit-sliced on the whole batch; every other
     circuit runs on the exact sparse evaluator
     (``circuit.sparse_evaluate``), one input at a time.  Both work at any
     width.  Input spaces larger than ``MAX_CHECK_INPUTS``, registers wider
@@ -194,12 +195,7 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     constants = instance.constants
     defaults = [(r.name, r.size, constants.get(r.name, 0))
                 for r in sorted(layout.registers, key=lambda r: r.start)]
-    counter = []  # (name, shift, mask) of each free register
-    shift = 0
-    for name in reversed(instance.input_names):
-        size = layout.register(name).size
-        counter.append((name, shift, (1 << size) - 1))
-        shift += size
+    counter = instance.counter()
     total = 1 << bits
     batch = max(1, min(CHECK_BATCH, MAX_SLICED_BITS // circ.n_qubits))
     check_sliced_bits(circ.n_qubits, min(batch, total))

@@ -6,11 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from cliffordt.arith import (BUILDERS, TAYLOR_REGISTERS, build_adder,
-                             build_ctrl_add, build_multiplier, build_subtractor,
-                             build_taylor)
-from cliffordt.circuit import (is_permutation_circuit, permutation_output,
-                               serialize, simulate)
+from cliffordt.arith import (BUILDERS, TAYLOR_REGISTERS, ArithInstance,
+                             build_adder, build_ctrl_add, build_multiplier,
+                             build_subtractor, build_taylor)
+from cliffordt.circuit import (Circuit, is_permutation_circuit,
+                               permutation_output, serialize, simulate)
 from cliffordt.errors import DomainError
 
 
@@ -304,6 +304,16 @@ def test_input_space_order_is_odometer():
     assert list(space[1].items()) == [("ctrl", 0), ("b", 0), ("a", 1)]
     assert list(space[4].items()) == [("ctrl", 0), ("b", 1), ("a", 0)]
     assert list(space[-1].items()) == [("ctrl", 1), ("b", 3), ("a", 3)]
+
+
+def test_counter_puts_the_last_input_lowest():
+    assert build_ctrl_add(2).counter() == [("ctrl", 4, 1), ("b", 2, 3),
+                                           ("a", 0, 3)]
+    assert build_taylor(3, 1, 1, 1, 1).counter() == [("x", 0, 7)]
+    # no free input: one empty assignment
+    none = ArithInstance(1, Circuit(1), ())
+    assert none.counter() == []
+    assert list(none.input_space()) == [{}]
 
 
 def test_input_space_is_lazy():

@@ -16,14 +16,13 @@ from hypothesis import strategies as st
 import cliffordt
 from cliffordt.arith import (BUILDERS, build_adder, build_ctrl_add,
                              build_multiplier, build_subtractor, build_taylor)
-from cliffordt.circuit import (Circuit, Register, RegisterLayout,
+from cliffordt.circuit import (ROLES, Circuit, Register, RegisterLayout,
                                ResourceReport, compose, default_layout,
                                inverse_circuit,
                                is_permutation_circuit, lower_to_clifford_t,
-                               parse, permutation_mismatches,
-                               permutation_output, resources,
+                               parse, permutation_output, resources,
                                schedule_layers, serialize, simulate,
-                               sparse_evaluate)
+                               sliced_mismatches, sparse_evaluate)
 from cliffordt.circuit import _spill_support
 from cliffordt.errors import DomainError, ParseError, ResourceError
 from cliffordt.gates import (CLIFFORD_T_KINDS, GATE_ARITY, PERMUTATION_KINDS,
@@ -32,6 +31,7 @@ from cliffordt.gates import (CLIFFORD_T_KINDS, GATE_ARITY, PERMUTATION_KINDS,
                              decompose_toffoli, h, swap, t, tdg, x)
 from cliffordt.state import states_equal_up_to_phase
 from cliffordt.uncompute import BennettSpec, bennett_wrap
+from cliffordt.verify import _pack
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -527,6 +527,14 @@ def test_circuit_names_the_first_gate_past_its_width():
         Circuit(2, (h(0), cnot(0, 1), cnot(0, 3), x(5)))
 
 
+@pytest.mark.parametrize("name", [
+    "", " ", "a b", "a\tb", "a\nb", "x#y", "#", "a\x1cb", "a\x85b",
+    "a\u2028b", " a", "a "])
+def test_register_names_the_text_format_cannot_carry(name):
+    with pytest.raises(DomainError, match="register name"):
+        Register(name, 0, 1, "input")
+
+
 def test_layout_validation():
     with pytest.raises(DomainError):
         Circuit(2, (), RegisterLayout((Register("a", 0, 1, "input"),)))
@@ -605,19 +613,29 @@ def test_permutation_path_validates_input_index():
     for bad in (-1, 8):
         with pytest.raises(DomainError):
             permutation_output(c, bad)
-        with pytest.raises(DomainError):
-            permutation_mismatches(c, [0, bad], [1, 1])
-    with pytest.raises(DomainError):
-        permutation_mismatches(c, [0, 1], [1])
 
 
-def test_permutation_path_refuses_widths_it_cannot_slice():
-    # checked before the columns are allocated, so this allocates nothing
-    c = Circuit(10**11, (x(0),))
-    with pytest.raises(ResourceError, match="bit-sliced evaluator"):
-        permutation_output(c, 0)
-    with pytest.raises(ResourceError, match="bit-sliced evaluator"):
-        permutation_mismatches(c, [0], [1])
+def test_permutation_output_runs_at_any_width():
+    # 10^11 qubits with every gate on the low ones: the sparse evaluator
+    # holds one index and decode shifts instead of masking, so nothing
+    # grows with the width.  The child runs under a 1 GiB address-space
+    # limit, so a regression that allocated a 10^11-bit integer would
+    # fail at once instead of eating the machine's memory
+    limit = 1 << 30
+    code = ("import resource\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from cliffordt.circuit import parse, permutation_output\n"
+            "c = parse('qubits 100000000000\\nx 0\\ncnot 0 2\\n"
+            "ccx 0 2 5\\nswap 5 1\\ncswap 1 3 4\\n')\n"
+            "for j in (0, 16):\n"
+            "    out = permutation_output(c, j)\n"
+            "    print(out, c.layout.decode(out))\n")
+    src = str(Path(cliffordt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stderr == ""
+    assert proc.stdout == "7 {'q': 7}\n15 {'q': 15}\n"
 
 
 def gates_on(n, kinds):
@@ -649,12 +667,18 @@ def test_bitsliced_evaluator_agrees_with_statevector(case, data):
         assert amps[out] == 1.0
         dense.append(out)
     assert [permutation_output(c, j) for j in inputs] == dense
-    assert permutation_mismatches(c, inputs, dense) == []
+
+    def columns(indices):  # one n-bit register q
+        return _pack([("q", c.n_qubits, 0)],
+                     {"q": np.array(indices, dtype=np.uint64)}, len(inputs))
+    assert sliced_mismatches(c, columns(inputs), columns(dense),
+                             len(inputs)) == []
     # corrupt the expected index of some rows: exactly those rows come back,
     # in row order, each observed index rebuilt from the bit columns
     wrong = data.draw(st.sets(st.integers(0, len(inputs) - 1)))
     expected = [d ^ 1 if r in wrong else d for r, d in enumerate(dense)]
-    assert permutation_mismatches(c, inputs, expected) == [
+    assert sliced_mismatches(c, columns(inputs), columns(expected),
+                             len(inputs)) == [
         (inputs[r], expected[r], dense[r]) for r in sorted(wrong)]
 
 
@@ -806,9 +830,27 @@ def test_templates_match_lowering_gate_by_gate(c):
     assert resources(c) == reference_resources(c)
 
 
+#: Register names the text format carries: one token, no comment sign.
+register_names = st.text(min_size=1, max_size=6).filter(
+    lambda name: name.split() == [name] and "#" not in name)
+
+
+@st.composite
+def named_layouts(draw, n):
+    """A partition of n qubits into registers with drawn names and roles,
+    listed in a drawn order."""
+    cuts = sorted(draw(st.sets(st.integers(1, n))) | {0, n})
+    names = draw(st.lists(register_names, min_size=len(cuts) - 1,
+                          max_size=len(cuts) - 1, unique=True))
+    registers = [Register(name, lo, hi - lo, draw(st.sampled_from(ROLES)))
+                 for name, lo, hi in zip(names, cuts, cuts[1:])]
+    return RegisterLayout(tuple(draw(st.permutations(registers))))
+
+
 @settings(max_examples=100, deadline=None)
-@given(random_circuits())
-def test_round_trip_on_random_circuits(c):
+@given(random_circuits(), st.data())
+def test_round_trip_on_random_circuits(c, data):
+    c = Circuit(c.n_qubits, c.ops, data.draw(named_layouts(c.n_qubits)))
     back = parse(serialize(c))
     assert back == c
     assert resources(back) == resources(c)
@@ -820,10 +862,10 @@ def test_bennett_wrap_restores_inner_wires_and_copies_outputs(case, data):
     c, inputs = case
     wires = data.draw(st.lists(st.integers(0, c.n_qubits - 1), min_size=1,
                                unique=True))
-    start = data.draw(st.integers(c.n_qubits, c.n_qubits + 2))
-    wrapped = bennett_wrap(BennettSpec(c, tuple(wires), start))
+    wrapped = bennett_wrap(BennettSpec(c, tuple(wires)))
+    assert wrapped.n_qubits == c.n_qubits + len(wires)
     for j in inputs:
         out = permutation_output(c, j)
-        copies = sum(((out >> w) & 1) << (start + i)
+        copies = sum(((out >> w) & 1) << (c.n_qubits + i)
                      for i, w in enumerate(wires))
         assert permutation_output(wrapped, j) == j | copies

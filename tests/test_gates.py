@@ -1,8 +1,11 @@
 """Gate matrices, inverses, and Clifford+T decompositions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from cliffordt import gates
 from cliffordt.errors import DomainError
 from cliffordt.gates import (GATE_ARITY, Gate, ccx, cnot, compose_matrices,
                              cswap, decompose_fredkin, decompose_swap,
@@ -19,6 +22,21 @@ ALL_GATES = [h(0), t(0), tdg(0), s(0), sdg(0), x(0),
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
+
+def test_golden_matrix_digest():
+    # sha256 of every gate matrix (kind, dtype, shape and bytes): these are
+    # the dense reference the evaluators are tested against, so any change
+    # to an entry or dtype must be deliberate
+    digest = hashlib.sha256()
+    for kind in sorted(gates._MATRICES):
+        m = gates._MATRICES[kind]
+        for part in (kind, str(m.dtype), str(m.shape)):
+            digest.update(part.encode())
+        digest.update(m.tobytes())
+    assert len(gates._MATRICES) == len(GATE_ARITY)
+    assert digest.hexdigest() == (
+        "569fd81ea041470b92f11e0c9ce1c9e0bfd84cffb7e7cb8b67a16606aae79f3d")
+
 
 def test_single_qubit_matrices():
     assert np.allclose(matrix(h(0)), np.array([[SQ2, SQ2], [SQ2, -SQ2]]))

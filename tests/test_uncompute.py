@@ -94,6 +94,15 @@ def test_layout_roles_after_wrap():
     assert roles["copy"] == "output"
 
 
+def test_copy_register_takes_a_fresh_name():
+    inner = Circuit(2, (cnot(0, 1),), RegisterLayout((
+        Register("copy", 0, 1, "input"),
+        Register("copy_", 1, 1, "garbage"),
+    )))
+    wrapped = bennett_wrap(BennettSpec(inner, (1,)))
+    assert wrapped.layout.registers[-1] == Register("copy__", 2, 1, "output")
+
+
 def test_spec_validation():
     inner = Circuit(2, (cnot(0, 1),))
     with pytest.raises(DomainError):
@@ -102,16 +111,6 @@ def test_spec_validation():
         BennettSpec(inner, (5,))
     with pytest.raises(DomainError):
         BennettSpec(inner, ())
-    with pytest.raises(DomainError):
-        BennettSpec(inner, (0,), copy_start=1)  # overlaps the inner circuit
-
-
-def test_explicit_copy_start_pads_layout():
-    inner = Circuit(2, (cnot(0, 1),))
-    wrapped = bennett_wrap(BennettSpec(inner, (1,), copy_start=3))
-    assert wrapped.n_qubits == 4
-    names = [r.name for r in wrapped.layout.registers]
-    assert "pad" in names and "copy" in names
 
 
 def test_wrap_tolerates_superposition_inner_for_resources_only():

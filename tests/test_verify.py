@@ -329,8 +329,11 @@ def test_packed_columns_match_encoded_indices(data):
     indices = [inst.encode({name: int(np.broadcast_to(v, rows)[row])
                             for name, v in values.items()})
                for row in range(rows)]
+    # transpose by hand: bit r of column q is bit q of row r's index
+    columns = [sum((j >> q & 1) << r for r, j in enumerate(indices))
+               for q in range(start)]
     packed = verify._pack([(r.name, r.size, 0) for r in registers], values, rows)
-    assert packed == circuit._to_columns(indices, start)
+    assert packed == columns
 
 
 ORACLE_INPUTS = {"adder": ("a", "b"), "sub": ("a", "b"),
