@@ -12,9 +12,8 @@ from .arith import (ArithInstance, build_adder, build_ctrl_add,
 from .circuit import (Circuit, Register, RegisterLayout, ResourceReport,
                       compose, default_layout, inverse_circuit,
                       is_permutation_circuit, lower_to_clifford_t, parse,
-                      permutation_output, resources, schedule_layers,
-                      serialize, simulate, sliced_mismatches, sparse_evaluate,
-                      sparse_mismatches)
+                      permutation_output, resources, run_columns,
+                      schedule_layers, serialize, simulate, sparse_evaluate)
 from .errors import (CliffordTError, DomainError, FitError, ParseError,
                      ResourceError)
 from .gates import (Gate, ccx, cnot, cswap, decompose_fredkin,

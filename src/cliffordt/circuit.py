@@ -18,16 +18,16 @@ carries parses back as written.
 
 Evaluators: ``sparse_evaluate`` runs any circuit exactly on one basis
 input at any width (``permutation_output`` reads its one output);
-``sliced_mismatches`` runs a permutation circuit on a batch of bit
-columns; ``simulate`` builds a statevector of at most 24 qubits.
+``run_columns`` runs a permutation circuit on a batch of bit columns;
+``simulate`` builds a statevector of at most 24 qubits.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import attrgetter, index
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -35,15 +35,10 @@ import numpy as np
 from . import gates as G
 from .errors import DomainError, ParseError, ResourceError
 from .gates import Gate
-from .state import _H_SCALE, MAX_SIM_QUBITS, StateVector, apply_gate_inplace
+from .state import (_H_SCALE, StateVector, apply_gate_inplace, check_index,
+                    check_width)
 
 ROLES = ("input", "ancilla", "output", "garbage", "restored-input")
-
-#: Most bits (qubits x batch rows) the bit-sliced evaluator holds at once.
-#: Its columns grow with this product, so a larger batch raises
-#: ``ResourceError`` before anything is allocated; 2^24 bits are a
-#: 1,024-qubit circuit over a full verify batch.
-MAX_SLICED_BITS = 1 << 24
 
 #: Most basis states the exact sparse evaluator holds in superposition.
 #: A lowered permutation circuit on a basis input holds at most 2, at any
@@ -344,8 +339,9 @@ def parse(text: str) -> Circuit:
     """Parse the text format back into a circuit.
 
     ``parse(serialize(c))`` is structurally identical to ``c``.  Errors
-    report the offending line number and reason.  Each distinct gate line
-    is checked once per call; a line that recurs reuses its ``Gate``.
+    report the offending line number and reason; ``Gate`` and ``Register``
+    check their own fields.  Each distinct gate line is checked once per
+    call; a line that recurs reuses its ``Gate``.
     """
     n_qubits = None
     registers: list[Register] = []
@@ -370,35 +366,33 @@ def parse(text: str) -> Circuit:
             continue
         if tokens[0] == "qubits":
             raise ParseError(lineno, "duplicate 'qubits' header")
-        if tokens[0] == "register":
-            if len(tokens) != 4:
-                raise ParseError(lineno, "expected 'register name lo..hi role'")
-            _, name, span, role = tokens
-            lo_hi = span.split("..")
-            if len(lo_hi) != 2:
-                raise ParseError(lineno, f"malformed register range {span!r}")
-            lo = _parse_int(lo_hi[0], lineno, "register low index")
-            hi = _parse_int(lo_hi[1], lineno, "register high index")
-            if role not in ROLES:
-                raise ParseError(lineno, f"unknown register role {role!r}")
-            if not 0 <= lo <= hi < n_qubits:
-                raise ParseError(lineno, f"register range {span} out of bounds")
-            if not registers:
-                first_register_line = lineno
-            registers.append(Register(name, lo, hi - lo + 1, role))
-            continue
-        kind = tokens[0]
-        if kind not in G.GATE_ARITY:
-            raise ParseError(lineno, f"unknown gate {kind!r}")
-        want = G.GATE_ARITY[kind]
-        if len(tokens) - 1 != want:
-            raise ParseError(lineno, f"{kind} takes {want} qubit indices")
-        qubits = tuple(_parse_int(tok, lineno, "qubit index") for tok in tokens[1:])
-        if any(q < 0 or q >= n_qubits for q in qubits):
+        try:
+            if tokens[0] == "register":
+                if len(tokens) != 4:
+                    raise ParseError(lineno,
+                                     "expected 'register name lo..hi role'")
+                _, name, span, role = tokens
+                lo_hi = span.split("..")
+                if len(lo_hi) != 2:
+                    raise ParseError(lineno,
+                                     f"malformed register range {span!r}")
+                lo = _parse_int(lo_hi[0], lineno, "register low index")
+                hi = _parse_int(lo_hi[1], lineno, "register high index")
+                if not 0 <= lo <= hi < n_qubits:
+                    raise ParseError(lineno,
+                                     f"register range {span} out of bounds")
+                if not registers:
+                    first_register_line = lineno
+                registers.append(Register(name, lo, hi - lo + 1, role))
+                continue
+            qubits = tuple(_parse_int(tok, lineno, "qubit index")
+                           for tok in tokens[1:])
+            gate = Gate(tokens[0], qubits)
+        except DomainError as exc:
+            raise ParseError(lineno, str(exc)) from None
+        if max(qubits) >= n_qubits:
             raise ParseError(lineno, f"qubit index out of range in {line!r}")
-        if len(set(qubits)) != len(qubits):
-            raise ParseError(lineno, "duplicate qubit")
-        gate = gates[raw] = Gate(kind, qubits)
+        gates[raw] = gate
         ops.append(gate)
     if n_qubits is None:
         raise ParseError(0, "missing 'qubits' header")
@@ -500,14 +494,6 @@ def _to_complex(v: tuple, k: int) -> complex:
                    c / half + (b + d) / half * _H_SCALE)
 
 
-def _check_index(n_qubits: int, basis: int) -> None:
-    # compare bit lengths: 1 << n_qubits would allocate n_qubits bits
-    basis = index(basis)
-    if basis < 0 or basis.bit_length() > n_qubits:
-        raise DomainError(
-            f"basis index {basis} out of range for {n_qubits} qubits")
-
-
 def sparse_evaluate(c: Circuit, input_basis: int) -> tuple[dict[int, tuple], int]:
     """Exact state of ``c`` run on one basis input, at any width.
 
@@ -521,57 +507,13 @@ def sparse_evaluate(c: Circuit, input_basis: int) -> tuple[dict[int, tuple], int
     than 2: each Toffoli template's two H gates enclose only that
     template.
     """
-    _check_index(c.n_qubits, input_basis)
+    check_index(c.n_qubits, input_basis)
     amps, k, applied = _run_sparse(c.ops, input_basis, MAX_SPARSE_SUPPORT)
     if applied < len(c.ops):
         raise ResourceError(
             f"more than {MAX_SPARSE_SUPPORT} basis states in superposition "
             f"after gate {applied - 1} exceeds the sparse evaluator's limit")
     return amps, k
-
-
-def _positive(p: int, q: int) -> bool:
-    """Whether p + q*sqrt(2) > 0, decided in integers."""
-    if p >= 0 and q >= 0:
-        return p > 0 or q > 0
-    if p <= 0 and q <= 0:
-        return False
-    return p * p > 2 * q * q if p > 0 else 2 * q * q > p * p
-
-
-def _peak(amps: dict[int, tuple]) -> int:
-    """The lowest basis index among the amplitudes of largest magnitude,
-    compared exactly: |a + b w + c w^2 + d w^3|^2 = p + q sqrt(2) with
-    p = a^2+b^2+c^2+d^2 and q = ab+bc+cd-da."""
-    best, best_p, best_q = None, 0, 0
-    for j in sorted(amps):
-        a, b, c, d = amps[j]
-        p, q = a * a + b * b + c * c + d * d, a * b + b * c + c * d - d * a
-        if best is None or _positive(p - best_p, q - best_q):
-            best, best_p, best_q = j, p, q
-    return best
-
-
-def sparse_mismatches(c: Circuit, cols: list[int], expected: list[int],
-                      n_rows: int) -> list[tuple[int, int, int]]:
-    """Run ``c`` exactly on each row of a bit-sliced batch with
-    ``sparse_evaluate``.
-
-    ``cols`` and ``expected`` hold the batch's input and expected basis
-    indices as bit columns (as ``verify._pack`` builds them), ``n_rows``
-    rows each.  A row passes only when its final state is exactly its
-    expected basis state with amplitude 1.  Returns an (input, expected, observed) triple
-    for every other row, in row order; observed is the lowest basis index
-    among the amplitudes of largest magnitude.
-    """
-    every = range(n_rows)
-    out = []
-    for index_in, index_exp in zip(_from_columns(cols, n_rows, every),
-                                   _from_columns(expected, n_rows, every)):
-        amps, k = sparse_evaluate(c, index_in)
-        if k or amps != {index_exp: _ONE}:
-            out.append((index_in, index_exp, _peak(amps)))
-    return out
 
 
 def _spill_support(n_qubits: int) -> int:
@@ -593,16 +535,13 @@ def simulate(c: Circuit, input_basis: int) -> StateVector:
     gate leaves more basis states in superposition than
     ``_spill_support`` allows for the width, the map is scattered into one
     (2,)*n buffer and the remaining gates are applied to it in place by
-    the dense kernel.  Capped at 24 qubits.  Pure and reentrant, so
-    distinct basis inputs may be evaluated concurrently.
+    the dense kernel.  Capped at 24 qubits, checked after the input index.
+    Pure and reentrant, so distinct basis inputs may be evaluated
+    concurrently.
     """
     n = c.n_qubits
-    if n > MAX_SIM_QUBITS:
-        raise ResourceError(
-            f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit "
-            "statevector ceiling"
-        )
-    _check_index(n, input_basis)
+    check_index(n, input_basis)
+    check_width(n)
     amps, k, applied = _run_sparse(c.ops, input_basis, _spill_support(n))
     vec = np.zeros(1 << n, dtype=complex)
     for j, v in amps.items():
@@ -621,31 +560,17 @@ def is_permutation_circuit(c: Circuit) -> bool:
     return {g.kind for g in c.ops} <= G.PERMUTATION_KINDS
 
 
-def check_sliced_bits(n_qubits: int, n_rows: int) -> None:
-    """Raise ``ResourceError`` before slicing a batch of more than
-    ``MAX_SLICED_BITS`` bits."""
-    if n_qubits * n_rows > MAX_SLICED_BITS:
-        raise ResourceError(
-            f"{n_qubits} qubits x {n_rows} rows exceeds the "
-            f"{MAX_SLICED_BITS}-bit limit of the bit-sliced evaluator")
+def run_columns(c: Circuit, cols: list[int], n_rows: int) -> None:
+    """Apply a permutation circuit to ``n_rows`` bit columns in place.
 
-
-def _from_columns(cols: list[int], n_rows: int, rows: Sequence[int]) -> list[int]:
-    """The basis indices of the given rows, read back out of bit columns."""
-    text = "".join(map(format, reversed(cols), repeat(f"0{n_rows}b")))
-    return [int(text[n_rows - 1 - r::n_rows], 2) for r in rows]
-
-
-def _run_columns(ops: Sequence[Gate], cols: list[int], ones: int) -> None:
-    """Apply permutation gates to bit-sliced columns in place.
-
-    Column q holds qubit q for every row of the batch, so each gate acts on
-    all rows at once: X complements its column (``ones`` has a bit per
-    row), CNOT and Toffoli XOR the AND of their controls into the target,
-    and SWAP and Fredkin exchange the two columns where (controlled) they
-    differ.
+    Bit r of column q is qubit q of row r (Biham, FSE 1997), so each gate
+    acts on all rows at once: X complements its column, CNOT and Toffoli
+    XOR the AND of their controls into the target, and SWAP and Fredkin
+    exchange the two columns where (controlled) they differ.  Any other
+    gate raises ``DomainError``.
     """
-    for g in ops:
+    ones = (1 << n_rows) - 1
+    for g in c.ops:
         k = g.kind
         q = g.qubits
         if k == "ccx":
@@ -662,32 +587,6 @@ def _run_columns(ops: Sequence[Gate], cols: list[int], ones: int) -> None:
             cols[q[2]] ^= d
         else:
             raise DomainError(f"{k} is not a basis permutation gate")
-
-
-def sliced_mismatches(c: Circuit, cols: list[int], expected: list[int],
-                      n_rows: int) -> list[tuple[int, int, int]]:
-    """Run a permutation circuit on a bit-sliced batch in one pass.
-
-    ``cols`` and ``expected`` hold the batch's input and expected basis
-    indices as bit columns: bit r of column q is qubit q of row r (as
-    ``verify._pack`` builds them), ``n_rows`` rows each; neither list is
-    modified.  Each qubit is one Python int with a bit per
-    row (Biham, FSE 1997), so a gate costs a few big-int operations for
-    the whole batch, at any circuit width.  Returns an (input, expected,
-    observed) triple for every row whose output is not its expected index,
-    in row order; the three indices are rebuilt for those rows only.
-    """
-    out = list(cols)
-    _run_columns(c.ops, out, (1 << n_rows) - 1)
-    diff = 0
-    for got, want in zip(out, expected):
-        diff |= got ^ want
-    if not diff:
-        return []
-    flags = format(diff, f"0{n_rows}b")[::-1]
-    rows = [r for r, bit in enumerate(flags) if bit == "1"]
-    return list(zip(*(_from_columns(x, n_rows, rows)
-                      for x in (cols, expected, out))))
 
 
 def permutation_output(c: Circuit, input_basis: int) -> int:

@@ -62,15 +62,13 @@ def _cmd_metrics(args) -> int:
 def _cmd_sim(args) -> int:
     with open(args.path, encoding="utf-8") as fh:
         circ = parse(fh.read())
-    if args.input < 0 or args.input.bit_length() > circ.n_qubits:
-        raise CliffordTError(
-            f"input {args.input} out of range for {circ.n_qubits} qubits")
     permutation = is_permutation_circuit(circ)
     if args.shots is not None:
         if permutation:
             # a basis permutation lands every shot on one outcome
+            out_index = permutation_output(circ, args.input)
             check_shots(args.shots)
-            ordered = {permutation_output(circ, args.input): args.shots}
+            ordered = {out_index: args.shots}
         else:
             counts = sample(simulate(circ, args.input), args.shots, args.seed)
             ordered = dict(sorted(counts.counts.items()))

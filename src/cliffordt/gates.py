@@ -51,7 +51,7 @@ class Gate:
             raise DomainError(f"unknown gate kind {self.kind!r}")
         if len(self.qubits) != GATE_ARITY[self.kind]:
             raise DomainError(
-                f"{self.kind} takes {GATE_ARITY[self.kind]} qubits, "
+                f"{self.kind} takes {GATE_ARITY[self.kind]} qubit indices, "
                 f"got {len(self.qubits)}"
             )
         if min(self.qubits) < 0:

@@ -12,9 +12,9 @@ mutable buffer viewed as a (2,)*n tensor: ``simulate`` in the circuit
 module finishes a run on one buffer, once its exact sparse evaluator
 holds too many basis states, and wraps it in a ``StateVector`` at the
 end, and ``apply_gate`` runs the same kernel on a copy, so no state a
-caller holds is ever written.  Statevector allocation is capped at 24
-qubits (a ~270 MB vector); wider circuits must go through the exact
-bit-sliced or sparse evaluators of the circuit module.
+caller holds is ever written.  ``check_width`` caps statevectors at 24
+qubits (a ~270 MB vector) and ``check_index`` checks basis indices; wider
+circuits go through the exact evaluators of the circuit module.
 
 Randomness is never ambient.  Every sampling operation takes an explicit
 integer seed and draws from a Philox 64-bit counter-based generator, so
@@ -24,6 +24,7 @@ results are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -40,6 +41,23 @@ PHASE_EPS = 1e-12
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded Philox (counter-based) generator; the only randomness source."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+
+
+def check_width(n: int) -> None:
+    """Raise ``DomainError`` below one qubit and ``ResourceError`` past
+    ``MAX_SIM_QUBITS``."""
+    if n < 1:
+        raise DomainError("need at least one qubit")
+    if n > MAX_SIM_QUBITS:
+        raise ResourceError(
+            f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit statevector ceiling")
+
+
+def check_index(n: int, basis: int) -> None:
+    """Raise ``DomainError`` unless 0 <= basis < 2^n, by bit length."""
+    basis = index(basis)
+    if basis < 0 or basis.bit_length() > n:
+        raise DomainError(f"basis index {basis} out of range for {n} qubits")
 
 
 def check_shots(shots: int, name: str = "shots") -> None:
@@ -64,13 +82,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise DomainError("need at least one qubit")
-        if self.n_qubits > MAX_SIM_QUBITS:
-            raise ResourceError(
-                f"{self.n_qubits} qubits exceeds the {MAX_SIM_QUBITS}-qubit "
-                "statevector ceiling"
-            )
+        check_width(self.n_qubits)
         arr = np.asarray(self.amps, dtype=complex)
         if arr.shape != (1 << self.n_qubits,):
             raise DomainError(
@@ -96,16 +108,8 @@ class MeasurementCounts:
 
 def new_basis_state(n_qubits: int, basis_index: int) -> StateVector:
     """The computational basis state |basis_index> on ``n_qubits`` qubits."""
-    if n_qubits < 1:
-        raise DomainError("need at least one qubit")
-    if n_qubits > MAX_SIM_QUBITS:
-        raise ResourceError(
-            f"{n_qubits} qubits exceeds the {MAX_SIM_QUBITS}-qubit ceiling"
-        )
-    if not 0 <= basis_index < (1 << n_qubits):
-        raise DomainError(
-            f"basis index {basis_index} out of range for {n_qubits} qubits"
-        )
+    check_width(n_qubits)
+    check_index(n_qubits, basis_index)
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[basis_index] = 1.0
     return StateVector(n_qubits, amps)

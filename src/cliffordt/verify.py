@@ -26,15 +26,15 @@ quant-ph/0406196), so no matrix, rounding or tolerance enters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import index
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .arith import ArithInstance
-from .circuit import (MAX_SLICED_BITS, Circuit, check_sliced_bits,
-                      is_permutation_circuit, simulate, sliced_mismatches,
-                      sparse_mismatches)
+from .circuit import (Circuit, is_permutation_circuit, run_columns, simulate,
+                      sparse_evaluate)
 from .errors import DomainError, FitError, ResourceError
 from .gates import Gate, h, sdg
 from .state import (apply_gate, bloch_coords, check_shots, make_rng,
@@ -51,9 +51,14 @@ Oracle = Callable[[Mapping[str, "int | np.ndarray"]], "dict[str, int | np.ndarra
 #: register arrays and its qubit columns (Python ints of this many bits)
 #: are all that is held at once, so peak memory stays bounded on input
 #: spaces of any size.  Circuits wider than 1,024 qubits run in smaller
-#: batches, so that a batch fits ``circuit.MAX_SLICED_BITS``.  The sparse
+#: batches, so that a batch fits ``MAX_SLICED_BITS``.  The sparse
 #: evaluator takes the same batches and runs them row by row.
 CHECK_BATCH = 1 << 14
+
+#: Most bits (qubits x rows) of one batch of bit columns.  A circuit of
+#: more qubits raises ``ResourceError`` before anything is allocated;
+#: 2^24 bits are a 1,024-qubit circuit over a full batch.
+MAX_SLICED_BITS = 1 << 24
 
 #: Largest input space ``exhaustive_check`` accepts: 2^28 inputs, about
 #: 15 s for adder n=14 and, extrapolated, 2 minutes for taylor n=28 on the
@@ -168,23 +173,22 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     called once per batch on those arrays (see ``Oracle``), and ``_pack``,
     the one bit-column encoder, turns inputs and expected outputs into one
     bit column per qubit.  Permutation circuits (X, CNOT, SWAP, Toffoli,
-    Fredkin) then run bit-sliced on the whole batch; every other
-    circuit runs on the exact sparse evaluator
-    (``circuit.sparse_evaluate``), one input at a time.  Both work at any
+    Fredkin) then run bit-sliced on the whole batch
+    (``circuit.run_columns``), and only rows that differ are read back;
+    every other circuit runs on the exact sparse evaluator
+    (``circuit.sparse_evaluate``), one row at a time.  Both work at any
     width.  Input spaces larger than ``MAX_CHECK_INPUTS``, registers wider
-    than 64 bits, and sparse runs that hold more than
-    ``circuit.MAX_SPARSE_SUPPORT`` basis states at once raise
-    ``ResourceError``; an oracle value that does not fit its register
-    raises ``DomainError``.
+    than 64 bits, circuits of more than ``MAX_SLICED_BITS`` qubits, and
+    sparse runs that hold more than ``circuit.MAX_SPARSE_SUPPORT`` basis
+    states at once raise ``ResourceError``; an oracle value that does not
+    fit its register raises ``DomainError``.
     """
     circ = instance.circuit
-    if is_permutation_circuit(circ):
-        method, evaluate = "bitsliced", sliced_mismatches
-    else:
-        method, evaluate = "sparse", sparse_mismatches
+    sliced = is_permutation_circuit(circ)
     layout = circ.layout
     bits = sum(layout.register(name).size for name in instance.input_names)
-    if 1 << bits > MAX_CHECK_INPUTS:
+    # compare exponents: 1 << bits would allocate a bits-bit integer
+    if bits > MAX_CHECK_INPUTS.bit_length() - 1:
         raise ResourceError(
             f"2^{bits} inputs exceeds the exhaustive-check limit of "
             f"{MAX_CHECK_INPUTS}")
@@ -192,13 +196,16 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
         if r.size > 64:
             raise ResourceError(f"register {r.name} ({r.size} bits) is wider "
                                 "than the 64 bits an exhaustive check packs")
+    n = circ.n_qubits
+    if n > MAX_SLICED_BITS:
+        raise ResourceError(f"{n} qubits exceeds the {MAX_SLICED_BITS}-bit "
+                            "limit of the bit-sliced evaluator")
     constants = instance.constants
     defaults = [(r.name, r.size, constants.get(r.name, 0))
                 for r in sorted(layout.registers, key=lambda r: r.start)]
     counter = instance.counter()
     total = 1 << bits
-    batch = max(1, min(CHECK_BATCH, MAX_SLICED_BITS // circ.n_qubits))
-    check_sliced_bits(circ.n_qubits, min(batch, total))
+    batch = min(CHECK_BATCH, MAX_SLICED_BITS // n)
     mismatches: list[tuple[int, int, int]] = []
     for base in range(0, total, batch):
         rows = min(batch, total - base)
@@ -206,8 +213,26 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
         values = {name: (count >> at) & mask for name, at, mask in counter}
         cols = _pack(defaults, values, rows)
         expected = _pack(defaults, oracle({**constants, **values}), rows)
-        mismatches += evaluate(circ, cols, expected, rows)
-    return EquivalenceReport(total, tuple(mismatches), not mismatches, method)
+        if sliced:
+            out = list(cols)
+            run_columns(circ, out, rows)
+            diff = 0
+            for got, want in zip(out, expected):
+                diff |= got ^ want
+            if diff:
+                flags = format(diff, f"0{rows}b")[::-1]
+                bad = [r for r, bit in enumerate(flags) if bit == "1"]
+                mismatches += zip(*(_unpack(x, rows, bad)
+                                    for x in (cols, expected, out)))
+            continue
+        every = range(rows)
+        for j, want in zip(_unpack(cols, rows, every),
+                           _unpack(expected, rows, every)):
+            amps, k = sparse_evaluate(circ, j)
+            if k or amps != {want: (1, 0, 0, 0)}:
+                mismatches.append((j, want, _peak(amps)))
+    return EquivalenceReport(total, tuple(mismatches), not mismatches,
+                             "bitsliced" if sliced else "sparse")
 
 
 def _pack(registers: Sequence[tuple[str, int, int]],
@@ -248,6 +273,35 @@ def _pack(registers: Sequence[tuple[str, int, int]],
                                 "little")
                  for i in range(size)]
     return cols
+
+
+def _unpack(cols: list[int], n_rows: int, rows: Sequence[int]) -> list[int]:
+    """The basis indices of the given rows, read back out of bit columns:
+    the inverse of ``_pack``."""
+    text = "".join(map(format, reversed(cols), repeat(f"0{n_rows}b")))
+    return [int(text[n_rows - 1 - r::n_rows], 2) for r in rows]
+
+
+def _positive(p: int, q: int) -> bool:
+    """Whether p + q*sqrt(2) > 0, decided in integers."""
+    if p >= 0 and q >= 0:
+        return p > 0 or q > 0
+    if p <= 0 and q <= 0:
+        return False
+    return p * p > 2 * q * q if p > 0 else 2 * q * q > p * p
+
+
+def _peak(amps: dict[int, tuple]) -> int:
+    """The lowest basis index among the amplitudes of largest magnitude,
+    compared exactly: |a + b w + c w^2 + d w^3|^2 = p + q sqrt(2) with
+    p = a^2+b^2+c^2+d^2 and q = ab+bc+cd-da."""
+    best, best_p, best_q = None, 0, 0
+    for j in sorted(amps):
+        a, b, c, d = amps[j]
+        p, q = a * a + b * b + c * c + d * d, a * b + b * c + c * d - d * a
+        if best is None or _positive(p - best_p, q - best_q):
+            best, best_p, best_q = j, p, q
+    return best
 
 
 # Measurement bases for tomography: rotate the axis onto Z, then sample.

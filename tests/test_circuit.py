@@ -21,8 +21,8 @@ from cliffordt.circuit import (ROLES, Circuit, Register, RegisterLayout,
                                inverse_circuit,
                                is_permutation_circuit, lower_to_clifford_t,
                                parse, permutation_output, resources,
-                               schedule_layers, serialize, simulate,
-                               sliced_mismatches, sparse_evaluate)
+                               run_columns, schedule_layers, serialize,
+                               simulate, sparse_evaluate)
 from cliffordt.circuit import _spill_support
 from cliffordt.errors import DomainError, ParseError, ResourceError
 from cliffordt.gates import (CLIFFORD_T_KINDS, GATE_ARITY, PERMUTATION_KINDS,
@@ -31,7 +31,7 @@ from cliffordt.gates import (CLIFFORD_T_KINDS, GATE_ARITY, PERMUTATION_KINDS,
                              decompose_toffoli, h, swap, t, tdg, x)
 from cliffordt.state import states_equal_up_to_phase
 from cliffordt.uncompute import BennettSpec, bennett_wrap
-from cliffordt.verify import _pack
+from cliffordt.verify import _pack, _unpack
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -576,6 +576,14 @@ def test_simulate_validates_input_index():
         simulate(Circuit(2), 4)
 
 
+def test_simulate_checks_the_index_before_the_width():
+    # an index out of range reads as such past the statevector ceiling too
+    with pytest.raises(DomainError, match="out of range"):
+        simulate(Circuit(25), -1)
+    with pytest.raises(ResourceError, match="statevector ceiling"):
+        simulate(Circuit(25), 0)
+
+
 # ---------------------------------------------------------------------------
 # classical permutation path
 # ---------------------------------------------------------------------------
@@ -606,6 +614,8 @@ def test_permutation_path_rejects_superposition_gates():
     assert not is_permutation_circuit(c)
     with pytest.raises(DomainError):
         permutation_output(c, 0)
+    with pytest.raises(DomainError, match="not a basis permutation gate"):
+        run_columns(c, [0], 1)
 
 
 def test_permutation_path_validates_input_index():
@@ -671,15 +681,13 @@ def test_bitsliced_evaluator_agrees_with_statevector(case, data):
     def columns(indices):  # one n-bit register q
         return _pack([("q", c.n_qubits, 0)],
                      {"q": np.array(indices, dtype=np.uint64)}, len(inputs))
-    assert sliced_mismatches(c, columns(inputs), columns(dense),
-                             len(inputs)) == []
-    # corrupt the expected index of some rows: exactly those rows come back,
-    # in row order, each observed index rebuilt from the bit columns
-    wrong = data.draw(st.sets(st.integers(0, len(inputs) - 1)))
-    expected = [d ^ 1 if r in wrong else d for r, d in enumerate(dense)]
-    assert sliced_mismatches(c, columns(inputs), columns(expected),
-                             len(inputs)) == [
-        (inputs[r], expected[r], dense[r]) for r in sorted(wrong)]
+    cols = columns(inputs)
+    run_columns(c, cols, len(inputs))
+    assert cols == columns(dense)
+    # drawn rows, in any order and repeated, read back out of the columns
+    rows = data.draw(st.lists(st.integers(0, len(inputs) - 1)))
+    assert _unpack(columns(inputs), len(inputs), rows) == [inputs[r] for r in rows]
+    assert _unpack(cols, len(inputs), rows) == [dense[r] for r in rows]
 
 
 @st.composite

@@ -1,0 +1,13 @@
+"""The README's code runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_sketch_runs():
+    # an API change that leaves the sketch stale fails here
+    section = README.read_text(encoding="utf-8").split("## Library sketch", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md (Library sketch)", "exec"), {})

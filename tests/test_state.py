@@ -44,6 +44,14 @@ def test_simulation_ceiling():
         new_basis_state(MAX_SIM_QUBITS + 1, 0)
 
 
+def test_one_ceiling_message():
+    message = "^25 qubits exceeds the 24-qubit statevector ceiling$"
+    with pytest.raises(ResourceError, match=message):
+        new_basis_state(25, 0)
+    with pytest.raises(ResourceError, match=message):
+        StateVector(25, np.zeros(2, dtype=complex))
+
+
 def test_statevector_rejects_nonfinite():
     with pytest.raises(DomainError):
         StateVector(1, np.array([np.nan, 0], dtype=complex))

@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffordt import circuit, verify
+from cliffordt import verify
 from cliffordt.arith import (ArithInstance, build_adder, build_ctrl_add,
                              build_multiplier, build_subtractor, build_taylor)
 from cliffordt.circuit import (Circuit, Register, RegisterLayout,
@@ -125,6 +129,31 @@ def test_input_ceiling_admits_a_space_of_exactly_the_limit(monkeypatch):
         exhaustive_check(build_adder(4), oracle_adder(4))
 
 
+def test_input_ceiling_refuses_without_allocating():
+    # a free register of 10^11 qubits: the ceiling compares exponents, so
+    # 2^bits is never built.  The child runs under a 1 GiB address-space
+    # limit, so building it (12.5 GB) would fail with MemoryError instead
+    # of eating the machine's memory
+    limit = 1 << 30
+    code = ("import resource\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from cliffordt.arith import ArithInstance\n"
+            "from cliffordt.circuit import Circuit\n"
+            "from cliffordt.errors import ResourceError\n"
+            "from cliffordt.verify import exhaustive_check\n"
+            "try:\n"
+            "    exhaustive_check(ArithInstance(1, Circuit(10**11), ('q',)), dict)\n"
+            "except ResourceError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stderr == ""
+    assert proc.stdout == ("2^100000000000 inputs exceeds the exhaustive-check "
+                           "limit of 268435456\n")
+
+
 def test_equivalence_report_serialization():
     report = EquivalenceReport(4, ((1, 2, 3),), False)
     assert "passed: false" in report.to_text()
@@ -193,10 +222,8 @@ def test_batches_shrink_to_the_bit_slice_limit(monkeypatch):
     whole = exhaustive_check(broken, oracle_adder(4))
     n = broken.circuit.n_qubits
     for limit in (7 * n, n):  # batches of 7 rows, then of 1
-        monkeypatch.setattr(circuit, "MAX_SLICED_BITS", limit)
         monkeypatch.setattr(verify, "MAX_SLICED_BITS", limit)
         assert exhaustive_check(broken, oracle_adder(4)) == whole
-    monkeypatch.setattr(circuit, "MAX_SLICED_BITS", n - 1)
     monkeypatch.setattr(verify, "MAX_SLICED_BITS", n - 1)
     with pytest.raises(ResourceError, match="bit-sliced evaluator"):
         exhaustive_check(broken, oracle_adder(4))
