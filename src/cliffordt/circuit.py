@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
+from operator import add, attrgetter, itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -208,43 +208,56 @@ def inverse_circuit(c: Circuit) -> Circuit:
     return Circuit(c.n_qubits, tuple(G.inverse(g) for g in reversed(c.ops)), c.layout)
 
 
+# Every kind as the Clifford+T steps it lowers to, each step a
+# (kind, operand positions) pair: swap is three ("cnot", ...) steps on
+# positions (0, 1), (1, 0), (0, 1) of the swapped qubits.  Read off the
+# ``decompose_*`` functions on wires 0, 1, 2, so the lowering has one
+# source; a Clifford+T kind is its own one step.
+_DECOMPOSE = {"swap": G.decompose_swap, "ccx": G.decompose_toffoli,
+              "cswap": G.decompose_fredkin}
+TEMPLATES = {
+    kind: tuple((step.kind, step.qubits)
+                for step in _DECOMPOSE[kind](*range(arity)))
+    if kind in _DECOMPOSE else ((kind, tuple(range(arity))),)
+    for kind, arity in G.GATE_ARITY.items()
+}
+
+# Each step's operand positions as a getter that picks its qubits out of
+# a gate's qubit tuple (a one-element slice keeps one operand a tuple).
+_STEP_OPERANDS = {
+    kind: tuple((step, itemgetter(*where) if len(where) > 1
+                 else itemgetter(slice(where[0], where[0] + 1)))
+                for step, where in template)
+    for kind, template in TEMPLATES.items()
+}
+
+
 def lower_to_clifford_t(c: Circuit) -> Circuit:
     """Expand SWAP, Toffoli and Fredkin into Clifford+T primitives.
 
     Output gates all lie in {h, t, tdg, s, sdg, x, cnot}; the circuit is
-    functionally unchanged up to one global phase.  Each distinct composite
-    gate is decomposed once per call and its expansion reused wherever the
-    gate recurs (gates are immutable, so sharing them is safe).
+    functionally unchanged up to one global phase.  Each distinct gate is
+    expanded once per call by mapping its kind's ``TEMPLATES`` steps onto
+    its qubits, and each distinct lowered gate is built once per call and
+    shared wherever it recurs (gates are immutable, so sharing them is
+    safe).
     """
     out: list[Gate] = []
+    built: dict[tuple[str, tuple[int, ...]], Gate] = {}
     expansions: dict[tuple[str, tuple[int, ...]], list[Gate]] = {}
     for g in c.ops:
-        if g.kind in G.CLIFFORD_T_KINDS:
-            out.append(g)
-            continue
         key = (g.kind, g.qubits)
         steps = expansions.get(key)
         if steps is None:
-            if g.kind == "ccx":
-                steps = G.decompose_toffoli(*g.qubits)
-            elif g.kind == "cswap":
-                steps = G.decompose_fredkin(*g.qubits)
-            else:
-                steps = G.decompose_swap(*g.qubits)
-            expansions[key] = steps
+            steps = expansions[key] = []
+            for kind, operands in _STEP_OPERANDS[g.kind]:
+                step_key = (kind, operands(g.qubits))
+                step = built.get(step_key)
+                if step is None:
+                    step = built[step_key] = Gate(*step_key)
+                steps.append(step)
         out.extend(steps)
     return Circuit(c.n_qubits, tuple(out), c.layout)
-
-
-# Every kind as the Clifford+T steps it lowers to, each step a
-# (kind, operand positions) pair: swap is three ("cnot", ...) steps on
-# positions (0, 1), (1, 0), (0, 1) of the swapped qubits.  Read off the
-# lowering of one gate on wires 0, 1, 2, so they cannot drift from it.
-TEMPLATES = {
-    kind: tuple((step.kind, step.qubits) for step in lower_to_clifford_t(
-        Circuit(arity, (Gate(kind, tuple(range(arity))),))).ops)
-    for kind, arity in G.GATE_ARITY.items()
-}
 
 
 def _place(frontier: dict[int, int], qubits: Sequence[int]) -> int:
@@ -255,6 +268,41 @@ def _place(frontier: dict[int, int], qubits: Sequence[int]) -> int:
     for q in qubits:
         frontier[q] = at
     return at
+
+
+_NO_PATH = float("-inf")
+
+
+def _offset_rows(template, arity: int
+                 ) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+    """Max-plus offset rows of one template, derived with ``_place``.
+
+    Placed ASAP from an entry frontier e (the layer of the last gate on
+    each operand, -1 for none), a template's every step lands on layer
+    max_i(e_i + row[i]) for a fixed row, where row[i] is the longest step
+    chain from operand i to the step, or ``_NO_PATH``.  Placing the steps
+    from the frontier that puts operand i at 0 and every other operand
+    further back than the template is long reads off column i of every
+    row.  Returns the distinct rows of the T and T-dagger steps and one
+    exit row per operand (the layer of its last step, or of its entry).
+    """
+    behind = -len(template) - 1
+    t_columns, exit_columns = [], []
+    for i in range(arity):
+        frontier = {j: 0 if j == i else behind for j in range(arity)}
+        layers = [(kind, _place(frontier, where)) for kind, where in template]
+        t_columns.append([at for kind, at in layers if kind in ("t", "tdg")])
+        exit_columns.append([frontier[j] for j in range(arity)])
+
+    def rows(columns):
+        return [tuple(d if d >= 0 else _NO_PATH for d in row)
+                for row in zip(*columns)]
+    return tuple(dict.fromkeys(rows(t_columns))), tuple(rows(exit_columns))
+
+
+#: kind -> (distinct T-step rows, one exit row per operand); see _offset_rows.
+OFFSETS = {kind: _offset_rows(TEMPLATES[kind], arity)
+           for kind, arity in G.GATE_ARITY.items()}
 
 
 def schedule_layers(c: Circuit) -> list[list[Gate]]:
@@ -282,22 +330,28 @@ def resources(c: Circuit) -> ResourceReport:
     T-count totals t and tdg gates; T-depth counts schedule layers holding
     at least one of them; depth is the total layer count.  Ancilla and
     garbage counts are read from the register layout.  The lowering is
-    never built: each gate is costed from its kind's template
-    (``TEMPLATES``), whose steps are scheduled in place as the lowered
-    gates would be.
+    never built, and its steps are never placed one by one: each gate
+    reads the frontier of its qubits once, adds the layer of each of its
+    kind's distinct T rows (``OFFSETS``) to the T layers, and writes the
+    exit layer of each qubit, all as max-plus sums of the entry frontier
+    and the rows that ``_place`` gave at import.  The result equals
+    scheduling the built lowering with ``schedule_layers``.
     """
     hist: Counter[str] = Counter()
     for kind, count in Counter(g.kind for g in c.ops).items():
         for step, _ in TEMPLATES[kind]:
             hist[step] += count
     frontier: dict[int, int] = {}
+    get = frontier.get
     t_layers = set()
     for g in c.ops:
         q = g.qubits
-        for kind, where in TEMPLATES[g.kind]:
-            at = _place(frontier, [q[i] for i in where])
-            if kind == "t" or kind == "tdg":
-                t_layers.add(at)
+        entry = [get(x, -1) for x in q]
+        t_rows, exit_rows = OFFSETS[g.kind]
+        for row in t_rows:
+            t_layers.add(max(map(add, entry, row)))
+        for x, row in zip(q, exit_rows):
+            frontier[x] = max(map(add, entry, row))
     return ResourceReport(
         t_count=hist["t"] + hist["tdg"],
         t_depth=len(t_layers),

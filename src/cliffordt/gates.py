@@ -10,6 +10,8 @@ CNOT matrix permutes |10> and |11> (control high).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
+from typing import Iterable
 
 import numpy as np
 
@@ -39,25 +41,42 @@ PERMUTATION_KINDS = frozenset({"x", "cnot", "swap", "ccx", "cswap"})
 _INVERSE_KIND = {"t": "tdg", "tdg": "t", "s": "sdg", "sdg": "s"}
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
-    """A named gate applied to an ordered tuple of qubit indices."""
+    """A named gate applied to an ordered tuple of qubit indices.
+
+    The indices are stored as a tuple of Python ints: any operand that
+    ``operator.index`` accepts (a numpy integer, a bool) is converted, and
+    any other (a float, a string) raises ``DomainError``.  The checks run
+    before the two fields are set, in one hand-written ``__init__``, since
+    ``build``, ``lower_to_clifford_t`` and ``parse`` construct gates by
+    the thousand.
+    """
 
     kind: str
     qubits: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.kind not in GATE_ARITY:
-            raise DomainError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != GATE_ARITY[self.kind]:
+    def __init__(self, kind: str, qubits: Iterable[int]):
+        arity = GATE_ARITY.get(kind)
+        if arity is None:
+            raise DomainError(f"unknown gate kind {kind!r}")
+        try:
+            qubits = tuple(map(index, qubits))
+        except TypeError:
+            raise DomainError(f"{kind} qubit indices must be integers, "
+                              f"got {qubits!r}") from None
+        if len(qubits) != arity:
             raise DomainError(
-                f"{self.kind} takes {GATE_ARITY[self.kind]} qubit indices, "
-                f"got {len(self.qubits)}"
-            )
-        if min(self.qubits) < 0:
-            raise DomainError(f"negative qubit index in {self.kind}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise DomainError(f"duplicate qubit in {self.kind} {self.qubits}")
+                f"{kind} takes {arity} qubit indices, got {len(qubits)}")
+        if min(qubits) < 0:
+            raise DomainError(f"negative qubit index in {kind}")
+        if len(set(qubits)) != arity:
+            raise DomainError(f"duplicate qubit in {kind} {qubits}")
+        _set(self, "kind", kind)
+        _set(self, "qubits", qubits)
 
 
 def h(q: int) -> Gate:

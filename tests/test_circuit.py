@@ -1,11 +1,13 @@
 """Circuit IR: compose/inverse, lowering, scheduling, metrics, text format."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +18,15 @@ from hypothesis import strategies as st
 import cliffordt
 from cliffordt.arith import (BUILDERS, build_adder, build_ctrl_add,
                              build_multiplier, build_subtractor, build_taylor)
-from cliffordt.circuit import (ROLES, Circuit, Register, RegisterLayout,
-                               ResourceReport, compose, default_layout,
+from cliffordt.circuit import (OFFSETS, ROLES, TEMPLATES, Circuit, Register,
+                               RegisterLayout, ResourceReport, compose,
+                               default_layout,
                                inverse_circuit,
                                is_permutation_circuit, lower_to_clifford_t,
                                parse, permutation_output, resources,
                                run_columns, schedule_layers, serialize,
                                simulate, sparse_evaluate)
-from cliffordt.circuit import _spill_support
+from cliffordt.circuit import _place, _spill_support
 from cliffordt.errors import DomainError, ParseError, ResourceError
 from cliffordt.gates import (CLIFFORD_T_KINDS, GATE_ARITY, PERMUTATION_KINDS,
                              Gate, ccx, cnot, compose_matrices, cswap,
@@ -836,6 +839,52 @@ def decompose_each(ops):
 def test_templates_match_lowering_gate_by_gate(c):
     assert lower_to_clifford_t(c).ops == decompose_each(c.ops)
     assert resources(c) == reference_resources(c)
+
+
+#: Entry layers for the offset-table check: -1 (an untouched qubit), a
+#: few close layers, and one far enough ahead to dominate every row.
+ENTRY_LAYERS = (-1, 0, 1, 2, 3, 20)
+
+
+@pytest.mark.parametrize("kind", sorted(TEMPLATES))
+def test_offset_rows_place_every_step_as_place_does(kind):
+    t_rows, exit_rows = OFFSETS[kind]
+    arity = GATE_ARITY[kind]
+    assert len(exit_rows) == arity
+    for entry in itertools.product(ENTRY_LAYERS, repeat=arity):
+        frontier = dict(enumerate(entry))
+        placed = [(step, _place(frontier, where))
+                  for step, where in TEMPLATES[kind]]
+        t_layers = {at for step, at in placed if step in ("t", "tdg")}
+        assert {max(map(add, entry, row)) for row in t_rows} == t_layers
+        assert [max(map(add, entry, row)) for row in exit_rows] == \
+            [frontier[i] for i in range(arity)]
+
+
+TAYLOR_CONSTS = (0x9c41f2, 0x3e07a5, 0x51d3c8, 0xa2b96e)
+
+
+def compile_width_circuits():
+    """The circuits of the compile benchmark, at its widths."""
+    yield "taylor24", build_taylor(24, *TAYLOR_CONSTS).circuit
+    yield "mul24", build_multiplier(24).circuit
+    yield "adder256", build_adder(256).circuit
+    yield "sub256", build_subtractor(256).circuit
+    yield "ctrladd128", build_ctrl_add(128).circuit
+    inner = build_multiplier(12).circuit
+    wires = tuple(inner.layout.register("p").qubits())
+    yield "bennett-mul12", bennett_wrap(BennettSpec(inner, wires))
+
+
+def test_resources_match_scheduled_lowering_at_benchmark_widths():
+    for label, c in compile_width_circuits():
+        assert resources(c) == reference_resources(c), label
+
+
+def test_lowering_builds_each_distinct_gate_once():
+    ops = lower_to_clifford_t(build_taylor(4, 3, 5, 7, 11).circuit).ops
+    assert len({id(g) for g in ops}) == len(set(ops)) < len(ops)
+    assert not hasattr(ops[0], "__dict__")
 
 
 #: Register names the text format carries: one token, no comment sign.

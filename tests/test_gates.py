@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from cliffordt import gates
+from cliffordt.circuit import (Circuit, lower_to_clifford_t, parse,
+                               permutation_output, serialize)
 from cliffordt.errors import DomainError
 from cliffordt.gates import (GATE_ARITY, Gate, ccx, cnot, compose_matrices,
                              cswap, decompose_fredkin, decompose_swap,
@@ -185,3 +187,36 @@ def test_gate_rejects_bad_kind_and_arity():
 def test_arity_table_matches_constructors():
     for g in ALL_GATES:
         assert GATE_ARITY[g.kind] == len(g.qubits)
+
+
+def _numpy_operand():
+    # a numpy integer operand used to overflow the evaluator's shift
+    c = Circuit(71, (Gate("x", (np.int64(70),)),))
+    assert permutation_output(c, 0) == 1 << 70
+
+
+def _bool_operands():
+    # bools are integers: they become 0 and 1, so the text round-trips
+    c = Circuit(2, (Gate("cnot", (False, True)),))
+    assert c.ops[0].qubits == (0, 1)
+    assert serialize(c).splitlines()[-1] == "cnot 0 1"
+    assert parse(serialize(c)) == c
+
+
+def _float_operand():
+    with pytest.raises(DomainError, match="must be integers"):
+        Gate("x", (1.0,))
+
+
+def _list_operands():
+    g = Gate("ccx", [0, 1, 2])
+    assert g.qubits == (0, 1, 2) and g == ccx(0, 1, 2)
+    lowered = lower_to_clifford_t(Circuit(3, (g,)))
+    assert list(lowered.ops) == decompose_toffoli(0, 1, 2)
+
+
+@pytest.mark.parametrize("case", [_numpy_operand, _bool_operands,
+                                  _float_operand, _list_operands],
+                         ids=["numpy-int", "bool", "float", "list"])
+def test_gate_stores_operands_as_a_tuple_of_ints(case):
+    case()
