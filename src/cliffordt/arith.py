@@ -11,6 +11,7 @@ seen in circuit diagrams is purely a drawing order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Callable, Iterator, Mapping
 
 from .circuit import Circuit, Register, RegisterLayout
@@ -34,16 +35,23 @@ class ArithInstance:
     constants: dict[str, int] = field(default_factory=dict)
 
     def encode(self, values: Mapping[str, int]) -> int:
-        """Registers missing from ``values`` take their constant, else 0; a
-        value that does not fit its register raises ``DomainError``."""
-        index = 0
+        """Registers missing from ``values`` take their constant, else 0.
+        Each value is taken by ``operator.index``, so a numpy integer acts
+        as the Python int it holds; a value that is no integer or does not
+        fit its register raises ``DomainError``."""
+        basis = 0
         for r in self.circuit.layout.registers:
             v = values.get(r.name, self.constants.get(r.name, 0))
+            try:
+                v = index(v)
+            except TypeError:
+                raise DomainError(f"register {r.name} value {v!r} is not "
+                                  "an integer") from None
             if v < 0 or v >> r.size:
                 raise DomainError(
                     f"value {v} does not fit register {r.name} ({r.size} bits)")
-            index |= v << r.start
-        return index
+            basis |= v << r.start
+        return basis
 
     def decode(self, basis_index: int) -> dict[str, int]:
         return self.circuit.layout.decode(basis_index)

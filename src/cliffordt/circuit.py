@@ -1,4 +1,4 @@
-"""Circuit IR: composition, lowering, scheduling, metrics, text format and
+"""Circuit IR: inversion, lowering, scheduling, metrics, text format and
 the evaluators.
 
 Circuit text format (bit exact, UTF-8, newline terminated):
@@ -178,31 +178,6 @@ class ResourceReport:
         return "\n".join(lines) + "\n"
 
 
-def compose(a: Circuit, b: Circuit, qubit_map: dict[int, int] | None = None,
-            layout: RegisterLayout | None = None) -> Circuit:
-    """Concatenate two circuits, optionally embedding ``b`` via a qubit map.
-
-    Without a map the circuits must have equal width.  The merged layout is
-    the caller's to supply (generators know their register roles); it
-    defaults to the layout of ``a``.
-    """
-    if qubit_map is None:
-        if a.n_qubits != b.n_qubits:
-            raise DomainError("qubit counts differ and no qubit map given")
-        mapped = b.ops
-    else:
-        if len(set(qubit_map.values())) != len(qubit_map):
-            raise DomainError("qubit map collides")
-        if set(qubit_map) != set(range(b.n_qubits)):
-            raise DomainError("qubit map must cover every qubit of b")
-        if any(v >= a.n_qubits or v < 0 for v in qubit_map.values()):
-            raise DomainError("qubit map leaves the target circuit")
-        mapped = tuple(
-            Gate(g.kind, tuple(qubit_map[q] for q in g.qubits)) for g in b.ops
-        )
-    return Circuit(a.n_qubits, a.ops + tuple(mapped), layout or a.layout)
-
-
 def inverse_circuit(c: Circuit) -> Circuit:
     """Reverse the gate order and invert each gate."""
     return Circuit(c.n_qubits, tuple(G.inverse(g) for g in reversed(c.ops)), c.layout)
@@ -235,8 +210,10 @@ _STEP_OPERANDS = {
 def lower_to_clifford_t(c: Circuit) -> Circuit:
     """Expand SWAP, Toffoli and Fredkin into Clifford+T primitives.
 
-    Output gates all lie in {h, t, tdg, s, sdg, x, cnot}; the circuit is
-    functionally unchanged up to one global phase.  Each distinct gate is
+    Output gates all lie in {h, t, tdg, s, sdg, x, cnot}.  The lowering is
+    exact: every template has the unitary of its gate, with no global
+    phase, so ``sparse_evaluate`` gives the same map on the circuit and
+    its lowering for every basis input.  Each distinct gate is
     expanded once per call by mapping its kind's ``TEMPLATES`` steps onto
     its qubits, and each distinct lowered gate is built once per call and
     shared wherever it recurs (gates are immutable, so sharing them is
@@ -561,7 +538,7 @@ def sparse_evaluate(c: Circuit, input_basis: int) -> tuple[dict[int, tuple], int
     than 2: each Toffoli template's two H gates enclose only that
     template.
     """
-    check_index(c.n_qubits, input_basis)
+    input_basis = check_index(c.n_qubits, input_basis)
     amps, k, applied = _run_sparse(c.ops, input_basis, MAX_SPARSE_SUPPORT)
     if applied < len(c.ops):
         raise ResourceError(
@@ -594,7 +571,7 @@ def simulate(c: Circuit, input_basis: int) -> StateVector:
     concurrently.
     """
     n = c.n_qubits
-    check_index(n, input_basis)
+    input_basis = check_index(n, input_basis)
     check_width(n)
     amps, k, applied = _run_sparse(c.ops, input_basis, _spill_support(n))
     vec = np.zeros(1 << n, dtype=complex)

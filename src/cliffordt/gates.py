@@ -152,11 +152,10 @@ def decompose_toffoli(c1: int, c2: int, target: int) -> list[Gate]:
     """Clifford+T realization of the Toffoli gate (T-count 7, 16 gates).
 
     Layout: an initial and final Hadamard on the target wrap a T/CNOT core
-    arranged in three T layers.
+    arranged in three T layers.  Every operand pair meets in a CNOT, so
+    ``Gate`` rejects repeated operands here and in the other templates.
     """
     a, b, c = c1, c2, target
-    if len({a, b, c}) != 3:
-        raise DomainError("toffoli qubits must be distinct")
     return [
         h(c),
         t(a), t(b), t(c),
@@ -175,15 +174,11 @@ def decompose_fredkin(control: int, t1: int, t2: int) -> list[Gate]:
     A Toffoli core targeting ``t2`` is conjugated by CNOT(t2, t1), turning
     the conditional bit flip into a conditional exchange.
     """
-    if len({control, t1, t2}) != 3:
-        raise DomainError("fredkin qubits must be distinct")
     return [cnot(t2, t1)] + decompose_toffoli(control, t1, t2) + [cnot(t2, t1)]
 
 
 def decompose_swap(a: int, b: int) -> list[Gate]:
     """SWAP as the standard three-CNOT identity."""
-    if a == b:
-        raise DomainError("swap qubits must be distinct")
     return [cnot(a, b), cnot(b, a), cnot(a, b)]
 
 

@@ -34,9 +34,6 @@ from .gates import Gate, matrix
 #: Hard ceiling on statevector width; 2^24 amplitudes is the desk-scale limit.
 MAX_SIM_QUBITS = 24
 
-#: Amplitudes below this are treated as zero when fixing a canonical phase.
-PHASE_EPS = 1e-12
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded Philox (counter-based) generator; the only randomness source."""
@@ -53,11 +50,15 @@ def check_width(n: int) -> None:
             f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit statevector ceiling")
 
 
-def check_index(n: int, basis: int) -> None:
-    """Raise ``DomainError`` unless 0 <= basis < 2^n, by bit length."""
+def check_index(n: int, basis: int) -> int:
+    """``basis`` as a Python int, checked by bit length to satisfy
+    0 <= basis < 2^n; raises ``DomainError`` otherwise.  Callers run on
+    the returned value, so a numpy integer never reaches a shift that
+    would wrap at 64 bits."""
     basis = index(basis)
     if basis < 0 or basis.bit_length() > n:
         raise DomainError(f"basis index {basis} out of range for {n} qubits")
+    return basis
 
 
 def check_shots(shots: int, name: str = "shots") -> None:
@@ -93,9 +94,6 @@ class StateVector:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 @dataclass(frozen=True)
@@ -211,55 +209,3 @@ def sample(state: StateVector, shots: int, seed: int) -> MeasurementCounts:
     counts = rng.multinomial(shots, p / p.sum())
     hit = np.flatnonzero(counts)
     return MeasurementCounts(shots, dict(zip(hit.tolist(), counts[hit].tolist())))
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.n_qubits != b.n_qubits:
-        raise DomainError("states have different qubit counts")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """Overlap squared |<a|b>|^2, in [0, 1] for normalized states."""
-    return abs(inner_product(a, b)) ** 2
-
-
-def canonical_phase(state: StateVector) -> StateVector:
-    """Remove the global phase: first significant amplitude made real positive.
-
-    States that differ only by a unit-modulus scalar map to the same
-    canonical form, which is how equivalence up to global phase is decided.
-    """
-    amps = state.amps
-    for a in amps:
-        if abs(a) > PHASE_EPS:
-            return StateVector(state.n_qubits, amps * (abs(a) / a))
-    return state
-
-
-def states_equal_up_to_phase(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
-    """Whether two states coincide after dropping global phase."""
-    if a.n_qubits != b.n_qubits:
-        return False
-    ca = canonical_phase(a).amps
-    cb = canonical_phase(b).amps
-    return bool(np.max(np.abs(ca - cb)) <= tol)
-
-
-def bloch_coords(state: StateVector) -> tuple[float, float]:
-    """Spherical angles (theta, phi) of a single-qubit state.
-
-    Uses the full-angle parameterization c_0 = cos(theta),
-    c_1 = e^{i phi} sin(theta) with theta in [0, pi/2], phi in [0, 2 pi),
-    not the conventional half-angle form.  The angles are read off after
-    removing global phase; phi is defined as 0 when sin(theta) vanishes.
-    """
-    if state.n_qubits != 1:
-        raise DomainError("bloch_coords requires a single-qubit state")
-    c0, c1 = canonical_phase(state).amps
-    theta = float(np.arctan2(abs(c1), abs(c0)))
-    if abs(c1) < PHASE_EPS:
-        return theta, 0.0
-    phi = float(np.angle(c1) % (2 * np.pi))
-    return theta, phi

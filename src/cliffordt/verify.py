@@ -25,7 +25,7 @@ quant-ph/0406196), so no matrix, rounding or tolerance enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import index
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -37,8 +37,7 @@ from .circuit import (Circuit, is_permutation_circuit, run_columns, simulate,
                       sparse_evaluate)
 from .errors import DomainError, FitError, ResourceError
 from .gates import Gate, h, sdg
-from .state import (apply_gate, bloch_coords, check_shots, make_rng,
-                    probabilities)
+from .state import apply_gate, check_shots, make_rng, probabilities
 
 #: An oracle maps register values to the registers' expected outputs.
 #: Each value is an integer or a ``uint64`` array with one entry per
@@ -151,14 +150,6 @@ class FitResult(NamedTuple):
     B: float
     p: float
     residual: float
-
-
-def unitarity_check(m: np.ndarray) -> float:
-    """Max entrywise deviation of U*U-dagger from the identity."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError("unitarity check needs a square matrix")
-    return float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
 
 
 def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceReport:
@@ -316,10 +307,13 @@ def tomography_1q(state_prep: Circuit, shots_per_axis: int,
                   seed: int) -> tuple[float, float, float]:
     """Estimate the Bloch vector of a one-qubit preparation circuit.
 
-    For each of the three axes the prepared state is rotated so the axis
-    lies along Z and sampled ``shots_per_axis`` times; the expectation is
-    the mean of +/-1 outcomes.  Finite sampling can push the estimated
-    vector slightly outside the unit ball.
+    The Bloch vector of a state is (<X>, <Y>, <Z>): for amplitudes
+    c_0 = cos(theta/2), c_1 = e^{i phi} sin(theta/2) it is
+    (sin theta cos phi, sin theta sin phi, cos theta).  For each of the
+    three axes the prepared state is rotated so the axis lies along Z and
+    sampled ``shots_per_axis`` times; the expectation is the mean of +/-1
+    outcomes.  Finite sampling can push the estimated vector slightly
+    outside the unit ball.
     """
     if state_prep.n_qubits != 1:
         raise DomainError("tomography_1q needs a one-qubit circuit")
@@ -335,14 +329,6 @@ def tomography_1q(state_prep: Circuit, shots_per_axis: int,
         zeros = int(rng.binomial(shots_per_axis, p0))
         estimates[axis] = 2.0 * zeros / shots_per_axis - 1.0
     return estimates["x"], estimates["y"], estimates["z"]
-
-
-def bloch_vector(state) -> tuple[float, float, float]:
-    """Exact Bloch vector (x, y, z) of a one-qubit state via its angles."""
-    theta, phi = bloch_coords(state)
-    return (float(np.sin(2 * theta) * np.cos(phi)),
-            float(np.sin(2 * theta) * np.sin(phi)),
-            float(np.cos(2 * theta)))
 
 
 # A one-qubit Clifford up to phase: the (axis, sign) images of X, Y, Z.

@@ -9,7 +9,7 @@ import pytest
 from cliffordt.arith import (BUILDERS, TAYLOR_REGISTERS, ArithInstance,
                              build_adder, build_ctrl_add, build_multiplier,
                              build_subtractor, build_taylor)
-from cliffordt.circuit import (Circuit, is_permutation_circuit,
+from cliffordt.circuit import (Circuit, inverse_circuit, is_permutation_circuit,
                                permutation_output, serialize, simulate)
 from cliffordt.errors import DomainError
 
@@ -289,6 +289,19 @@ def test_encode_rejects_oversize_values():
         inst.encode({"a": 8, "b": 0})
 
 
+def test_encode_takes_numpy_integers_at_any_width():
+    # numpy shifts a 70-bit register's value out to 0
+    inst = build_adder(70)
+    assert inst.encode({"a": np.int64(3), "b": 1}) == 3 << 70 | 1
+    with pytest.raises(DomainError):
+        build_adder(3).encode({"a": np.int64(8)})
+
+
+def test_encode_rejects_a_non_integer_value():
+    with pytest.raises(DomainError, match="not an integer"):
+        build_adder(3).encode({"a": 1.5})
+
+
 def test_input_space_enumeration_counts():
     assert sum(1 for _ in build_adder(4).input_space()) == 256
     assert sum(1 for _ in build_ctrl_add(4).input_space()) == 512
@@ -325,10 +338,9 @@ def test_input_space_is_lazy():
 
 
 def test_self_inversion_consistency():
-    from cliffordt.circuit import compose, inverse_circuit
     for n in (1, 2, 3, 4):
         c = build_adder(n).circuit
-        cc = compose(c, inverse_circuit(c))
+        cc = Circuit(c.n_qubits, c.ops + inverse_circuit(c).ops)
         for j in range(1 << c.n_qubits):
             assert permutation_output(cc, j) == j
 

@@ -1,4 +1,4 @@
-"""Circuit IR: compose/inverse, lowering, scheduling, metrics, text format."""
+"""Circuit IR: inversion, lowering, scheduling, metrics, text format."""
 
 import hashlib
 import itertools
@@ -19,7 +19,7 @@ import cliffordt
 from cliffordt.arith import (BUILDERS, build_adder, build_ctrl_add,
                              build_multiplier, build_subtractor, build_taylor)
 from cliffordt.circuit import (OFFSETS, ROLES, TEMPLATES, Circuit, Register,
-                               RegisterLayout, ResourceReport, compose,
+                               RegisterLayout, ResourceReport,
                                default_layout,
                                inverse_circuit,
                                is_permutation_circuit, lower_to_clifford_t,
@@ -32,7 +32,6 @@ from cliffordt.gates import (CLIFFORD_T_KINDS, GATE_ARITY, PERMUTATION_KINDS,
                              Gate, ccx, cnot, compose_matrices, cswap,
                              decompose_fredkin, decompose_swap,
                              decompose_toffoli, h, swap, t, tdg, x)
-from cliffordt.state import states_equal_up_to_phase
 from cliffordt.uncompute import BennettSpec, bennett_wrap
 from cliffordt.verify import _pack, _unpack
 
@@ -57,44 +56,14 @@ def corpus():
 
 
 # ---------------------------------------------------------------------------
-# composition and inversion
+# inversion
 # ---------------------------------------------------------------------------
-
-def test_compose_with_empty_is_identity():
-    c = bell_circuit()
-    assert compose(c, Circuit(2)).ops == c.ops
-
-
-def test_compose_double_x_is_identity():
-    c = Circuit(1, (x(0),))
-    cc = compose(c, c)
-    for j in range(2):
-        assert permutation_output(cc, j) == j
-
 
 def test_compose_adder_with_inverse_is_identity():
     c = build_adder(4).circuit
-    cc = compose(c, inverse_circuit(c))
+    cc = Circuit(c.n_qubits, c.ops + inverse_circuit(c).ops)
     for j in range(1 << c.n_qubits):
         assert permutation_output(cc, j) == j
-
-
-def test_compose_qubit_map_embedding():
-    small = Circuit(2, (cnot(0, 1),))
-    big = Circuit(4, (x(3),))
-    merged = compose(big, small, qubit_map={0: 2, 1: 3})
-    assert merged.ops == (x(3), cnot(2, 3))
-    with pytest.raises(DomainError):
-        compose(big, small, qubit_map={0: 2, 1: 2})
-    with pytest.raises(DomainError):
-        compose(big, small, qubit_map={0: 2})
-    with pytest.raises(DomainError):
-        compose(big, small, qubit_map={0: 2, 1: 7})
-
-
-def test_compose_width_mismatch():
-    with pytest.raises(DomainError):
-        compose(Circuit(2), Circuit(3))
 
 
 def test_inverse_circuit_reverses_and_inverts():
@@ -105,7 +74,7 @@ def test_inverse_circuit_reverses_and_inverts():
 
 def test_inverse_circuit_cancels_multiplier():
     c = build_multiplier(2).circuit
-    cc = compose(c, inverse_circuit(c))
+    cc = Circuit(c.n_qubits, c.ops + inverse_circuit(c).ops)
     for j in range(1 << c.n_qubits):
         assert permutation_output(cc, j) == j
 
@@ -145,7 +114,30 @@ def test_lowering_preserves_semantics_exhaustively(make):
     low = lower_to_clifford_t(c)
     assert all(g.kind in CLIFFORD_T_KINDS for g in low.ops)
     for j in range(1 << c.n_qubits):
-        assert states_equal_up_to_phase(simulate(c, j), simulate(low, j), 1e-10)
+        assert sparse_evaluate(low, j) == sparse_evaluate(c, j)
+
+
+# Each permutation kind's output on a basis input, on operands (0, 1, 2).
+GATE_OUTPUT = {
+    "x": lambda j: j ^ 1,
+    "cnot": lambda j: j ^ 2 if j & 1 else j,
+    "ccx": lambda j: j ^ 4 if j & 3 == 3 else j,
+    "swap": lambda j: j ^ 3 if (j ^ j >> 1) & 1 else j,
+    "cswap": lambda j: j ^ 6 if j & 1 and (j >> 1 ^ j >> 2) & 1 else j,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TEMPLATES))
+def test_templates_are_exact(kind):
+    # the exact lowering checks rest on this: a template has its gate's
+    # unitary itself, with no global phase
+    arity = GATE_ARITY[kind]
+    template = Circuit(arity, tuple(Gate(*step) for step in TEMPLATES[kind]))
+    if kind not in PERMUTATION_KINDS:
+        assert TEMPLATES[kind] == ((kind, tuple(range(arity))),)
+        return
+    for j in range(1 << arity):
+        assert sparse_evaluate(template, j) == ({GATE_OUTPUT[kind](j): (1, 0, 0, 0)}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -786,6 +778,17 @@ def test_sparse_evaluator_checks_index_without_building_two_to_the_n():
     assert proc.stdout == "({0: (1, 0, 0, 0), 1: (1, 0, 0, 0)}, 1)\n"
 
 
+def test_sparse_evaluate_takes_a_numpy_integer_input():
+    # shifting a numpy input by 80 bits overflowed a C long
+    c = Circuit(100, (x(80),))
+    assert sparse_evaluate(c, np.int64(1)) == ({1 | 1 << 80: (1, 0, 0, 0)}, 0)
+
+
+def test_permutation_output_takes_a_numpy_integer_input():
+    c = Circuit(100, (x(80),))
+    assert permutation_output(c, np.int64(1)) == 1 | 1 << 80
+
+
 @settings(max_examples=50, deadline=None)
 @given(random_circuits())
 def test_simulate_matches_matrix_columns(c):
@@ -797,11 +800,12 @@ def test_simulate_matches_matrix_columns(c):
 @settings(max_examples=50, deadline=None)
 @given(random_circuits(), st.data())
 def test_lowering_preserves_random_circuits_up_to_phase(c, data):
+    # the phase is exact too: the sparse maps are equal, not just aligned
     lowered = lower_to_clifford_t(c)
     inputs = data.draw(st.lists(st.integers(0, (1 << c.n_qubits) - 1),
                                 min_size=1, max_size=4))
     for j in inputs:
-        assert states_equal_up_to_phase(simulate(lowered, j), simulate(c, j))
+        assert sparse_evaluate(lowered, j) == sparse_evaluate(c, j)
 
 
 def reference_resources(c):

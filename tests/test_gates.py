@@ -173,6 +173,12 @@ def test_gate_rejects_duplicate_qubits():
         ccx(1, 1, 2)
     with pytest.raises(DomainError):
         decompose_swap(3, 3)
+    # every operand pair of a template meets in a cnot
+    for qubits in ((1, 1, 2), (1, 2, 1), (2, 1, 1)):
+        with pytest.raises(DomainError):
+            decompose_toffoli(*qubits)
+        with pytest.raises(DomainError):
+            decompose_fredkin(*qubits)
 
 
 def test_gate_rejects_bad_kind_and_arity():
