@@ -588,7 +588,7 @@ def is_permutation_circuit(c: Circuit) -> bool:
     """True when every gate is a classical basis permutation (X, CNOT,
     SWAP, Toffoli, Fredkin), so basis states map to basis states with
     amplitude exactly 1."""
-    return {g.kind for g in c.ops} <= G.PERMUTATION_KINDS
+    return G.PERMUTATION_KINDS.issuperset(map(attrgetter("kind"), c.ops))
 
 
 def run_columns(c: Circuit, cols: list[int], n_rows: int) -> None:

@@ -52,10 +52,13 @@ def check_width(n: int) -> None:
 
 def check_index(n: int, basis: int) -> int:
     """``basis`` as a Python int, checked by bit length to satisfy
-    0 <= basis < 2^n; raises ``DomainError`` otherwise.  Callers run on
-    the returned value, so a numpy integer never reaches a shift that
-    would wrap at 64 bits."""
-    basis = index(basis)
+    0 <= basis < 2^n; raises ``DomainError`` otherwise, and for a value
+    that is no integer.  Callers run on the returned value, so a numpy
+    integer never reaches a shift that would wrap at 64 bits."""
+    try:
+        basis = index(basis)
+    except TypeError:
+        raise DomainError(f"basis index {basis!r} is not an integer") from None
     if basis < 0 or basis.bit_length() > n:
         raise DomainError(f"basis index {basis} out of range for {n} qubits")
     return basis

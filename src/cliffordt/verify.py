@@ -43,7 +43,10 @@ from .state import apply_gate, check_shots, make_rng, probabilities
 #: Each value is an integer or a ``uint64`` array with one entry per
 #: basis input, and the outputs come back in the same kind; an integer
 #: output stands for every input.  Registers an oracle leaves out are
-#: expected to keep their constant, else to read 0.
+#: expected to keep their constant, else to read 0.  The arrays are
+#: read-only: an oracle that writes into one raises numpy's ``ValueError``,
+#: and one that hands an array or a constant back as given says that
+#: register is restored.
 Oracle = Callable[[Mapping[str, "int | np.ndarray"]], "dict[str, int | np.ndarray]"]
 
 #: Basis inputs per bit-sliced batch of ``exhaustive_check``.  A batch's
@@ -160,14 +163,22 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     constants pinned.  Each run must land exactly on the oracle's
     predicted basis state, with amplitude exactly 1.  Inputs go
     ``CHECK_BATCH`` at a time: each free register of a batch is one slice
-    of a ``uint64`` counter (``ArithInstance.counter``), the oracle is
-    called once per batch on those arrays (see ``Oracle``), and ``_pack``,
-    the one bit-column encoder, turns inputs and expected outputs into one
-    bit column per qubit.  Permutation circuits (X, CNOT, SWAP, Toffoli,
-    Fredkin) then run bit-sliced on the whole batch
-    (``circuit.run_columns``), and only rows that differ are read back;
-    every other circuit runs on the exact sparse evaluator
-    (``circuit.sparse_evaluate``), one row at a time.  Both work at any
+    of a ``uint64`` counter (``ArithInstance.counter``), and the oracle is
+    called once per batch on those arrays, made read-only (see
+    ``Oracle``).  Each batch holds one bit column per qubit.  An input
+    column is a counter bit, periodic in the row, so it is built in closed
+    form (``_count_column``) with no numpy; a constant's is all ones or
+    zeros.  An expected column is the input column when the oracle hands
+    a register back as the very object its input columns were built from
+    (the read-only array, or the constant); a register it leaves out
+    keeps its default.  Only the registers the oracle computes go through
+    ``_pack``, the one encoder of arrays and integers.  Permutation
+    circuits (X, CNOT, SWAP, Toffoli, Fredkin) then run bit-sliced on the
+    whole batch (``circuit.run_columns``), and only rows that differ are
+    read back, input, expected and observed columns in one ``_unpack``
+    call; every other circuit runs on the exact sparse evaluator
+    (``circuit.sparse_evaluate``), one row at a time, its inputs and
+    expected outputs read back the same way.  Both work at any
     width.  Input spaces larger than ``MAX_CHECK_INPUTS``, registers wider
     than 64 bits, circuits of more than ``MAX_SLICED_BITS`` qubits, and
     sparse runs that hold more than ``circuit.MAX_SPARSE_SUPPORT`` basis
@@ -192,38 +203,80 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
         raise ResourceError(f"{n} qubits exceeds the {MAX_SLICED_BITS}-bit "
                             "limit of the bit-sliced evaluator")
     constants = instance.constants
-    defaults = [(r.name, r.size, constants.get(r.name, 0))
-                for r in sorted(layout.registers, key=lambda r: r.start)]
+    registers = [(r.name, r.size, constants.get(r.name, 0), r.start)
+                 for r in sorted(layout.registers, key=lambda r: r.start)]
     counter = instance.counter()
+    shifts = {name: at for name, at, _ in counter}
     total = 1 << bits
     batch = min(CHECK_BATCH, MAX_SLICED_BITS // n)
+    low = (1 << n) - 1
     mismatches: list[tuple[int, int, int]] = []
     for base in range(0, total, batch):
         rows = min(batch, total - base)
         count = np.arange(base, base + rows, dtype=np.uint64)
-        values = {name: (count >> at) & mask for name, at, mask in counter}
-        cols = _pack(defaults, values, rows)
-        expected = _pack(defaults, oracle({**constants, **values}), rows)
+        values = {}
+        for name, at, mask in counter:
+            # read-only, so an array the oracle hands back is unchanged
+            values[name] = v = (count >> at) & mask
+            v.flags.writeable = False
+        cols: list[int] = []
+        for name, size, default, _ in registers:
+            if name in shifts:
+                at = shifts[name]
+                cols += [_count_column(at + i, base, rows) for i in range(size)]
+            else:
+                cols += _pack(((name, size, default),), {}, rows)
+        given = {**constants, **values}
+        got = oracle(given)
+        # a register handed back as the very object its input columns were
+        # built from keeps those columns
+        expected = list(cols)
+        for name, size, default, start in registers:
+            if got.get(name, default) is not given.get(name, default):
+                expected[start:start + size] = _pack(((name, size, default),),
+                                                     got, rows)
         if sliced:
             out = list(cols)
             run_columns(circ, out, rows)
             diff = 0
-            for got, want in zip(out, expected):
-                diff |= got ^ want
+            for have, want in zip(out, expected):
+                diff |= have ^ want
             if diff:
-                flags = format(diff, f"0{rows}b")[::-1]
-                bad = [r for r, bit in enumerate(flags) if bit == "1"]
-                mismatches += zip(*(_unpack(x, rows, bad)
-                                    for x in (cols, expected, out)))
+                flags = np.frombuffer(diff.to_bytes((rows + 7) >> 3, "little"),
+                                      np.uint8)
+                bad = np.flatnonzero(np.unpackbits(flags, bitorder="little"))
+                mismatches += [(v & low, v >> n & low, v >> 2 * n) for v in
+                               _unpack(cols + expected + out, rows, bad)]
             continue
-        every = range(rows)
-        for j, want in zip(_unpack(cols, rows, every),
-                           _unpack(expected, rows, every)):
+        for v in _unpack(cols + expected, rows, range(rows)):
+            j, want = v & low, v >> n
             amps, k = sparse_evaluate(circ, j)
             if k or amps != {want: (1, 0, 0, 0)}:
                 mismatches.append((j, want, _peak(amps)))
     return EquivalenceReport(total, tuple(mismatches), not mismatches,
                              "bitsliced" if sliced else "sparse")
+
+
+def _count_column(bit: int, base: int, rows: int) -> int:
+    """Bit column of counter bit ``bit`` over rows [base, base + rows):
+    bit r is bit ``bit`` of base + r.  The bit has period 2^(bit+1), so
+    the column is one period rotated to the phase of ``base``, doubled by
+    shifts until it covers the rows; a bit of half-period 2^bit >= rows
+    flips at most once.  Equal to ``_pack`` of the counter's ``uint64``
+    array, with no numpy and no division."""
+    ones = (1 << rows) - 1
+    half = 1 << bit
+    if half >= rows:  # constant up to the row where the bit next flips
+        head = (1 << min(half - (base & (half - 1)), rows)) - 1
+        return head if base >> bit & 1 else ones ^ head
+    period = half << 1
+    phase = base & (period - 1)
+    word = ((1 << half) - 1) << half  # one period from phase 0
+    col = (word >> phase | word << (period - phase)) & ((1 << period) - 1)
+    while period < rows:
+        col |= col << period
+        period <<= 1
+    return col & ones
 
 
 def _pack(registers: Sequence[tuple[str, int, int]],
@@ -268,9 +321,25 @@ def _pack(registers: Sequence[tuple[str, int, int]],
 
 def _unpack(cols: list[int], n_rows: int, rows: Sequence[int]) -> list[int]:
     """The basis indices of the given rows, read back out of bit columns:
-    the inverse of ``_pack``."""
-    text = "".join(map(format, reversed(cols), repeat(f"0{n_rows}b")))
-    return [int(text[n_rows - 1 - r::n_rows], 2) for r in rows]
+    the inverse of ``_pack``.  One transposition serves every row asked
+    for: the columns as bytes, their bits unpacked, the rows picked out
+    (in the order given, repeats allowed) and packed back along the qubit
+    axis, one little-endian index per row."""
+    width = (n_rows + 7) >> 3
+    octets = np.frombuffer(
+        b"".join(map(int.to_bytes, cols, repeat(width), repeat("little"))),
+        np.uint8).reshape(len(cols), width)
+    bits = np.unpackbits(octets, axis=1, bitorder="little")[
+        :, np.asarray(rows, dtype=np.intp)]
+    packed = np.packbits(bits, axis=0, bitorder="little")
+    size = len(packed)
+    if size <= 8:  # one 64-bit word a row: numpy builds the ints
+        word = np.zeros((len(rows), 8), np.uint8)
+        word[:, :size] = packed.T
+        return word.view("<u8")[:, 0].tolist()
+    data = packed.T.tobytes()
+    return [int.from_bytes(data[i:i + size], "little")
+            for i in range(0, len(data), size)]
 
 
 def _positive(p: int, q: int) -> bool:

@@ -32,6 +32,7 @@ from cliffordt.gates import (CLIFFORD_T_KINDS, GATE_ARITY, PERMUTATION_KINDS,
                              Gate, ccx, cnot, compose_matrices, cswap,
                              decompose_fredkin, decompose_swap,
                              decompose_toffoli, h, swap, t, tdg, x)
+from cliffordt.state import new_basis_state
 from cliffordt.uncompute import BennettSpec, bennett_wrap
 from cliffordt.verify import _pack, _unpack
 
@@ -618,6 +619,14 @@ def test_permutation_path_validates_input_index():
     for bad in (-1, 8):
         with pytest.raises(DomainError):
             permutation_output(c, bad)
+
+
+def test_basis_index_must_be_an_integer():
+    c = Circuit(2, (x(0),))
+    for run in (sparse_evaluate, simulate, permutation_output,
+                lambda c, j: new_basis_state(c.n_qubits, j)):
+        with pytest.raises(DomainError, match="basis index 1.0 is not an integer"):
+            run(c, 1.0)
 
 
 def test_permutation_output_runs_at_any_width():

@@ -153,6 +153,32 @@ def test_exhaustive_check_rejects_oversized_oracle_value():
         exhaustive_check(build_adder(3), oversized)
 
 
+@pytest.mark.parametrize("write", [
+    lambda a: a.__iadd__(1),
+    lambda a: a.__setitem__(0, 1),
+    lambda a: np.add(a, 1, out=a),
+])
+def test_oracle_cannot_write_into_its_inputs(write):
+    def oracle(values):
+        write(values["a"])
+        pytest.fail("the oracle wrote into its input")
+    with pytest.raises(ValueError, match="read-only"):
+        exhaustive_check(build_adder(3), oracle)
+
+
+@pytest.mark.parametrize("batch", [verify.CHECK_BATCH, 7, 1])
+def test_restored_register_copy_gives_the_same_report(monkeypatch, batch):
+    # a register handed back as the very input array keeps its input
+    # columns; a copy of it is packed: both give one report
+    monkeypatch.setattr(verify, "CHECK_BATCH", batch)
+
+    def copying(oracle):
+        return lambda v: {**oracle(v), "a": v["a"].copy()}
+    for inst in [build_adder(3), *mutants(build_adder(3))]:
+        report = exhaustive_check(inst, oracle_adder(3))
+        assert exhaustive_check(inst, copying(oracle_adder(3))) == report
+
+
 def dense_reference(inst, oracle):
     """The statevector check, input by input: the reference the bit-sliced
     evaluator must reproduce, mismatch order included."""
@@ -342,6 +368,33 @@ def test_packed_columns_match_encoded_indices(data):
                for q in range(start)]
     packed = verify._pack([(r.name, r.size, 0) for r in registers], values, rows)
     assert packed == columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_counter_columns_match_packed_counter(data):
+    # every bit of a 64-bit counter over rows [base, base + rows)
+    rows = data.draw(st.sampled_from((1, 7, 64, 100, verify.CHECK_BATCH))
+                     | st.integers(1, 600))
+    top = (1 << 64) - rows
+    base = data.draw(st.sampled_from((0, top)) | st.integers(0, top)
+                     | st.integers(0, 1 << 12).map(lambda k: k * rows))
+    count = np.uint64(base) + np.arange(rows, dtype=np.uint64)
+    packed = verify._pack([("c", 64, 0)], {"c": count}, rows)
+    assert [verify._count_column(bit, base, rows) for bit in range(64)] == packed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_unpack_reads_rows_bit_by_bit(data):
+    # rows in any order, repeated or left out
+    n_qubits = data.draw(st.integers(1, 130))
+    n_rows = data.draw(st.integers(1, 80))
+    cols = data.draw(st.lists(st.integers(0, (1 << n_rows) - 1),
+                              min_size=n_qubits, max_size=n_qubits))
+    rows = data.draw(st.lists(st.integers(0, n_rows - 1), max_size=100))
+    want = [sum((col >> r & 1) << q for q, col in enumerate(cols)) for r in rows]
+    assert verify._unpack(cols, n_rows, rows) == want
 
 
 ORACLE_INPUTS = {"adder": ("a", "b"), "sub": ("a", "b"),
