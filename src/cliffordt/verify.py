@@ -46,7 +46,8 @@ from .state import apply_gate, check_shots, make_rng, probabilities
 #: expected to keep their constant, else to read 0.  The arrays are
 #: read-only: an oracle that writes into one raises numpy's ``ValueError``,
 #: and one that hands an array or a constant back as given says that
-#: register is restored.
+#: register is restored.  The mapping itself is the oracle's own copy, so
+#: it may rebind names in it and return it.
 Oracle = Callable[[Mapping[str, "int | np.ndarray"]], "dict[str, int | np.ndarray]"]
 
 #: Basis inputs per bit-sliced batch of ``exhaustive_check``.  A batch's
@@ -227,9 +228,10 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
             else:
                 cols += _pack(((name, size, default),), {}, rows)
         given = {**constants, **values}
-        got = oracle(given)
+        got = oracle(dict(given))
         # a register handed back as the very object its input columns were
-        # built from keeps those columns
+        # built from keeps those columns; ``given`` is never the oracle's,
+        # so one that rebinds a name in its own dict cannot alter it
         expected = list(cols)
         for name, size, default, start in registers:
             if got.get(name, default) is not given.get(name, default):
@@ -322,24 +324,20 @@ def _pack(registers: Sequence[tuple[str, int, int]],
 def _unpack(cols: list[int], n_rows: int, rows: Sequence[int]) -> list[int]:
     """The basis indices of the given rows, read back out of bit columns:
     the inverse of ``_pack``.  One transposition serves every row asked
-    for: the columns as bytes, their bits unpacked, the rows picked out
-    (in the order given, repeats allowed) and packed back along the qubit
-    axis, one little-endian index per row."""
+    for: the columns as bytes, the byte of each row asked for (in the
+    order given, repeats allowed), its bit, and those bits packed back
+    along the qubit axis into one little-endian byte string per row.  The
+    ``S`` type drops a string's trailing NULs, the high zero bytes of its
+    index, so no value changes."""
     width = (n_rows + 7) >> 3
     octets = np.frombuffer(
         b"".join(map(int.to_bytes, cols, repeat(width), repeat("little"))),
         np.uint8).reshape(len(cols), width)
-    bits = np.unpackbits(octets, axis=1, bitorder="little")[
-        :, np.asarray(rows, dtype=np.intp)]
+    at = np.asarray(rows, dtype=np.intp)
+    bits = octets[:, at >> 3] >> (at & 7).astype(np.uint8) & 1
     packed = np.packbits(bits, axis=0, bitorder="little")
-    size = len(packed)
-    if size <= 8:  # one 64-bit word a row: numpy builds the ints
-        word = np.zeros((len(rows), 8), np.uint8)
-        word[:, :size] = packed.T
-        return word.view("<u8")[:, 0].tolist()
-    data = packed.T.tobytes()
-    return [int.from_bytes(data[i:i + size], "little")
-            for i in range(0, len(data), size)]
+    indices = np.frombuffer(packed.T.tobytes(), f"S{len(packed)}").tolist()
+    return list(map(int.from_bytes, indices, repeat("little")))
 
 
 def _positive(p: int, q: int) -> bool:

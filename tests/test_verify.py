@@ -179,6 +179,27 @@ def test_restored_register_copy_gives_the_same_report(monkeypatch, batch):
         assert exhaustive_check(inst, copying(oracle_adder(3))) == report
 
 
+@pytest.mark.parametrize("batch", [verify.CHECK_BATCH, 7, 1])
+def test_oracle_that_updates_its_input_dict(monkeypatch, batch):
+    # rebinding names in the mapping it was handed and returning it must
+    # not turn the computed registers into restored ones
+    monkeypatch.setattr(verify, "CHECK_BATCH", batch)
+
+    def updating(v):
+        total = v["a"] + v["b"]
+        v["b"], v["z"] = total % 8, total >> 3
+        return v
+    adder = build_adder(3)
+    for inst in [adder, *mutants(adder)]:
+        assert (exhaustive_check(inst, updating)
+                == exhaustive_check(inst, oracle_adder(3)))
+    empty = ArithInstance(3, Circuit(adder.circuit.n_qubits, (),
+                                     adder.circuit.layout), adder.input_names)
+    report = exhaustive_check(empty, updating)
+    assert not report.passed
+    assert report == exhaustive_check(empty, oracle_adder(3))
+
+
 def dense_reference(inst, oracle):
     """The statevector check, input by input: the reference the bit-sliced
     evaluator must reproduce, mismatch order included."""
