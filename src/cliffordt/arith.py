@@ -249,20 +249,25 @@ def build_taylor(n: int, f_c: int, fp_c: int, fpp_half_c: int, c: int) -> ArithI
     layout, r = _registers(*(
         (name, n, "restored-input" if name in consts or name == "x" else "ancilla")
         for name in TAYLOR_REGISTERS))
+    copy = [cnot(r["x"][i], r["xc"][i]) for i in range(n)]
+    mul_fp = _mod_mul_ops(r["x"], r["fp"], r["y1"])
+    mul_x2 = _mod_mul_ops(r["x"], r["xc"], r["y2"])
     ops: list[Gate] = []
     ops += _sub_core(r["x"], r["c"])
-    ops += [cnot(r["x"][i], r["xc"][i]) for i in range(n)]
-    ops += _mod_mul_ops(r["x"], r["fp"], r["y1"])
-    ops += _mod_mul_ops(r["x"], r["xc"], r["y2"])
+    ops += copy
+    ops += mul_fp
+    ops += mul_x2
     ops += _mod_mul_ops(r["y2"], r["fpp"], r["y4"])
     ops += _ladder(r["y1"], r["fc"])
     ops += _ladder(r["y4"], r["y1"])
-    # garbage removal: every scratch register retraces its construction;
-    # X/CNOT/Toffoli are self-inverse, so reversal alone inverts a block
-    ops += _mod_mul_ops(r["x"], r["xc"], r["y2"])[::-1]
+    # garbage removal: every scratch register retraces its construction,
+    # with the very gates of the forward block; X/CNOT/Toffoli are
+    # self-inverse, so reversal alone inverts a block, and the copy's
+    # CNOTs act on disjoint pairs, so it is its own inverse as it stands
+    ops += mul_x2[::-1]
     ops += _sub_core(r["y1"], r["fc"])
-    ops += _mod_mul_ops(r["x"], r["fp"], r["y1"])[::-1]
-    ops += [cnot(r["x"][i], r["xc"][i]) for i in range(n)]
+    ops += mul_fp[::-1]
+    ops += copy
     ops += _ladder(r["x"], r["c"])
     circ = Circuit(9 * n, tuple(ops), layout)
     return ArithInstance(n, circ, ("x",), constants=consts)

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import add, attrgetter, itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,6 +141,20 @@ class Circuit:
             raise DomainError(f"gate {g.kind} {g.qubits} exceeds {n} qubits")
 
 
+def _derived_circuit(n_qubits: int, ops: tuple[Gate, ...],
+                     layout: RegisterLayout) -> Circuit:
+    """A ``Circuit`` made without ``__post_init__``'s checks, for a
+    caller that already holds them: ``n_qubits`` is positive, ``layout``
+    partitions it, and every op fits it.  Only ``inverse_circuit``,
+    ``lower_to_clifford_t`` (whose ops use the input circuit's qubits)
+    and ``parse`` (which range-checks every distinct gate line) call it."""
+    c = object.__new__(Circuit)
+    object.__setattr__(c, "n_qubits", n_qubits)
+    object.__setattr__(c, "ops", ops)
+    object.__setattr__(c, "layout", layout)
+    return c
+
+
 @dataclass(frozen=True)
 class ResourceReport:
     """Fault-tolerance cost metrics of a circuit after Clifford+T lowering."""
@@ -179,8 +193,10 @@ class ResourceReport:
 
 
 def inverse_circuit(c: Circuit) -> Circuit:
-    """Reverse the gate order and invert each gate."""
-    return Circuit(c.n_qubits, tuple(G.inverse(g) for g in reversed(c.ops)), c.layout)
+    """Reverse the gate order and invert each gate.  The result acts on
+    the qubits and layout of ``c``, so it is not checked again."""
+    return _derived_circuit(c.n_qubits, tuple(map(G.inverse, reversed(c.ops))),
+                            c.layout)
 
 
 # Every kind as the Clifford+T steps it lowers to, each step a
@@ -217,7 +233,10 @@ def lower_to_clifford_t(c: Circuit) -> Circuit:
     expanded once per call by mapping its kind's ``TEMPLATES`` steps onto
     its qubits, and each distinct lowered gate is built once per call and
     shared wherever it recurs (gates are immutable, so sharing them is
-    safe).
+    safe).  The lowered gates take their operands from an input gate at
+    the distinct positions of a template step (``decompose_*`` builds each
+    step as a checked ``Gate`` at import), and the output keeps the
+    input's qubits and layout, so neither is checked again.
     """
     out: list[Gate] = []
     built: dict[tuple[str, tuple[int, ...]], Gate] = {}
@@ -231,10 +250,10 @@ def lower_to_clifford_t(c: Circuit) -> Circuit:
                 step_key = (kind, operands(g.qubits))
                 step = built.get(step_key)
                 if step is None:
-                    step = built[step_key] = Gate(*step_key)
+                    step = built[step_key] = G._derived_gate(*step_key)
                 steps.append(step)
         out.extend(steps)
-    return Circuit(c.n_qubits, tuple(out), c.layout)
+    return _derived_circuit(c.n_qubits, tuple(out), c.layout)
 
 
 def _place(frontier: dict[int, int], qubits: Sequence[int]) -> int:
@@ -277,8 +296,46 @@ def _offset_rows(template, arity: int
     return tuple(dict.fromkeys(rows(t_columns))), tuple(rows(exit_columns))
 
 
-#: kind -> (distinct T-step rows, one exit row per operand); see _offset_rows.
-OFFSETS = {kind: _offset_rows(TEMPLATES[kind], arity)
+class _Offsets(NamedTuple):
+    """One kind's ``_offset_rows`` factored by what each row needs.
+
+    With ``top`` the latest entry layer of the gate's operands, a T row
+    whose entries are all one ``d`` reads ``top + d``; a row with one
+    finite entry ``d`` at operand i reads ``entry[i] + d``; only the
+    other rows need the full ``max(map(add, entry, row))``.  When every
+    exit row is one uniform shift, every operand exits at
+    ``top + exit_shift``; otherwise ``exit_shift`` is None and each
+    operand exits by its row of ``exit_rows``.
+    """
+
+    tops: tuple[int, ...]
+    singles: tuple[tuple[int, int], ...]
+    rows: tuple[tuple, ...]
+    exit_shift: int | None
+    exit_rows: tuple[tuple, ...]
+
+
+def _factor(t_rows: tuple[tuple, ...], exit_rows: tuple[tuple, ...]) -> _Offsets:
+    """Sort the rows of ``_offset_rows`` into the forms of ``_Offsets``."""
+    tops, singles, rows = [], [], []
+    for row in t_rows:
+        finite = [(i, d) for i, d in enumerate(row) if d != _NO_PATH]
+        if len(set(row)) == 1:
+            tops.append(row[0])
+        elif len(finite) == 1:
+            singles.append(finite[0])
+        else:
+            rows.append(row)
+    # an operand's own column of its exit row is finite, so one shift is
+    # never _NO_PATH
+    shifts = set(chain.from_iterable(exit_rows))
+    exit_shift = shifts.pop() if len(shifts) == 1 else None
+    return _Offsets(tuple(tops), tuple(singles), tuple(rows), exit_shift,
+                    exit_rows)
+
+
+#: kind -> its costing table; see _offset_rows and _Offsets.
+OFFSETS = {kind: _factor(*_offset_rows(TEMPLATES[kind], arity))
            for kind, arity in G.GATE_ARITY.items()}
 
 
@@ -309,9 +366,11 @@ def resources(c: Circuit) -> ResourceReport:
     garbage counts are read from the register layout.  The lowering is
     never built, and its steps are never placed one by one: each gate
     reads the frontier of its qubits once, adds the layer of each of its
-    kind's distinct T rows (``OFFSETS``) to the T layers, and writes the
-    exit layer of each qubit, all as max-plus sums of the entry frontier
-    and the rows that ``_place`` gave at import.  The result equals
+    kind's distinct T rows to the T layers, and writes the exit layer of
+    each qubit, all as max-plus sums of the entry frontier and the rows
+    that ``_place`` gave at import.  ``OFFSETS`` holds those rows
+    factored, so a gate takes the max of its entry layers once and most
+    rows read one sum off it (see ``_Offsets``).  The result equals
     scheduling the built lowering with ``schedule_layers``.
     """
     hist: Counter[str] = Counter()
@@ -321,14 +380,25 @@ def resources(c: Circuit) -> ResourceReport:
     frontier: dict[int, int] = {}
     get = frontier.get
     t_layers = set()
+    add_t = t_layers.add
     for g in c.ops:
         q = g.qubits
         entry = [get(x, -1) for x in q]
-        t_rows, exit_rows = OFFSETS[g.kind]
-        for row in t_rows:
-            t_layers.add(max(map(add, entry, row)))
-        for x, row in zip(q, exit_rows):
-            frontier[x] = max(map(add, entry, row))
+        top = max(entry)
+        tops, singles, rows, exit_shift, exit_rows = OFFSETS[g.kind]
+        for d in tops:
+            add_t(top + d)
+        for i, d in singles:
+            add_t(entry[i] + d)
+        for row in rows:
+            add_t(max(map(add, entry, row)))
+        if exit_shift is None:
+            for x, row in zip(q, exit_rows):
+                frontier[x] = max(map(add, entry, row))
+        else:
+            top += exit_shift
+            for x in q:
+                frontier[x] = top
     return ResourceReport(
         t_count=hist["t"] + hist["tdg"],
         t_depth=len(t_layers),
@@ -372,7 +442,10 @@ def parse(text: str) -> Circuit:
     ``parse(serialize(c))`` is structurally identical to ``c``.  Errors
     report the offending line number and reason; ``Gate`` and ``Register``
     check their own fields.  Each distinct gate line is checked once per
-    call; a line that recurs reuses its ``Gate``.
+    call, its operands in one ASCII-digit test of the joined tokens and
+    its qubits against the width; a line that recurs reuses its ``Gate``.
+    Every gate is thereby known to fit, so only the layout is validated
+    when the circuit is made, not each op again.
     """
     n_qubits = None
     registers: list[Register] = []
@@ -416,8 +489,13 @@ def parse(text: str) -> Circuit:
                     first_register_line = lineno
                 registers.append(Register(name, lo, hi - lo + 1, role))
                 continue
-            qubits = tuple(_parse_int(tok, lineno, "qubit index")
-                           for tok in tokens[1:])
+            operands = tokens[1:]
+            digits = "".join(operands)
+            if digits.isascii() and digits.isdigit():
+                qubits = tuple(map(int, operands))
+            else:  # name the first bad token
+                qubits = tuple(_parse_int(tok, lineno, "qubit index")
+                               for tok in operands)
             gate = Gate(tokens[0], qubits)
         except DomainError as exc:
             raise ParseError(lineno, str(exc)) from None
@@ -427,11 +505,13 @@ def parse(text: str) -> Circuit:
         ops.append(gate)
     if n_qubits is None:
         raise ParseError(0, "missing 'qubits' header")
-    layout = RegisterLayout(tuple(registers)) if registers else None
+    layout = (RegisterLayout(tuple(registers)) if registers
+              else default_layout(n_qubits))
     try:
-        return Circuit(n_qubits, tuple(ops), layout)
+        layout.validate(n_qubits)
     except DomainError as exc:
         raise ParseError(first_register_line, str(exc)) from None
+    return _derived_circuit(n_qubits, tuple(ops), layout)
 
 
 # Exact amplitudes for basis-input runs.  A coefficient is a 4-tuple of

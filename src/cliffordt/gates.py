@@ -79,6 +79,17 @@ class Gate:
         _set(self, "qubits", qubits)
 
 
+def _derived_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
+    """A ``Gate`` made without ``Gate.__init__``'s checks, for operands
+    taken from a gate that already passed them: ``kind`` is a known kind
+    and ``qubits`` a tuple of its arity of distinct non-negative ints.
+    Only ``inverse`` and the lowering call it."""
+    gate = object.__new__(Gate)
+    _set(gate, "kind", kind)
+    _set(gate, "qubits", qubits)
+    return gate
+
+
 def h(q: int) -> Gate:
     return Gate("h", (q,))
 
@@ -144,8 +155,11 @@ def matrix(gate: Gate) -> np.ndarray:
 
 
 def inverse(gate: Gate) -> Gate:
-    """Inverse gate: T and S swap with their daggers, the rest are involutions."""
-    return Gate(_INVERSE_KIND.get(gate.kind, gate.kind), gate.qubits)
+    """Inverse gate: T and S swap with their daggers on the same qubits,
+    and every other kind is an involution, returned as the very same
+    object (gates are immutable, so sharing them is safe)."""
+    kind = _INVERSE_KIND.get(gate.kind)
+    return gate if kind is None else _derived_gate(kind, gate.qubits)
 
 
 def decompose_toffoli(c1: int, c2: int, target: int) -> list[Gate]:

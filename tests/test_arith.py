@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from cliffordt.arith import (BUILDERS, TAYLOR_REGISTERS, ArithInstance,
-                             build_adder, build_ctrl_add, build_multiplier,
+                             _ladder, _mod_mul_ops, _sub_core, build_adder,
+                             build_ctrl_add, build_multiplier,
                              build_subtractor, build_taylor)
 from cliffordt.circuit import (Circuit, inverse_circuit, is_permutation_circuit,
                                permutation_output, serialize, simulate)
 from cliffordt.errors import DomainError
+from cliffordt.gates import cnot
 
 
 def run(inst, **values):
@@ -417,3 +419,26 @@ def test_golden_serialize_digest_taylor(n, consts):
                                 else (m - 1, (m - 1) // 2, 1 % m, m - 1))
     inst = BUILDERS["taylor"](n, f_c, fp_c, fpp_half_c, c)
     assert _digest(inst) == GOLDEN_TAYLOR_DIGESTS[n]
+
+
+def test_taylor_unwind_reuses_the_forward_gates():
+    n = 4
+    inst = build_taylor(n, 1, 2, 3, 4)
+    ops = inst.circuit.ops
+    r = {reg.name: list(reg.qubits()) for reg in inst.circuit.layout.registers}
+    sub = len(_sub_core(r["x"], r["c"]))
+    mul = len(_mod_mul_ops(r["x"], r["fp"], r["y1"]))
+    unsub = len(_sub_core(r["y1"], r["fc"]))
+    readd = len(_ladder(r["x"], r["c"]))
+    copy = ops[sub:sub + n]
+    mul_fp = ops[sub + n:sub + n + mul]
+    mul_x2 = ops[sub + n + mul:sub + n + 2 * mul]
+    end = len(ops) - readd
+    uncopy = ops[end - n:end]
+    unmul_fp = ops[end - n - mul:end - n]
+    unmul_x2 = ops[end - n - 2 * mul - unsub:end - n - mul - unsub]
+    for forward, unwind in ((copy, uncopy), (mul_fp[::-1], unmul_fp),
+                            (mul_x2[::-1], unmul_x2)):
+        assert len(forward) == len(unwind) > 0
+        assert all(f is u for f, u in zip(forward, unwind))
+    assert copy == tuple(cnot(a, b) for a, b in zip(r["x"], r["xc"]))

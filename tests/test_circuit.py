@@ -26,7 +26,7 @@ from cliffordt.circuit import (OFFSETS, ROLES, TEMPLATES, Circuit, Register,
                                parse, permutation_output, resources,
                                run_columns, schedule_layers, serialize,
                                simulate, sparse_evaluate)
-from cliffordt.circuit import _place, _spill_support
+from cliffordt.circuit import _offset_rows, _place, _spill_support
 from cliffordt.errors import DomainError, ParseError, ResourceError
 from cliffordt.gates import (CLIFFORD_T_KINDS, GATE_ARITY, PERMUTATION_KINDS,
                              Gate, ccx, cnot, compose_matrices, cswap,
@@ -494,6 +494,21 @@ def test_parse_operands_must_be_ascii_decimal(token):
         assert err.value.lineno == text.count("\n")
 
 
+@pytest.mark.parametrize("token, message", [
+    ("+1", "line 3: qubit index is not an integer: '+1'"),
+    ("1_0", "line 3: qubit index is not an integer: '1_0'"),
+    ("\u0661", "line 3: qubit index is not an integer: '\u0661'"),
+    ("\u00b2", "line 3: qubit index is not an integer: '\u00b2'"),
+    ("1.5", "line 3: qubit index is not an integer: '1.5'"),
+    ("-0", "line 3: qubit index is not an integer: '-0'")])
+def test_gate_line_names_its_first_bad_operand(token, message):
+    for line in (f"cnot 0 {token}", f"ccx {token} 1_1 2"):
+        with pytest.raises(ParseError) as err:
+            parse(f"qubits 12\nh 0\n{line}\nh 1\n")
+        assert str(err.value) == message
+        assert err.value.lineno == 3
+
+
 def test_parse_same_gate_in_any_spelling_is_one_gate():
     c = parse("qubits 3\nccx 0 1 2\n  ccx   0  1\t2  \nccx 0 1 2 # again\n"
               "ccx 0 1 2\nccx 0 1 2\n")
@@ -861,17 +876,31 @@ ENTRY_LAYERS = (-1, 0, 1, 2, 3, 20)
 
 @pytest.mark.parametrize("kind", sorted(TEMPLATES))
 def test_offset_rows_place_every_step_as_place_does(kind):
-    t_rows, exit_rows = OFFSETS[kind]
     arity = GATE_ARITY[kind]
+    t_rows, exit_rows = _offset_rows(TEMPLATES[kind], arity)
+    table = OFFSETS[kind]
     assert len(exit_rows) == arity
+    assert table.exit_rows == exit_rows
     for entry in itertools.product(ENTRY_LAYERS, repeat=arity):
         frontier = dict(enumerate(entry))
         placed = [(step, _place(frontier, where))
                   for step, where in TEMPLATES[kind]]
         t_layers = {at for step, at in placed if step in ("t", "tdg")}
+        exits = [frontier[i] for i in range(arity)]
         assert {max(map(add, entry, row)) for row in t_rows} == t_layers
-        assert [max(map(add, entry, row)) for row in exit_rows] == \
-            [frontier[i] for i in range(arity)]
+        assert [max(map(add, entry, row)) for row in exit_rows] == exits
+        # the factored table, read the way resources reads it
+        top = max(entry)
+        assert ({top + d for d in table.tops}
+                | {entry[i] + d for i, d in table.singles}
+                | {max(map(add, entry, row)) for row in table.rows}) == t_layers
+        if table.exit_shift is not None:
+            assert exits == [top + table.exit_shift] * arity
+
+
+def test_only_cswap_needs_full_max_plus_rows():
+    assert {kind for kind, table in OFFSETS.items()
+            if table.rows or table.exit_shift is None} == {"cswap"}
 
 
 TAYLOR_CONSTS = (0x9c41f2, 0x3e07a5, 0x51d3c8, 0xa2b96e)
@@ -924,6 +953,19 @@ def test_round_trip_on_random_circuits(c, data):
     back = parse(serialize(c))
     assert back == c
     assert resources(back) == resources(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_circuits(), st.data())
+def test_derived_gates_and_circuits_pass_the_public_checks(c, data):
+    # lowering, inversion and parse skip the checks of Gate and Circuit;
+    # what they make must be what the checked constructors make
+    c = Circuit(c.n_qubits, c.ops, data.draw(named_layouts(c.n_qubits)))
+    for out in (lower_to_clifford_t(c), inverse_circuit(c),
+                parse(serialize(c))):
+        for g in out.ops:
+            assert Gate(g.kind, g.qubits) == g
+        assert Circuit(out.n_qubits, out.ops, out.layout) == out
 
 
 @settings(max_examples=60, deadline=None)

@@ -93,6 +93,13 @@ def test_inverse_pairs():
     assert inverse(cswap(2, 0, 1)) == cswap(2, 0, 1)
 
 
+@pytest.mark.parametrize("gate", [h(2), x(0), cnot(1, 0), swap(0, 3),
+                                  ccx(2, 0, 1), cswap(1, 2, 0)],
+                         ids=lambda g: g.kind)
+def test_inverse_returns_a_self_inverse_gate_itself(gate):
+    assert inverse(gate) is gate
+
+
 @pytest.mark.parametrize("gate", ALL_GATES, ids=lambda g: g.kind)
 def test_inverse_is_involution(gate):
     assert inverse(inverse(gate)) == gate
