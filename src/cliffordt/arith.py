@@ -11,12 +11,12 @@ seen in circuit diagrams is purely a drawing order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index
 from typing import Callable, Iterator, Mapping
 
 from .circuit import Circuit, Register, RegisterLayout
 from .errors import DomainError
 from .gates import Gate, ccx, cnot, x
+from .state import check_int
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,7 @@ class ArithInstance:
         basis = 0
         for r in self.circuit.layout.registers:
             v = values.get(r.name, self.constants.get(r.name, 0))
-            try:
-                v = index(v)
-            except TypeError:
-                raise DomainError(f"register {r.name} value {v!r} is not "
-                                  "an integer") from None
+            v = check_int(v, f"register {r.name} value")
             if v < 0 or v >> r.size:
                 raise DomainError(
                     f"value {v} does not fit register {r.name} ({r.size} bits)")

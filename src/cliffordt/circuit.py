@@ -27,8 +27,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import add, attrgetter, itemgetter
-from typing import NamedTuple, Sequence
+from operator import attrgetter, itemgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from . import gates as G
 from .errors import DomainError, ParseError, ResourceError
 from .gates import Gate
 from .state import (_H_SCALE, StateVector, apply_gate_inplace, check_index,
-                    check_width)
+                    check_int, check_width)
 
 ROLES = ("input", "ancilla", "output", "garbage", "restored-input")
 
@@ -53,6 +53,8 @@ class Register:
     Bit i of the register value lives on qubit ``start + i`` (little
     endian).  Registers with role ``ancilla`` require initial value 0.  The
     name must be one text-format token: not empty, no whitespace, no ``#``.
+    ``start`` and ``size`` are stored as Python ints (see
+    ``state.check_int``).
     """
 
     name: str
@@ -64,6 +66,9 @@ class Register:
         if self.name.split() != [self.name] or "#" in self.name:
             raise DomainError(f"register name {self.name!r} is not one token "
                               "without '#'")
+        for what in ("start", "size"):
+            object.__setattr__(self, what, check_int(
+                getattr(self, what), f"register {self.name} {what}"))
         if self.size < 1 or self.start < 0:
             raise DomainError(f"bad register extent {self.name}")
         if self.role not in ROLES:
@@ -121,13 +126,17 @@ def default_layout(n_qubits: int) -> RegisterLayout:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list over a register-structured qubit space."""
+    """An ordered gate list over a register-structured qubit space.
+
+    ``n_qubits`` is stored as a Python int (see ``state.check_int``)."""
 
     n_qubits: int
     ops: tuple[Gate, ...] = ()
     layout: RegisterLayout = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits",
+                           check_int(self.n_qubits, "qubit count"))
         if self.n_qubits < 1:
             raise DomainError("circuit needs at least one qubit")
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -266,77 +275,63 @@ def _place(frontier: dict[int, int], qubits: Sequence[int]) -> int:
     return at
 
 
-_NO_PATH = float("-inf")
+def _offsets(template, arity: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """One template's costing table ``(rows, shift)``, derived with ``_place``.
 
-
-def _offset_rows(template, arity: int
-                 ) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
-    """Max-plus offset rows of one template, derived with ``_place``.
-
-    Placed ASAP from an entry frontier e (the layer of the last gate on
-    each operand, -1 for none), a template's every step lands on layer
-    max_i(e_i + row[i]) for a fixed row, where row[i] is the longest step
-    chain from operand i to the step, or ``_NO_PATH``.  Placing the steps
-    from the frontier that puts operand i at 0 and every other operand
-    further back than the template is long reads off column i of every
-    row.  Returns the distinct rows of the T and T-dagger steps and one
-    exit row per operand (the layer of its last step, or of its entry).
+    Placed ASAP after entry layers ``entry`` (the last gate on each
+    operand, -1 for none) whose latest is ``top``, each T or T-dagger step
+    lands on ``(entry + [top])[i] + d`` for a row ``(i, d)``: i is the one
+    operand the step follows, or ``arity`` when it follows every operand
+    by d.  Every operand exits at ``top + shift``.  Placing the steps from
+    operand i at 0 and every other operand further back than the template
+    is long reads off each step's distance from operand i (negative where
+    it does not follow i).  A template of any other shape raises
+    ``ValueError``.
     """
     behind = -len(template) - 1
-    t_columns, exit_columns = [], []
+    columns, exits = [], set()
     for i in range(arity):
         frontier = {j: 0 if j == i else behind for j in range(arity)}
-        layers = [(kind, _place(frontier, where)) for kind, where in template]
-        t_columns.append([at for kind, at in layers if kind in ("t", "tdg")])
-        exit_columns.append([frontier[j] for j in range(arity)])
-
-    def rows(columns):
-        return [tuple(d if d >= 0 else _NO_PATH for d in row)
-                for row in zip(*columns)]
-    return tuple(dict.fromkeys(rows(t_columns))), tuple(rows(exit_columns))
-
-
-class _Offsets(NamedTuple):
-    """One kind's ``_offset_rows`` factored by what each row needs.
-
-    With ``top`` the latest entry layer of the gate's operands, a T row
-    whose entries are all one ``d`` reads ``top + d``; a row with one
-    finite entry ``d`` at operand i reads ``entry[i] + d``; only the
-    other rows need the full ``max(map(add, entry, row))``.  When every
-    exit row is one uniform shift, every operand exits at
-    ``top + exit_shift``; otherwise ``exit_shift`` is None and each
-    operand exits by its row of ``exit_rows``.
-    """
-
-    tops: tuple[int, ...]
-    singles: tuple[tuple[int, int], ...]
-    rows: tuple[tuple, ...]
-    exit_shift: int | None
-    exit_rows: tuple[tuple, ...]
-
-
-def _factor(t_rows: tuple[tuple, ...], exit_rows: tuple[tuple, ...]) -> _Offsets:
-    """Sort the rows of ``_offset_rows`` into the forms of ``_Offsets``."""
-    tops, singles, rows = [], [], []
-    for row in t_rows:
-        finite = [(i, d) for i, d in enumerate(row) if d != _NO_PATH]
+        columns.append([_place(frontier, where) for _, where in template])
+        exits.update(frontier.values())
+    rows = []
+    for (kind, _), row in zip(template, zip(*columns)):
+        if kind not in ("t", "tdg"):
+            continue
+        depends = [(i, d) for i, d in enumerate(row) if d >= 0]
         if len(set(row)) == 1:
-            tops.append(row[0])
-        elif len(finite) == 1:
-            singles.append(finite[0])
+            rows.append((arity, row[0]))
+        elif len(depends) == 1:
+            rows.append(depends[0])
         else:
-            rows.append(row)
-    # an operand's own column of its exit row is finite, so one shift is
-    # never _NO_PATH
-    shifts = set(chain.from_iterable(exit_rows))
-    exit_shift = shifts.pop() if len(shifts) == 1 else None
-    return _Offsets(tuple(tops), tuple(singles), tuple(rows), exit_shift,
-                    exit_rows)
+            raise ValueError(f"T step {row} follows neither every operand "
+                             "alike nor one")
+    if len(exits) != 1:
+        raise ValueError(f"operands exit at differing layers {sorted(exits)}")
+    return tuple(dict.fromkeys(rows)), exits.pop()
 
 
-#: kind -> its costing table; see _offset_rows and _Offsets.
-OFFSETS = {kind: _factor(*_offset_rows(TEMPLATES[kind], arity))
-           for kind, arity in G.GATE_ARITY.items()}
+#: Kinds costed as the kinds they are built of, each part a (kind,
+#: operand positions) pair: Fredkin (c, t1, t2) is CNOT(t2, t1), Toffoli
+#: (c, t1, t2), CNOT(t2, t1).  ASAP placement goes step by step, so
+#: placing the parts in order places the kind's template, which they
+#: must join to (checked below).
+_PARTS = {"cswap": (("cnot", (2, 1)), ("ccx", (0, 1, 2)), ("cnot", (2, 1)))}
+
+
+def _join(parts) -> tuple:
+    """The template of a gate built of ``parts``: each part's steps in
+    order, on the gate's operand positions."""
+    return tuple((step, tuple(where[p] for p in at))
+                 for part, where in parts for step, at in TEMPLATES[part])
+
+
+if any(_join(parts) != TEMPLATES[kind] for kind, parts in _PARTS.items()):
+    raise ValueError("a _PARTS entry does not join to its kind's template")
+
+#: kind -> its costing table ``(rows, shift)``; see ``_offsets``.
+OFFSETS = {kind: _offsets(TEMPLATES[kind], arity)
+           for kind, arity in G.GATE_ARITY.items() if kind not in _PARTS}
 
 
 def schedule_layers(c: Circuit) -> list[list[Gate]]:
@@ -365,40 +360,41 @@ def resources(c: Circuit) -> ResourceReport:
     at least one of them; depth is the total layer count.  Ancilla and
     garbage counts are read from the register layout.  The lowering is
     never built, and its steps are never placed one by one: each gate
-    reads the frontier of its qubits once, adds the layer of each of its
-    kind's distinct T rows to the T layers, and writes the exit layer of
-    each qubit, all as max-plus sums of the entry frontier and the rows
-    that ``_place`` gave at import.  ``OFFSETS`` holds those rows
-    factored, so a gate takes the max of its entry layers once and most
-    rows read one sum off it (see ``_Offsets``).  The result equals
-    scheduling the built lowering with ``schedule_layers``.
+    reads the frontier of its qubits once, takes ``top``, the latest of
+    those entry layers, adds the layer of each of its kind's distinct T
+    rows to the T layers, and moves every qubit to ``top`` plus one
+    shift, all read off the ``OFFSETS`` table that ``_place`` gave at
+    import (see ``_offsets``).  A Fredkin gate is costed as its
+    ``_PARTS``, CNOT, Toffoli, CNOT, whose steps are its template.  The
+    result equals scheduling the built lowering with ``schedule_layers``.
     """
+    kinds = Counter(g.kind for g in c.ops)
     hist: Counter[str] = Counter()
-    for kind, count in Counter(g.kind for g in c.ops).items():
+    for kind, count in kinds.items():
         for step, _ in TEMPLATES[kind]:
             hist[step] += count
+    ops = c.ops
+    if kinds.keys() & _PARTS.keys():
+        ops = []
+        for g in c.ops:
+            ops += ([G._derived_gate(part, tuple(g.qubits[p] for p in where))
+                     for part, where in _PARTS[g.kind]]
+                    if g.kind in _PARTS else [g])
     frontier: dict[int, int] = {}
     get = frontier.get
     t_layers = set()
     add_t = t_layers.add
-    for g in c.ops:
+    for g in ops:
         q = g.qubits
         entry = [get(x, -1) for x in q]
         top = max(entry)
-        tops, singles, rows, exit_shift, exit_rows = OFFSETS[g.kind]
-        for d in tops:
-            add_t(top + d)
-        for i, d in singles:
+        entry.append(top)
+        rows, shift = OFFSETS[g.kind]
+        for i, d in rows:
             add_t(entry[i] + d)
-        for row in rows:
-            add_t(max(map(add, entry, row)))
-        if exit_shift is None:
-            for x, row in zip(q, exit_rows):
-                frontier[x] = max(map(add, entry, row))
-        else:
-            top += exit_shift
-            for x in q:
-                frontier[x] = top
+        top += shift
+        for x in q:
+            frontier[x] = top
     return ResourceReport(
         t_count=hist["t"] + hist["tdg"],
         t_depth=len(t_layers),
@@ -620,7 +616,7 @@ def sparse_evaluate(c: Circuit, input_basis: int) -> tuple[dict[int, tuple], int
     """
     input_basis = check_index(c.n_qubits, input_basis)
     amps, k, applied = _run_sparse(c.ops, input_basis, MAX_SPARSE_SUPPORT)
-    if applied < len(c.ops):
+    if len(amps) > MAX_SPARSE_SUPPORT:  # the last gate may have grown it
         raise ResourceError(
             f"more than {MAX_SPARSE_SUPPORT} basis states in superposition "
             f"after gate {applied - 1} exceeds the sparse evaluator's limit")

@@ -50,27 +50,38 @@ def check_width(n: int) -> None:
             f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit statevector ceiling")
 
 
-def check_index(n: int, basis: int) -> int:
-    """``basis`` as a Python int, checked by bit length to satisfy
-    0 <= basis < 2^n; raises ``DomainError`` otherwise, and for a value
-    that is no integer.  Callers run on the returned value, so a numpy
-    integer never reaches a shift that would wrap at 64 bits."""
+def check_int(value: int, name: str) -> int:
+    """``value`` as a Python int: anything ``operator.index`` accepts (a
+    numpy integer, a bool) is converted, and any other value (a float, a
+    string, None) raises ``DomainError``.  Callers keep the returned
+    value, so a numpy integer never reaches a shift that would wrap at 64
+    bits, and a float is never truncated."""
     try:
-        basis = index(basis)
+        return index(value)
     except TypeError:
-        raise DomainError(f"basis index {basis!r} is not an integer") from None
+        raise DomainError(f"{name} {value!r} is not an integer") from None
+
+
+def check_index(n: int, basis: int) -> int:
+    """``basis`` as a Python int (see ``check_int``), checked by bit
+    length to satisfy 0 <= basis < 2^n; raises ``DomainError``
+    otherwise."""
+    basis = check_int(basis, "basis index")
     if basis < 0 or basis.bit_length() > n:
         raise DomainError(f"basis index {basis} out of range for {n} qubits")
     return basis
 
 
-def check_shots(shots: int, name: str = "shots") -> None:
-    """Raise ``DomainError`` unless 1 <= shots <= 2^63 - 1: numpy's
-    binomial and multinomial draws take their count as a 64-bit int."""
+def check_shots(shots: int, name: str = "shots") -> int:
+    """``shots`` as a Python int (see ``check_int``), checked to satisfy
+    1 <= shots <= 2^63 - 1, since numpy's binomial and multinomial draws
+    take their count as a 64-bit int; raises ``DomainError`` otherwise."""
+    shots = check_int(shots, name)
     if shots < 1:
         raise DomainError(f"{name} must be at least 1")
     if shots > (1 << 63) - 1:
         raise DomainError(f"{name} must be at most 2^63 - 1")
+    return shots
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +217,7 @@ def sample(state: StateVector, shots: int, seed: int) -> MeasurementCounts:
     order.  Deterministic for a fixed seed; see ``make_rng`` for the
     generator.
     """
-    check_shots(shots)
+    shots = check_shots(shots)
     rng = make_rng(seed)
     p = probabilities(state)
     counts = rng.multinomial(shots, p / p.sum())

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import index
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -37,7 +36,8 @@ from .circuit import (Circuit, is_permutation_circuit, run_columns, simulate,
                       sparse_evaluate)
 from .errors import DomainError, FitError, ResourceError
 from .gates import Gate, h, sdg
-from .state import apply_gate, check_shots, make_rng, probabilities
+from .state import (apply_gate, check_int, check_shots, make_rng,
+                    probabilities)
 
 #: An oracle maps register values to the registers' expected outputs.
 #: Each value is an integer or a ``uint64`` array with one entry per
@@ -295,7 +295,7 @@ def _pack(registers: Sequence[tuple[str, int, int]],
     for name, size, default in registers:
         v = values.get(name, default)
         if np.ndim(v) == 0:
-            v = index(v)
+            v = check_int(v, f"register {name} value")
             if v < 0 or v >> size:
                 raise DomainError(
                     f"value {v} does not fit register {name} ({size} bits)")
@@ -384,7 +384,7 @@ def tomography_1q(state_prep: Circuit, shots_per_axis: int,
     """
     if state_prep.n_qubits != 1:
         raise DomainError("tomography_1q needs a one-qubit circuit")
-    check_shots(shots_per_axis, "shots_per_axis")
+    shots_per_axis = check_shots(shots_per_axis, "shots_per_axis")
     rng = make_rng(seed)
     prepared = simulate(state_prep, 0)
     estimates = {}
@@ -477,15 +477,16 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
     indices, so each trajectory is followed exactly, with no amplitudes,
     in memory proportional to ``n_sequences``.
     """
-    lengths = tuple(int(m) for m in lengths)
+    lengths = tuple(check_int(m, "sequence length") for m in lengths)
     if len(lengths) < 3:
         raise DomainError("need at least 3 sequence lengths to fit the decay")
     if any(m < 1 for m in lengths) or any(
             b <= a for a, b in zip(lengths, lengths[1:])):
         raise DomainError("lengths must be positive and strictly increasing")
+    n_sequences = check_int(n_sequences, "n_sequences")
     if n_sequences < 1:
         raise DomainError("n_sequences must be at least 1")
-    check_shots(shots)
+    shots = check_shots(shots)
     d = noise.depolarizing_prob
     rng = make_rng(seed)
     mean_fidelity = []

@@ -6,8 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
-from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,8 @@ from cliffordt.circuit import (OFFSETS, ROLES, TEMPLATES, Circuit, Register,
                                parse, permutation_output, resources,
                                run_columns, schedule_layers, serialize,
                                simulate, sparse_evaluate)
-from cliffordt.circuit import _offset_rows, _place, _spill_support
+from cliffordt.circuit import (_PARTS, _join, _offsets, _place,
+                               _spill_support)
 from cliffordt.errors import DomainError, ParseError, ResourceError
 from cliffordt.gates import (CLIFFORD_T_KINDS, GATE_ARITY, PERMUTATION_KINDS,
                              Gate, ccx, cnot, compose_matrices, cswap,
@@ -472,6 +473,18 @@ def test_parse_register_errors():
         parse("qubits 2\ncnot 0\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("register a 0..1", "expected 'register name lo..hi role'"),
+    ("register a 0..1 input extra", "expected 'register name lo..hi role'"),
+    ("register a 0-1 input", "malformed register range '0-1'"),
+    ("register a 0..1..1 input", "malformed register range '0..1..1'"),
+])
+def test_parse_register_line_shape_errors(line, message):
+    with pytest.raises(ParseError) as err:
+        parse(f"qubits 2\nh 0\n{line}\n")
+    assert str(err.value) == f"line 3: {message}"
+
+
 @pytest.mark.parametrize("bad,match", [("cnot 0 2", "out of range"),
                                        ("cnot 1 1", "duplicate qubit")])
 def test_parse_repeated_bad_line_fails_at_first_occurrence(bad, match):
@@ -544,6 +557,59 @@ def test_circuit_names_the_first_gate_past_its_width():
 def test_register_names_the_text_format_cannot_carry(name):
     with pytest.raises(DomainError, match="register name"):
         Register(name, 0, 1, "input")
+
+
+@pytest.mark.parametrize("start, size", [(0, 0), (-1, 2), (3, -1)])
+def test_register_extent_is_a_start_and_a_positive_size(start, size):
+    with pytest.raises(DomainError, match="bad register extent a"):
+        Register("a", start, size, "input")
+
+
+@pytest.mark.parametrize("width", [2.5, 2.0, "2", None])
+def test_float_widths_raise_domain_error(width):
+    with pytest.raises(DomainError, match="qubit count .* is not an integer"):
+        Circuit(width)
+    with pytest.raises(DomainError, match="register a start .* not an integ"):
+        Register("a", width, 1, "input")
+    with pytest.raises(DomainError, match="register a size .* not an integer"):
+        Register("a", 0, width, "input")
+
+
+def test_numpy_widths_are_stored_as_python_ints():
+    r = Register("a", np.int64(1), np.uint8(2), "input")
+    c = Circuit(np.int64(3), (h(0),),
+                RegisterLayout((Register("z", 0, 1, "ancilla"), r)))
+    assert (type(c.n_qubits), type(r.start), type(r.size)) == (int,) * 3
+    assert c == Circuit(3, (h(0),), RegisterLayout((
+        Register("z", 0, 1, "ancilla"), Register("a", 1, 2, "input"))))
+
+
+def test_circuit_needs_a_qubit():
+    with pytest.raises(DomainError, match="at least one qubit"):
+        Circuit(0)
+
+
+def test_layout_with_a_gap_does_not_partition():
+    layout = RegisterLayout((Register("a", 0, 1, "input"),
+                             Register("b", 2, 1, "input")))
+    with pytest.raises(DomainError,
+                       match="do not partition the qubit range at 2"):
+        Circuit(3, (), layout)
+
+
+def test_layout_has_no_register_of_an_unknown_name():
+    with pytest.raises(DomainError, match="no register named 'zz'"):
+        default_layout(2).register("zz")
+
+
+@pytest.mark.parametrize("tail", [(), (x(0),)], ids=["last-gate", "more"])
+def test_sparse_evaluate_refuses_support_past_its_limit(tail):
+    # 17 H gates spread one basis state over 2^17 > MAX_SPARSE_SUPPORT,
+    # whether or not gates follow the one that passes the limit
+    c = Circuit(17, tuple(h(q) for q in range(17)) + tail)
+    with pytest.raises(ResourceError,
+                       match=r"more than 65536 basis states .* after gate 16"):
+        sparse_evaluate(c, 0)
 
 
 def test_layout_validation():
@@ -876,31 +942,72 @@ ENTRY_LAYERS = (-1, 0, 1, 2, 3, 20)
 
 @pytest.mark.parametrize("kind", sorted(TEMPLATES))
 def test_offset_rows_place_every_step_as_place_does(kind):
+    """Each kind's table, read the way resources reads it, gives the T
+    layers and exit layers of placing its template's steps with _place.
+    A kind of _PARTS reads its parts' tables in order."""
     arity = GATE_ARITY[kind]
-    t_rows, exit_rows = _offset_rows(TEMPLATES[kind], arity)
-    table = OFFSETS[kind]
-    assert len(exit_rows) == arity
-    assert table.exit_rows == exit_rows
+    parts = _PARTS.get(kind, ((kind, tuple(range(arity))),))
     for entry in itertools.product(ENTRY_LAYERS, repeat=arity):
         frontier = dict(enumerate(entry))
         placed = [(step, _place(frontier, where))
                   for step, where in TEMPLATES[kind]]
         t_layers = {at for step, at in placed if step in ("t", "tdg")}
-        exits = [frontier[i] for i in range(arity)]
-        assert {max(map(add, entry, row)) for row in t_rows} == t_layers
-        assert [max(map(add, entry, row)) for row in exit_rows] == exits
-        # the factored table, read the way resources reads it
-        top = max(entry)
-        assert ({top + d for d in table.tops}
-                | {entry[i] + d for i, d in table.singles}
-                | {max(map(add, entry, row)) for row in table.rows}) == t_layers
-        if table.exit_shift is not None:
-            assert exits == [top + table.exit_shift] * arity
+        layers, read = dict(enumerate(entry)), set()
+        for part, where in parts:
+            rows, shift = OFFSETS[part]
+            at = [layers[p] for p in where]
+            top = max(at)
+            read |= {(at + [top])[i] + d for i, d in rows}
+            for p in where:
+                layers[p] = top + shift
+        assert read == t_layers
+        assert layers == frontier
 
 
-def test_only_cswap_needs_full_max_plus_rows():
-    assert {kind for kind, table in OFFSETS.items()
-            if table.rows or table.exit_shift is None} == {"cswap"}
+def test_only_fredkin_is_costed_by_parts_that_join_to_its_template():
+    assert set(_PARTS) == {"cswap"}
+    assert OFFSETS.keys() == GATE_ARITY.keys() - _PARTS.keys()
+    assert _join(_PARTS["cswap"]) == TEMPLATES["cswap"]
+    assert ([Gate(part, [(5, 7, 9)[p] for p in where])
+             for part, where in _PARTS["cswap"]]
+            == [cnot(9, 7), ccx(5, 7, 9), cnot(9, 7)])
+
+
+def import_circuit_module_with_parts(parts, monkeypatch):
+    """A fresh import of the circuit module whose _PARTS line reads
+    ``parts``."""
+    path = Path(cliffordt.circuit.__file__)
+    source = path.read_text()
+    (line,) = [ln for ln in source.splitlines() if ln.startswith("_PARTS = ")]
+    module = types.ModuleType("cliffordt._planted_circuit")
+    module.__package__ = "cliffordt"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    code = compile(source.replace(line, f"_PARTS = {parts!r}"), str(path),
+                   "exec")
+    exec(code, module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("parts", [
+    {"cswap": (("cnot", (1, 2)), ("ccx", (0, 1, 2)), ("cnot", (2, 1)))},
+    {"cswap": (("cnot", (2, 1)), ("ccx", (1, 0, 2)), ("cnot", (2, 1)))},
+    {"cswap": (("cnot", (2, 1)), ("ccx", (0, 1, 2)))},
+    {"cswap": (("cnot", (2, 1)), ("ccx", (0, 1, 2)), ("swap", (2, 1)))},
+])
+def test_a_wrong_fredkin_part_fails_at_import(parts, monkeypatch):
+    planted = import_circuit_module_with_parts(_PARTS, monkeypatch)
+    assert planted.OFFSETS == OFFSETS
+    with pytest.raises(ValueError, match="does not join"):
+        import_circuit_module_with_parts(parts, monkeypatch)
+
+
+def test_offsets_refuses_a_template_of_another_shape():
+    # Fredkin's own steps follow two operands at different distances
+    with pytest.raises(ValueError, match="follows neither every operand"):
+        _offsets(TEMPLATES["cswap"], 3)
+    # a CNOT on two of three operands leaves the third behind
+    with pytest.raises(ValueError, match="exit at differing layers"):
+        _offsets((("cnot", (0, 1)),), 3)
 
 
 TAYLOR_CONSTS = (0x9c41f2, 0x3e07a5, 0x51d3c8, 0xa2b96e)

@@ -184,6 +184,19 @@ def test_sample_validates_shots():
         sample(new_basis_state(1, 0), 0, seed=1)
 
 
+@pytest.mark.parametrize("shots", [2.5, 2.0, "3", None])
+def test_sample_takes_whole_shot_counts_only(shots):
+    with pytest.raises(DomainError, match=r"shots .* is not an integer"):
+        sample(bell_state(), shots, seed=3)
+
+
+def test_sample_takes_a_numpy_shot_count_as_an_int():
+    counts = sample(bell_state(), np.int64(1000), seed=3)
+    assert counts == sample(bell_state(), 1000, seed=3)
+    assert type(counts.shots) is int
+    assert sum(counts.counts.values()) == counts.shots == 1000
+
+
 def test_sample_refuses_counts_past_int64():
     with pytest.raises(DomainError, match=r"at most 2\^63 - 1"):
         sample(new_basis_state(1, 0), 1 << 63, seed=1)

@@ -1,16 +1,18 @@
 """Verification suite: oracle equivalence, tomography, RB, decay fitting."""
 
+import decimal
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffordt import verify
@@ -19,8 +21,8 @@ from cliffordt.arith import (ArithInstance, build_adder, build_ctrl_add,
 from cliffordt.circuit import (Circuit, Register, RegisterLayout,
                                lower_to_clifford_t, simulate)
 from cliffordt.errors import DomainError, FitError, ResourceError
-from cliffordt.gates import (compose_matrices, h, phase_aligned_distance, s,
-                             t, x)
+from cliffordt.gates import (cnot, compose_matrices, h,
+                             phase_aligned_distance, s, t, x)
 from cliffordt.state import make_rng
 from cliffordt.verify import (ORACLES, EquivalenceReport, NoiseModel,
                               exhaustive_check, fit_exponential_decay,
@@ -354,6 +356,9 @@ def test_exhaustive_check_refuses_registers_wider_than_64_bits():
     (lambda v: {"b": v["b"] + 8}, "value 8 does not fit register b"),
     (lambda v: {"b": v["b"] / 2}, "register b needs an integer"),
     (lambda v: {"b": v["b"][:1]}, "register b needs an integer"),
+    (lambda v: {"b": 1.5}, "register b value 1.5 is not an integer"),
+    (lambda v: {"b": "1"}, "register b value '1' is not an integer"),
+    (lambda v: {"b": None}, "register b value None is not an integer"),
 ])
 def test_exhaustive_check_rejects_oracle_values_outside_their_register(
         change, message):
@@ -361,6 +366,47 @@ def test_exhaustive_check_rejects_oracle_values_outside_their_register(
         return {**oracle_adder(3)(values), **change(values)}
     with pytest.raises(DomainError, match=message):
         exhaustive_check(build_adder(3), oracle)
+
+
+def seventy_qubit_instance(num):
+    """A 70-qubit instance whose numbers are all made by ``num``: input
+    a (2 bits), ancillae w (64 bits) and z (4 bits); z takes a, and w
+    its top bit."""
+    layout = RegisterLayout((Register("a", num(0), num(2), "input"),
+                             Register("w", num(2), num(64), "ancilla"),
+                             Register("z", num(66), num(4), "ancilla")))
+    ops = (cnot(num(0), num(66)), cnot(num(1), num(67)), cnot(1, 2))
+    return ArithInstance(num(2), Circuit(num(70), ops, layout), ("a",))
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda v: {"a": v["a"], "z": v["a"], "w": v["a"] >> 1},
+    lambda v: {"a": v["a"], "z": v["a"] ^ 1, "w": 0}])
+def test_numpy_int_widths_give_the_same_report_as_python_ints(oracle):
+    want = exhaustive_check(seventy_qubit_instance(int), oracle)
+    got = exhaustive_check(seventy_qubit_instance(np.int64), oracle)
+    assert got == want and want.total_inputs == 4
+    assert all(type(v) is int for m in got.mismatches for v in m)
+    layout = RegisterLayout((Register("q", np.int64(0), np.int64(70),
+                                      "input"),))
+    assert layout.decode((1 << 69) | 5) == {"q": (1 << 69) | 5}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 30, 10 ** 30))
+@example(3, -2).via("3 > 2 sqrt(2)")
+@example(-3, 2).via("-3 < -2 sqrt(2)")
+@example(-1, 1).via("sqrt(2) > 1")
+@example(1, -1).via("1 < sqrt(2)")
+@example(99, -70).via("a convergent of sqrt(2) from above")
+@example(-140, 99).via("a convergent of sqrt(2) from below")
+@example(0, 0).via("zero")
+def test_positive_is_the_sign_of_p_plus_q_sqrt2(p, q):
+    # a sparse mismatch reports the basis index _positive picks
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        value = Decimal(p) + Decimal(q) * Decimal(2).sqrt()
+    assert verify._positive(p, q) == (value > 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -619,6 +665,35 @@ def test_rb_validation():
         run_rb(NoiseModel(0.1), [5, 2], 10, 10, seed=0)
     with pytest.raises(DomainError):
         NoiseModel(1.5)
+
+
+@pytest.mark.parametrize("lengths, n_sequences, shots, message", [
+    ([1, 2, 3], 4, 1.5, "shots 1.5 is not an integer"),
+    ([1.5, 2, 3], 4, 10, "sequence length 1.5 is not an integer"),
+    ([1, 2, 3], 2.5, 10, "n_sequences 2.5 is not an integer"),
+    ([1, 3, 3], 4, 10, "strictly increasing"),
+    ([3, 2, 1], 4, 10, "strictly increasing"),
+    ([0, 1, 2], 4, 10, "positive"),
+    ([1, 2, 3], 0, 10, "n_sequences must be at least 1"),
+], ids=["float-shots", "float-length", "float-sequences", "repeated-length",
+        "decreasing-lengths", "zero-length", "no-sequences"])
+def test_rb_rejects_bad_lengths_and_counts(lengths, n_sequences, shots,
+                                           message):
+    with pytest.raises(DomainError, match=message):
+        run_rb(NoiseModel(0.0), lengths, n_sequences, shots, seed=0)
+
+
+def test_rb_takes_numpy_integers_as_ints():
+    got = run_rb(NoiseModel(0.03), np.array([1, 5, 10]), np.int64(20),
+                 np.int32(50), seed=11)
+    assert got == run_rb(NoiseModel(0.03), [1, 5, 10], 20, 50, seed=11)
+    assert all(type(m) is int for m in got.lengths)
+
+
+def test_tomography_takes_whole_shot_counts_only():
+    with pytest.raises(DomainError, match="shots_per_axis 2.5 is not an "
+                                          "integer"):
+        tomography_1q(Circuit(1, (h(0),)), 2.5, seed=1)
 
 
 def test_rb_refuses_counts_past_int64():
