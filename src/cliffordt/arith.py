@@ -92,32 +92,44 @@ def _ladder(b: list[int], a: list[int], ctrl: int | None = None,
     (a^b)(a^c) = a ^ MAJ(a,b,c), then consumed and uncomputed on the way
     back down.  The n=1 carry needs no preload CNOT because b_0 is never
     premixed with a_0; the general preload would double-count a_0 there.
+
+    The uncompute half is the compute half run backwards, so it emits the
+    very ``Gate`` objects of that half: the carry Toffolis and the preload
+    CNOTs in reverse, the premix CNOTs as they stand, and, with no
+    control, each sum write ``cnot(a[i], b[i])`` as the premix CNOT it
+    equals.  Only object identity differs from building each gate afresh.
     """
     def write(src: int, dst: int) -> Gate:
         return cnot(src, dst) if ctrl is None else ccx(ctrl, src, dst)
 
     n = len(b)
-    ops = [cnot(a[i], b[i]) for i in range(1, n)]
+    premix = [cnot(a[i], b[i]) for i in range(1, n)]
+    preload = [cnot(a[i], a[i + 1]) for i in range(n - 2, 0, -1)]
+    carries = [ccx(b[i], a[i], a[i + 1]) for i in range(n - 1)]
+    sums = premix if ctrl is None else [write(a[i], b[i]) for i in range(1, n)]
+    ops = list(premix)
     if carry is not None and n >= 2:
         ops.append(write(a[n - 1], carry))
-    ops += [cnot(a[i], a[i + 1]) for i in range(n - 2, 0, -1)]
-    ops += [ccx(b[i], a[i], a[i + 1]) for i in range(n - 1)]
+    ops += preload
+    ops += carries
     if carry is not None:
         if ctrl is None:
             ops.append(ccx(b[n - 1], a[n - 1], carry))
         else:
             stage = ccx(b[n - 1], a[n - 1], scratch)
             ops += [stage, write(scratch, carry), stage]
-    for i in range(n - 1, 0, -1):
-        ops += [write(a[i], b[i]), ccx(b[i - 1], a[i - 1], a[i])]
+    for pair in zip(reversed(sums), reversed(carries)):
+        ops += pair
     ops.append(write(a[0], b[0]))
-    ops += [cnot(a[i], a[i + 1]) for i in range(1, n - 1)]
-    ops += [cnot(a[i], b[i]) for i in range(1, n)]
+    ops += reversed(preload)
+    ops += premix
     return ops
 
 
 def _sub_core(b: list[int], a: list[int]) -> list[Gate]:
-    """b <- (b - a) mod 2^n via the complement identity b-a = ~(~b + a)."""
+    """b <- (b - a) mod 2^n via the complement identity b-a = ~(~b + a):
+    the ladder ``_ladder(b, a)`` between X flips of b, so slicing off the
+    n flips at each end gives that ladder."""
     flips = [x(q) for q in b]
     return flips + _ladder(b, a) + flips
 
@@ -148,6 +160,15 @@ def _registers(*specs: tuple[str, int, str]
             {r.name: list(r.qubits()) for r in registers})
 
 
+def _width(n: int, what: str) -> int:
+    """A builder's width as a Python int (see ``check_int``), at least 1;
+    raises ``DomainError`` otherwise."""
+    n = check_int(n, what)
+    if n < 1:
+        raise DomainError(f"{what} must be at least 1")
+    return n
+
+
 def build_adder(n: int) -> ArithInstance:
     """Ripple-carry adder with no input carry: 2n+1 qubits.
 
@@ -155,8 +176,7 @@ def build_adder(n: int) -> ArithInstance:
     (one ancilla) reading the carry-out s_n.  Exactly one ancilla and no
     garbage outputs.
     """
-    if n < 1:
-        raise DomainError("adder width must be at least 1")
+    n = _width(n, "adder width")
     layout, q = _registers(("b", n, "output"), ("a", n, "restored-input"),
                            ("z", 1, "ancilla"))
     ops = _ladder(q["b"], q["a"], carry=q["z"][0])
@@ -169,8 +189,7 @@ def build_subtractor(n: int) -> ArithInstance:
     The adder core is conjugated by X gates on b; the carry-out wire and
     its circuitry are dropped since the complemented sum never needs s_n.
     """
-    if n < 1:
-        raise DomainError("subtractor width must be at least 1")
+    n = _width(n, "subtractor width")
     layout, q = _registers(("b", n, "output"), ("a", n, "restored-input"))
     ops = _sub_core(q["b"], q["a"])
     return ArithInstance(n, Circuit(2 * n, tuple(ops), layout), ("b", "a"))
@@ -185,8 +204,7 @@ def build_ctrl_add(n: int) -> ArithInstance:
     multiplier this wire is borrowed from the product register, which is
     why the product register carries one extra qubit).
     """
-    if n < 1:
-        raise DomainError("controlled adder width must be at least 1")
+    n = _width(n, "controlled adder width")
     layout, q = _registers(("ctrl", 1, "restored-input"), ("b", n, "output"),
                            ("a", n, "restored-input"), ("z", 1, "ancilla"),
                            ("g", 1, "ancilla"))
@@ -205,8 +223,7 @@ def build_multiplier(n: int) -> ArithInstance:
     free.  Stage k borrows p[k+n+1] as its carry scratch, which is still 0
     because the running sum cannot have reached that bit yet.
     """
-    if n < 1:
-        raise DomainError("multiplier width must be at least 1")
+    n = _width(n, "multiplier width")
     layout, q = _registers(("b", n, "restored-input"),
                            ("a", n, "restored-input"),
                            ("p", 2 * n + 1, "ancilla"))
@@ -233,38 +250,47 @@ def build_taylor(n: int, f_c: int, fp_c: int, fpp_half_c: int, c: int) -> ArithI
     independent factor registers); y1 <- fp*(x-c); y2 <- (x-c)^2;
     y4 <- fpp*y2; y1 <- y1+fc; y4 <- y4+y1.  The scratch then unwinds in
     reverse (unmultiply y2, strip fc from y1, unmultiply y1, uncopy xc,
-    re-add c to x), leaving only y4 changed.  All constants are unsigned
-    residues mod 2^n; any fixed-point scaling is the caller's convention.
+    re-add c to x), leaving only y4 changed.  The unwind emits the very
+    ``Gate`` objects of the forward pass: each product's gates backwards,
+    the copy as it stands, and the ladders of x-c and y1+fc, since each
+    sum and its difference share the ladder inside the difference.
+
+    The width and the constants are taken as Python ints (see
+    ``check_int``); each constant is an unsigned residue mod 2^n, and
+    any fixed-point scaling is the caller's convention.
     """
-    if n < 1:
-        raise DomainError("width must be at least 1")
-    consts = {"fc": f_c, "fp": fp_c, "fpp": fpp_half_c, "c": c}
+    n = _width(n, "width")
+    consts = {name: check_int(v, f"constant {name}") for name, v in
+              (("fc", f_c), ("fp", fp_c), ("fpp", fpp_half_c), ("c", c))}
     for name, v in consts.items():
         if not 0 <= v < (1 << n):
             raise DomainError(f"constant {name}={v} outside [0, 2^{n})")
     layout, r = _registers(*(
         (name, n, "restored-input" if name in consts or name == "x" else "ancilla")
         for name in TAYLOR_REGISTERS))
+    sub_c = _sub_core(r["x"], r["c"])
     copy = [cnot(r["x"][i], r["xc"][i]) for i in range(n)]
     mul_fp = _mod_mul_ops(r["x"], r["fp"], r["y1"])
     mul_x2 = _mod_mul_ops(r["x"], r["xc"], r["y2"])
+    sub_fc = _sub_core(r["y1"], r["fc"])
     ops: list[Gate] = []
-    ops += _sub_core(r["x"], r["c"])
+    ops += sub_c
     ops += copy
     ops += mul_fp
     ops += mul_x2
     ops += _mod_mul_ops(r["y2"], r["fpp"], r["y4"])
-    ops += _ladder(r["y1"], r["fc"])
+    ops += sub_fc[n:-n]
     ops += _ladder(r["y4"], r["y1"])
     # garbage removal: every scratch register retraces its construction,
     # with the very gates of the forward block; X/CNOT/Toffoli are
     # self-inverse, so reversal alone inverts a block, and the copy's
-    # CNOTs act on disjoint pairs, so it is its own inverse as it stands
+    # CNOTs act on disjoint pairs, so it is its own inverse as it stands;
+    # a sum and its difference share the ladder inside the difference
     ops += mul_x2[::-1]
-    ops += _sub_core(r["y1"], r["fc"])
+    ops += sub_fc
     ops += mul_fp[::-1]
     ops += copy
-    ops += _ladder(r["x"], r["c"])
+    ops += sub_c[n:-n]
     circ = Circuit(9 * n, tuple(ops), layout)
     return ArithInstance(n, circ, ("x",), constants=consts)
 

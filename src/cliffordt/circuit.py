@@ -437,17 +437,33 @@ def parse(text: str) -> Circuit:
 
     ``parse(serialize(c))`` is structurally identical to ``c``.  Errors
     report the offending line number and reason; ``Gate`` and ``Register``
-    check their own fields.  Each distinct gate line is checked once per
-    call, its operands in one ASCII-digit test of the joined tokens and
-    its qubits against the width; a line that recurs reuses its ``Gate``.
-    Every gate is thereby known to fit, so only the layout is validated
-    when the circuit is made, not each op again.
+    check their own fields.  Each distinct line is read once per call, and
+    a gate line that recurs reuses its ``Gate``.  Each distinct operand
+    token is checked once per call (ASCII digits, then below the width)
+    into a memo that grows with the tokens, not with the width.  A gate
+    line of a known kind whose operands are all in the memo, one per
+    qubit of its arity and distinct, is made by ``_derived_gate``; any
+    other line takes the general path (``_parse_int``, ``Gate``, the
+    width), which names the first fault.  Every gate is thereby known to
+    fit, so only the layout is validated when the circuit is made, not
+    each op again.
     """
     n_qubits = None
     registers: list[Register] = []
     first_register_line = 0
     ops: list[Gate] = []
     gates: dict[str, Gate] = {}
+    memo: dict[str, int] = {}
+
+    def operand(token: str) -> int | None:
+        q = memo.get(token)
+        if q is None and token.isascii() and token.isdigit():
+            q = int(token)
+            if q >= n_qubits:
+                return None
+            memo[token] = q
+        return q
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         gate = gates.get(raw)
         if gate is not None:
@@ -464,6 +480,12 @@ def parse(text: str) -> Circuit:
             if n_qubits < 1:
                 raise ParseError(lineno, "qubit count must be positive")
             continue
+        if G.GATE_ARITY.get(tokens[0]) == len(tokens) - 1:
+            qubits = tuple(map(operand, tokens[1:]))
+            if None not in qubits and len(set(qubits)) == len(qubits):
+                gate = gates[raw] = G._derived_gate(tokens[0], qubits)
+                ops.append(gate)
+                continue
         if tokens[0] == "qubits":
             raise ParseError(lineno, "duplicate 'qubits' header")
         try:

@@ -83,8 +83,8 @@ def _derived_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
     """A ``Gate`` made without ``Gate.__init__``'s checks, for operands
     taken from a gate that already passed them: ``kind`` is a known kind
     and ``qubits`` a tuple of its arity of distinct non-negative ints.
-    Only ``inverse``, the lowering and the Fredkin parts that
-    ``resources`` costs call it."""
+    Only ``inverse``, the lowering, the Fredkin parts that ``resources``
+    costs and ``parse`` (for operands its token memo checked) call it."""
     gate = object.__new__(Gate)
     _set(gate, "kind", kind)
     _set(gate, "qubits", qubits)

@@ -36,8 +36,14 @@ MAX_SIM_QUBITS = 24
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Seeded Philox (counter-based) generator; the only randomness source."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    """Seeded Philox (counter-based) generator; the only randomness source.
+
+    ``seed`` is taken as a Python int (see ``check_int``), so a float is
+    refused, not truncated; a negative seed raises ``DomainError``."""
+    seed = check_int(seed, "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def check_width(n: int) -> None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from numbers import Real
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -72,13 +73,20 @@ MAX_CHECK_INPUTS = 1 << 28
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-gate depolarizing fault: error probability d in [0, 1]."""
+    """Per-gate depolarizing fault: error probability d in [0, 1], stored
+    as a Python float.  A value that is no real number (a string, None)
+    or lies outside [0, 1] (NaN included) raises ``DomainError``."""
 
     depolarizing_prob: float
 
     def __post_init__(self):
-        if not 0.0 <= self.depolarizing_prob <= 1.0:
+        d = self.depolarizing_prob
+        if not isinstance(d, Real):
+            raise DomainError(f"depolarizing probability {d!r} is not a "
+                              "real number")
+        if not 0.0 <= d <= 1.0:
             raise DomainError("depolarizing probability must lie in [0, 1]")
+        object.__setattr__(self, "depolarizing_prob", float(d))
 
 
 @dataclass(frozen=True)

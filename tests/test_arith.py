@@ -442,3 +442,78 @@ def test_taylor_unwind_reuses_the_forward_gates():
         assert len(forward) == len(unwind) > 0
         assert all(f is u for f, u in zip(forward, unwind))
     assert copy == tuple(cnot(a, b) for a, b in zip(r["x"], r["xc"]))
+
+
+def test_taylor_sums_and_differences_share_their_ladders():
+    # x <- x-c is re-added by the ladder inside the forward difference,
+    # and y1 <- y1+fc is the ladder inside the unwind's difference
+    n = 4
+    inst = build_taylor(n, 1, 2, 3, 4)
+    ops = inst.circuit.ops
+    r = {reg.name: list(reg.qubits()) for reg in inst.circuit.layout.registers}
+    sub = len(_sub_core(r["x"], r["c"]))
+    readd = ops[len(ops) - (sub - 2 * n):]
+    assert len(readd) > 0
+    assert all(f is u for f, u in zip(ops[n:sub - n], readd, strict=True))
+    add = len(_ladder(r["y1"], r["fc"]))
+    ladders = [ops[i:i + add] for i in range(len(ops) - add + 1)
+               if ops[i:i + add] == tuple(_ladder(r["y1"], r["fc"]))]
+    assert len(ladders) == 2
+    assert all(f is u for f, u in zip(*ladders))
+
+
+@pytest.mark.parametrize("ctrl, carry, scratch", [
+    (None, None, None), (None, 10, None), (11, 10, 12)],
+    ids=["modular", "carry", "controlled"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_ladder_uncomputes_with_its_compute_gates(n, ctrl, carry, scratch):
+    b, a = list(range(n)), list(range(n, 2 * n))
+    ops = _ladder(b, a, ctrl, carry, scratch)
+    carries = [g for g in ops if g.kind == "ccx" and g.qubits[2] in a]
+    compute, uncompute = carries[:n - 1], carries[n - 1:]
+    assert len(uncompute) == n - 1
+    assert all(u is c for u, c in zip(uncompute, reversed(compute)))
+    # every gate value the ladder repeats is one object
+    first = {}
+    assert all(first.setdefault(g, g) is g for g in ops)
+
+
+def test_taylor_builds_each_distinct_gate_about_once():
+    ops = build_taylor(24, 5, 7, 9, 11).circuit.ops
+    assert len(ops) == 9814
+    assert len({id(g) for g in ops}) <= 3643
+
+
+@pytest.mark.parametrize("value", ["3", 3.0, 1.5, None],
+                         ids=["str", "float", "fraction", "none"])
+@pytest.mark.parametrize("build", [
+    build_adder, build_subtractor, build_ctrl_add, build_multiplier,
+    lambda n: build_taylor(n, 0, 0, 0, 0)],
+    ids=["adder", "sub", "ctrladd", "mul", "taylor"])
+def test_generators_refuse_a_non_integer_width(build, value):
+    with pytest.raises(DomainError, match="not an integer"):
+        build(value)
+
+
+@pytest.mark.parametrize("kind", ["adder", "sub", "ctrladd", "mul"])
+def test_generators_take_a_numpy_integer_width(kind):
+    inst = BUILDERS[kind](np.int64(3))
+    assert type(inst.n_bits) is int
+    assert serialize(inst.circuit) == serialize(BUILDERS[kind](3).circuit)
+
+
+@pytest.mark.parametrize("value", ["1", 1.5, 1.0, None, -1, 8])
+@pytest.mark.parametrize("at", range(4))
+def test_taylor_refuses_a_constant_that_is_no_residue(at, value):
+    consts = [0, 0, 0, 0]
+    consts[at] = value
+    with pytest.raises(DomainError, match="not an integer|outside"):
+        build_taylor(3, *consts)
+
+
+def test_taylor_stores_constants_as_python_ints():
+    inst = build_taylor(np.uint8(3), np.int64(5), np.int32(1), True, 0)
+    assert inst.constants == {"fc": 5, "fp": 1, "fpp": 1, "c": 0}
+    assert all(type(v) is int for v in inst.constants.values())
+    assert serialize(inst.circuit) == serialize(
+        build_taylor(3, 5, 1, 1, 0).circuit)

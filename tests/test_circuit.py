@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cliffordt
@@ -544,6 +544,142 @@ def test_parse_raises_only_parse_error(lines):
     except ParseError:
         return
     assert parse(serialize(c)) == c
+
+
+def _reference_parse_int(token, lineno, what):
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(lineno, f"{what} is not an integer: {token!r}")
+    return int(token)
+
+
+def _reference_parse(text):
+    """``parse`` as it was before its token memo: every distinct gate
+    line is checked by ``Gate`` and against the width."""
+    n_qubits = None
+    registers = []
+    first_register_line = 0
+    ops = []
+    gates = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        gate = gates.get(raw)
+        if gate is not None:
+            ops.append(gate)
+            continue
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if n_qubits is None:
+            if tokens[0] != "qubits" or len(tokens) != 2:
+                raise ParseError(lineno, "expected 'qubits N' header")
+            n_qubits = _reference_parse_int(tokens[1], lineno, "qubit count")
+            if n_qubits < 1:
+                raise ParseError(lineno, "qubit count must be positive")
+            continue
+        if tokens[0] == "qubits":
+            raise ParseError(lineno, "duplicate 'qubits' header")
+        try:
+            if tokens[0] == "register":
+                if len(tokens) != 4:
+                    raise ParseError(lineno,
+                                     "expected 'register name lo..hi role'")
+                _, name, span, role = tokens
+                lo_hi = span.split("..")
+                if len(lo_hi) != 2:
+                    raise ParseError(lineno,
+                                     f"malformed register range {span!r}")
+                lo = _reference_parse_int(lo_hi[0], lineno,
+                                          "register low index")
+                hi = _reference_parse_int(lo_hi[1], lineno,
+                                          "register high index")
+                if not 0 <= lo <= hi < n_qubits:
+                    raise ParseError(lineno,
+                                     f"register range {span} out of bounds")
+                if not registers:
+                    first_register_line = lineno
+                registers.append(Register(name, lo, hi - lo + 1, role))
+                continue
+            operands = tokens[1:]
+            digits = "".join(operands)
+            if digits.isascii() and digits.isdigit():
+                qubits = tuple(map(int, operands))
+            else:
+                qubits = tuple(_reference_parse_int(tok, lineno, "qubit index")
+                               for tok in operands)
+            gate = Gate(tokens[0], qubits)
+        except DomainError as exc:
+            raise ParseError(lineno, str(exc)) from None
+        if max(qubits) >= n_qubits:
+            raise ParseError(lineno, f"qubit index out of range in {line!r}")
+        gates[raw] = gate
+        ops.append(gate)
+    if n_qubits is None:
+        raise ParseError(0, "missing 'qubits' header")
+    layout = (RegisterLayout(tuple(registers)) if registers
+              else default_layout(n_qubits))
+    try:
+        layout.validate(n_qubits)
+    except DomainError as exc:
+        raise ParseError(first_register_line, str(exc)) from None
+    return Circuit(n_qubits, tuple(ops), layout)
+
+
+# Operand tokens for a 12-qubit header: canonical, leading zeros, out of
+# range, signed, with "_", non-ASCII digits and no number at all.
+_TOKENS = st.one_of(
+    st.sampled_from(["0", "1", "2", "11"]),
+    st.sampled_from(["00", "01", "002", "011", "12", "012", "13", "100",
+                     "99999999999999999999"]),
+    st.sampled_from(["+1", "-1", "-0", "1_0", "\u0663", "\u00b2",
+                     "\u0661\u0662", "\uff11", "1.5", "a", "x1", "0x1"]))
+_KINDS = st.sampled_from(sorted(GATE_ARITY) + [
+    "foo", "H", "CNOT", "qubits", "register", "#h"])
+_SPACE = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\u00a0",
+                          "\u3000"])
+
+
+@st.composite
+def _gate_line(draw):
+    words = [draw(_KINDS)] + draw(st.lists(_TOKENS, max_size=4))
+    line = words[0]
+    for word in words[1:]:
+        line += draw(_SPACE) + word
+    lead = draw(st.sampled_from(["", " ", "\t", "\u2003"]))
+    tail = draw(st.sampled_from(["", " ", "\t", " # note", "# 1 2", "#"]))
+    return lead + line + tail
+
+
+@st.composite
+def _gate_texts(draw):
+    pool = draw(st.lists(_gate_line(), min_size=1, max_size=6))
+    lines = draw(st.lists(st.sampled_from(pool + ["", "# c", "h 0"]),
+                          max_size=12))
+    return "qubits 12\n" + "\n".join(lines) + "\n"
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return exc.lineno, exc.message
+
+
+@settings(max_examples=600, deadline=None)
+@given(_gate_texts())
+@example("qubits 12\nccx 1 2 01\n")
+@example("qubits 12\nh 0\ncnot 0 12\n")
+@example("qubits 12\nswap 11 011\nx 011\n")
+def test_parse_agrees_with_the_reference_parser(text):
+    assert _outcome(parse, text) == _outcome(_reference_parse, text)
+
+
+def test_parse_memo_keeps_each_spelling_of_a_qubit():
+    c = parse("qubits 3\ncnot 1 2\ncnot 01 2\ncnot 1 002\nccx 2 01 0\n")
+    assert c.ops == (cnot(1, 2),) * 3 + (ccx(2, 1, 0),)
+    assert all(type(q) is int for g in c.ops for q in g.qubits)
+    with pytest.raises(ParseError) as err:
+        parse("qubits 3\ncnot 1 2\ncnot 01 1\n")
+    assert str(err.value) == "line 3: duplicate qubit in cnot (1, 1)"
 
 
 def test_circuit_names_the_first_gate_past_its_width():

@@ -6,7 +6,7 @@ import pytest
 from cliffordt.errors import DomainError, ResourceError
 from cliffordt.gates import GATE_ARITY, Gate, ccx, cnot, h, s, swap, t, tdg, x
 from cliffordt.state import (MAX_SIM_QUBITS, StateVector, apply_gate,
-                             new_basis_state, probabilities, sample)
+                             make_rng, new_basis_state, probabilities, sample)
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -206,3 +206,21 @@ def test_sample_takes_the_largest_int64_count():
     shots = (1 << 63) - 1
     counts = sample(bell_state(), shots, seed=1)
     assert sum(counts.counts.values()) == counts.shots == shots
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed 1.5 is not an integer"), (1.0, "seed 1.0 is not an integer"),
+    ("1", "seed '1' is not an integer"), (None, "seed None is not an integer"),
+    (-1, "seed must be non-negative, got -1")])
+def test_seeds_are_natural_numbers(seed, message):
+    with pytest.raises(DomainError, match=message):
+        make_rng(seed)
+    with pytest.raises(DomainError, match=message):
+        sample(new_basis_state(1, 0), 10, seed)
+
+
+def test_a_numpy_integer_seed_is_the_int_it_holds():
+    want = make_rng(7).integers(0, 1 << 62, size=4).tolist()
+    for seed in (np.int64(7), np.uint8(7)):
+        assert make_rng(seed).integers(0, 1 << 62, size=4).tolist() == want
+    assert make_rng(True).random() == make_rng(1).random()

@@ -667,6 +667,35 @@ def test_rb_validation():
         NoiseModel(1.5)
 
 
+@pytest.mark.parametrize("d", ["0.1", None, 0.1j, Decimal("0.1")],
+                         ids=["str", "none", "complex", "decimal"])
+def test_noise_model_refuses_a_probability_that_is_no_real(d):
+    with pytest.raises(DomainError, match="is not a real number"):
+        NoiseModel(d)
+
+
+@pytest.mark.parametrize("d", [float("nan"), -0.1, 1.5, float("inf")])
+def test_noise_model_refuses_a_probability_outside_the_unit_interval(d):
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        NoiseModel(d)
+
+
+def test_noise_model_stores_a_python_float():
+    for d in (np.float64(0.03), np.float32(0.25), 0, True):
+        noise = NoiseModel(d)
+        assert type(noise.depolarizing_prob) is float
+        assert noise.depolarizing_prob == float(d)
+    assert (run_rb(NoiseModel(np.float64(0.03)), [1, 5, 10], 20, 50, seed=11)
+            == run_rb(NoiseModel(0.03), [1, 5, 10], 20, 50, seed=11))
+
+
+def test_rb_and_tomography_refuse_a_float_seed():
+    with pytest.raises(DomainError, match="seed 1.5 is not an integer"):
+        run_rb(NoiseModel(0.0), [1, 2, 3], 4, 10, seed=1.5)
+    with pytest.raises(DomainError, match="seed must be non-negative"):
+        tomography_1q(Circuit(1, (h(0),)), 10, seed=-1)
+
+
 @pytest.mark.parametrize("lengths, n_sequences, shots, message", [
     ([1, 2, 3], 4, 1.5, "shots 1.5 is not an integer"),
     ([1.5, 2, 3], 4, 10, "sequence length 1.5 is not an integer"),
