@@ -442,11 +442,11 @@ def parse(text: str) -> Circuit:
     token is checked once per call (ASCII digits, then below the width)
     into a memo that grows with the tokens, not with the width.  A gate
     line of a known kind whose operands are all in the memo, one per
-    qubit of its arity and distinct, is made by ``_derived_gate``; any
-    other line takes the general path (``_parse_int``, ``Gate``, the
-    width), which names the first fault.  Every gate is thereby known to
-    fit, so only the layout is validated when the circuit is made, not
-    each op again.
+    qubit of its arity and distinct, is made by ``_derived_gate``; that
+    is every gate line that parses.  Any other line is a fault, and the
+    general path (``_parse_int``, ``Gate``, the width) names the first
+    one.  Every gate is thereby known to fit, so only the layout is
+    validated when the circuit is made, not each op again.
     """
     n_qubits = None
     registers: list[Register] = []
@@ -507,20 +507,14 @@ def parse(text: str) -> Circuit:
                     first_register_line = lineno
                 registers.append(Register(name, lo, hi - lo + 1, role))
                 continue
-            operands = tokens[1:]
-            digits = "".join(operands)
-            if digits.isascii() and digits.isdigit():
-                qubits = tuple(map(int, operands))
-            else:  # name the first bad token
-                qubits = tuple(_parse_int(tok, lineno, "qubit index")
-                               for tok in operands)
-            gate = Gate(tokens[0], qubits)
+            qubits = tuple(_parse_int(tok, lineno, "qubit index")
+                           for tok in tokens[1:])
+            Gate(tokens[0], qubits)
         except DomainError as exc:
             raise ParseError(lineno, str(exc)) from None
-        if max(qubits) >= n_qubits:
-            raise ParseError(lineno, f"qubit index out of range in {line!r}")
-        gates[raw] = gate
-        ops.append(gate)
+        # Gate took the line, so the memo turned down an operand at or
+        # beyond the width.
+        raise ParseError(lineno, f"qubit index out of range in {line!r}")
     if n_qubits is None:
         raise ParseError(0, "missing 'qubits' header")
     layout = (RegisterLayout(tuple(registers)) if registers

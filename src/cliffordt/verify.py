@@ -26,7 +26,9 @@ quant-ph/0406196), so no matrix, rounding or tolerance enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import repeat
+from math import nan
 from numbers import Real
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -74,19 +76,25 @@ MAX_CHECK_INPUTS = 1 << 28
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-gate depolarizing fault: error probability d in [0, 1], stored
-    as a Python float.  A value that is no real number (a string, None)
-    or lies outside [0, 1] (NaN included) raises ``DomainError``."""
+    as a Python float.  Any real number (a ``numbers.Real`` such as a
+    numpy float or a ``Fraction``, or a ``Decimal``) is taken; any other
+    value (a string, None, a complex) or one outside [0, 1] (NaN
+    included) raises ``DomainError``."""
 
     depolarizing_prob: float
 
     def __post_init__(self):
         d = self.depolarizing_prob
-        if not isinstance(d, Real):
+        if not isinstance(d, (Real, Decimal)):
             raise DomainError(f"depolarizing probability {d!r} is not a "
                               "real number")
+        try:
+            d = float(d)
+        except (OverflowError, ValueError):  # 10**400, Decimal("sNaN")
+            d = nan
         if not 0.0 <= d <= 1.0:
             raise DomainError("depolarizing probability must lie in [0, 1]")
-        object.__setattr__(self, "depolarizing_prob", float(d))
+        object.__setattr__(self, "depolarizing_prob", d)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -667,21 +668,24 @@ def test_rb_validation():
         NoiseModel(1.5)
 
 
-@pytest.mark.parametrize("d", ["0.1", None, 0.1j, Decimal("0.1")],
-                         ids=["str", "none", "complex", "decimal"])
+@pytest.mark.parametrize("d", ["0.1", b"0.1", None, 0.1j],
+                         ids=["str", "bytes", "none", "complex"])
 def test_noise_model_refuses_a_probability_that_is_no_real(d):
     with pytest.raises(DomainError, match="is not a real number"):
         NoiseModel(d)
 
 
-@pytest.mark.parametrize("d", [float("nan"), -0.1, 1.5, float("inf")])
+@pytest.mark.parametrize("d", [float("nan"), -0.1, 1.5, float("inf"),
+                               10**400, Decimal("NaN"), Decimal("sNaN"),
+                               Decimal("1.5")])
 def test_noise_model_refuses_a_probability_outside_the_unit_interval(d):
     with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
         NoiseModel(d)
 
 
 def test_noise_model_stores_a_python_float():
-    for d in (np.float64(0.03), np.float32(0.25), 0, True):
+    for d in (np.float64(0.03), np.float32(0.25), 0, True,
+              Decimal("0.1"), Fraction(1, 4)):
         noise = NoiseModel(d)
         assert type(noise.depolarizing_prob) is float
         assert noise.depolarizing_prob == float(d)
