@@ -30,13 +30,11 @@ from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Sequence
 
-import numpy as np
-
 from . import gates as G
 from .errors import DomainError, ParseError, ResourceError
-from .gates import Gate
-from .state import (_H_SCALE, StateVector, apply_gate_inplace, check_index,
-                    check_int, check_width)
+from .gates import H_SCALE, Gate
+from .state import (StateVector, apply_gate_inplace, check_index, check_int,
+                    check_width)
 
 ROLES = ("input", "ancilla", "output", "garbage", "restored-input")
 
@@ -424,11 +422,22 @@ def serialize(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Most digits a number in the text format may have.  640 is the least
+#: limit Python's ``int`` conversion of a string can be set to
+#: (``sys.set_int_max_str_digits``), so ``int`` never refuses a token
+#: that passed, and no circuit is wide enough to need more.
+MAX_DIGITS = 640
+
+
 def _parse_int(token: str, lineno: int, what: str) -> int:
-    """An operand in ASCII decimal digits; ``int`` alone would also take
-    signs, ``_`` separators and non-ASCII digits."""
+    """An operand in ASCII decimal digits, at most ``MAX_DIGITS`` of
+    them; ``int`` alone would also take signs, ``_`` separators and
+    non-ASCII digits, and raise a bare ``ValueError`` past its own
+    digit limit."""
     if not (token.isascii() and token.isdigit()):
         raise ParseError(lineno, f"{what} is not an integer: {token!r}")
+    if len(token) > MAX_DIGITS:
+        raise ParseError(lineno, f"{what} has more than {MAX_DIGITS} digits")
     return int(token)
 
 
@@ -439,14 +448,15 @@ def parse(text: str) -> Circuit:
     report the offending line number and reason; ``Gate`` and ``Register``
     check their own fields.  Each distinct line is read once per call, and
     a gate line that recurs reuses its ``Gate``.  Each distinct operand
-    token is checked once per call (ASCII digits, then below the width)
-    into a memo that grows with the tokens, not with the width.  A gate
-    line of a known kind whose operands are all in the memo, one per
-    qubit of its arity and distinct, is made by ``_derived_gate``; that
-    is every gate line that parses.  Any other line is a fault, and the
-    general path (``_parse_int``, ``Gate``, the width) names the first
-    one.  Every gate is thereby known to fit, so only the layout is
-    validated when the circuit is made, not each op again.
+    token is checked once per call (ASCII digits, at most ``MAX_DIGITS``
+    of them, then below the width) into a memo that grows with the
+    tokens, not with the width.  A gate line of a known kind whose
+    operands are all in the memo, one per qubit of its arity and
+    distinct, is made by ``_derived_gate``; that is every gate line that
+    parses.  Any other line is a fault, and the general path
+    (``_parse_int``, ``Gate``, the width) names the first one.  Every
+    gate is thereby known to fit, so only the layout is validated when
+    the circuit is made, not each op again.
     """
     n_qubits = None
     registers: list[Register] = []
@@ -457,7 +467,8 @@ def parse(text: str) -> Circuit:
 
     def operand(token: str) -> int | None:
         q = memo.get(token)
-        if q is None and token.isascii() and token.isdigit():
+        if (q is None and token.isascii() and token.isdigit()
+                and len(token) <= MAX_DIGITS):
             q = int(token)
             if q >= n_qubits:
                 return None
@@ -606,15 +617,15 @@ def _to_complex(v: tuple, k: int) -> complex:
     imaginary part c + (b+d)/sqrt(2).  Integers are divided by the power
     of two exactly (int / int rounds once), so no coefficient overflows a
     float however many H gates the run held.  1/sqrt(2) is the dense
-    kernel's own ``_H_SCALE``, so converted and dense amplitudes round
+    kernel's own ``H_SCALE``, so converted and dense amplitudes round
     alike."""
     a, b, c, d = v
     half = 1 << (k >> 1)
     if k & 1:
-        return complex(a / half * _H_SCALE + (b - d) / (2 * half),
-                       c / half * _H_SCALE + (b + d) / (2 * half))
-    return complex(a / half + (b - d) / half * _H_SCALE,
-                   c / half + (b + d) / half * _H_SCALE)
+        return complex(a / half * H_SCALE + (b - d) / (2 * half),
+                       c / half * H_SCALE + (b + d) / (2 * half))
+    return complex(a / half + (b - d) / half * H_SCALE,
+                   c / half + (b + d) / half * H_SCALE)
 
 
 def sparse_evaluate(c: Circuit, input_basis: int) -> tuple[dict[int, tuple], int]:
@@ -662,6 +673,8 @@ def simulate(c: Circuit, input_basis: int) -> StateVector:
     Pure and reentrant, so distinct basis inputs may be evaluated
     concurrently.
     """
+    import numpy as np
+
     n = c.n_qubits
     input_basis = check_index(n, input_basis)
     check_width(n)

@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .arith import ArithInstance, BUILDERS
 from .circuit import (is_permutation_circuit, parse, permutation_output,
                       resources, serialize, simulate)
@@ -83,7 +81,7 @@ def _cmd_sim(args) -> int:
         _emit(args, {"basis_index": out_index, "registers": decoded}, text)
         return 0
     probs = probabilities(simulate(circ, args.input))
-    nonzero = {int(i): float(probs[i]) for i in np.nonzero(probs > 1e-12)[0]}
+    nonzero = {int(i): float(probs[i]) for i in (probs > 1e-12).nonzero()[0]}
     text = "".join(f"{k}: {v:.10f}\n" for k, v in nonzero.items())
     _emit(args, {"probabilities": {str(k): v for k, v in nonzero.items()}}, text)
     return 0

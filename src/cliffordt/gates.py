@@ -9,13 +9,17 @@ CNOT matrix permutes |10> and |11> (control high).
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from functools import cache
 from operator import index
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Mnemonic -> number of qubit operands.  Mnemonics double as the tokens of
 # the circuit text format.
@@ -131,28 +135,43 @@ def cswap(control: int, t1: int, t2: int) -> Gate:
     return Gate("cswap", (control, t1, t2))
 
 
-_T_PHASE = np.exp(1j * np.pi / 4)
+# The exact scalars of the gate set, as plain Python numbers, so that
+# importing this module loads no numpy: T's phase e^{i pi/4}, the
+# Hadamard's 1/sqrt(2), and the q=1 phase of each diagonal gate.  A
+# daggered phase is the conjugate, so S-dagger's is 0-1j with a real part
+# of +0.0 (the literal -1j has -0.0), as in its conjugated matrix.
+T_PHASE = cmath.exp(1j * math.pi / 4)
+H_SCALE = 1 / math.sqrt(2.0)
+PHASES = {"t": T_PHASE, "tdg": T_PHASE.conjugate(),
+          "s": 1j, "sdg": (1j).conjugate()}
 
-_MATRICES = {
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
-    "t": np.array([[1, 0], [0, _T_PHASE]], dtype=complex),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    # basis permutations: row i is the basis state that lands on |i>
-    "cnot": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
-    "swap": np.eye(4, dtype=complex)[[0, 2, 1, 3]],
-    "ccx": np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]],
-    "cswap": np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]],
-}
-# Daggered phases are built by conjugation, not re-evaluation, so that
-# matrix(inverse(g)) is the entrywise-exact conjugate transpose.
-_MATRICES["tdg"] = _MATRICES["t"].conj()
-_MATRICES["sdg"] = _MATRICES["s"].conj()
+
+@cache
+def _matrices() -> dict[str, np.ndarray]:
+    """Every gate's matrix by kind, built on first use."""
+    import numpy as np
+
+    matrices = {
+        "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+        "t": np.array([[1, 0], [0, T_PHASE]], dtype=complex),
+        "s": np.array([[1, 0], [0, 1j]], dtype=complex),
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        # basis permutations: row i is the basis state that lands on |i>
+        "cnot": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+        "swap": np.eye(4, dtype=complex)[[0, 2, 1, 3]],
+        "ccx": np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]],
+        "cswap": np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]],
+    }
+    # Daggered phases are built by conjugation, not re-evaluation, so that
+    # matrix(inverse(g)) is the entrywise-exact conjugate transpose.
+    matrices["tdg"] = matrices["t"].conj()
+    matrices["sdg"] = matrices["s"].conj()
+    return matrices
 
 
 def matrix(gate: Gate) -> np.ndarray:
     """Unitary matrix of ``gate`` (first listed qubit = most significant bit)."""
-    return _MATRICES[gate.kind].copy()
+    return _matrices()[gate.kind].copy()
 
 
 def inverse(gate: Gate) -> Gate:
@@ -203,6 +222,8 @@ def compose_matrices(gates, n_qubits: int) -> np.ndarray:
     Intended for small n (decomposition checks); simulation of states goes
     through the state module instead.
     """
+    import numpy as np
+
     dim = 1 << n_qubits
     u = np.eye(dim, dtype=complex)
     for g in gates:
@@ -215,11 +236,13 @@ def expand_matrix(gate: Gate, n_qubits: int) -> np.ndarray:
 
     Qubit k is bit k of the global basis index.
     """
+    import numpy as np
+
     if any(q >= n_qubits for q in gate.qubits):
         raise DomainError(f"gate {gate} does not fit in {n_qubits} qubits")
     dim = 1 << n_qubits
     k = len(gate.qubits)
-    small = _MATRICES[gate.kind]
+    small = _matrices()[gate.kind]
     u = np.zeros((dim, dim), dtype=complex)
     rest = [q for q in range(n_qubits) if q not in gate.qubits]
     for local_in in range(1 << k):
@@ -247,6 +270,8 @@ def phase_aligned_distance(actual: np.ndarray, reference: np.ndarray) -> float:
     The phase is extracted from the largest-magnitude entry of the
     reference, which keeps the alignment robust against near-zero entries.
     """
+    import numpy as np
+
     if actual.shape != reference.shape:
         raise DomainError("matrix shapes differ")
     idx = np.unravel_index(np.argmax(np.abs(reference)), reference.shape)

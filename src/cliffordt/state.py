@@ -14,7 +14,11 @@ holds too many basis states, and wraps it in a ``StateVector`` at the
 end, and ``apply_gate`` runs the same kernel on a copy, so no state a
 caller holds is ever written.  ``check_width`` caps statevectors at 24
 qubits (a ~270 MB vector) and ``check_index`` checks basis indices; wider
-circuits go through the exact evaluators of the circuit module.
+circuits go through the exact evaluators of the circuit module.  The
+kernel multiplies by the ``gates`` module's ``PHASES`` and ``H_SCALE``,
+the very scalars the gate matrices are built from, so the two cannot
+disagree.  numpy is imported inside the functions that make or read
+arrays, so importing this module loads none.
 
 Randomness is never ambient.  Every sampling operation takes an explicit
 integer seed and draws from a Philox 64-bit counter-based generator, so
@@ -25,11 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ResourceError
-from .gates import Gate, matrix
+from .gates import H_SCALE, PHASES, Gate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Hard ceiling on statevector width; 2^24 amplitudes is the desk-scale limit.
 MAX_SIM_QUBITS = 24
@@ -40,20 +46,24 @@ def make_rng(seed: int) -> np.random.Generator:
 
     ``seed`` is taken as a Python int (see ``check_int``), so a float is
     refused, not truncated; a negative seed raises ``DomainError``."""
+    import numpy as np
+
     seed = check_int(seed, "seed")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def check_width(n: int) -> None:
-    """Raise ``DomainError`` below one qubit and ``ResourceError`` past
-    ``MAX_SIM_QUBITS``."""
+def check_width(n: int) -> int:
+    """``n`` as a Python int (see ``check_int``); raise ``DomainError``
+    below one qubit and ``ResourceError`` past ``MAX_SIM_QUBITS``."""
+    n = check_int(n, "qubit count")
     if n < 1:
         raise DomainError("need at least one qubit")
     if n > MAX_SIM_QUBITS:
         raise ResourceError(
             f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit statevector ceiling")
+    return n
 
 
 def check_int(value: int, name: str) -> int:
@@ -103,16 +113,17 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        check_width(self.n_qubits)
+        import numpy as np
+
+        n = check_width(self.n_qubits)
         arr = np.asarray(self.amps, dtype=complex)
-        if arr.shape != (1 << self.n_qubits,):
-            raise DomainError(
-                f"amplitude vector must have length {1 << self.n_qubits}"
-            )
+        if arr.shape != (1 << n,):
+            raise DomainError(f"amplitude vector must have length {1 << n}")
         if not np.all(np.isfinite(arr.view(float))):
             raise DomainError("amplitudes must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amps", arr)
 
 
@@ -126,8 +137,10 @@ class MeasurementCounts:
 
 def new_basis_state(n_qubits: int, basis_index: int) -> StateVector:
     """The computational basis state |basis_index> on ``n_qubits`` qubits."""
-    check_width(n_qubits)
-    check_index(n_qubits, basis_index)
+    import numpy as np
+
+    n_qubits = check_width(n_qubits)
+    basis_index = check_index(n_qubits, basis_index)
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[basis_index] = 1.0
     return StateVector(n_qubits, amps)
@@ -136,11 +149,6 @@ def new_basis_state(n_qubits: int, basis_index: int) -> StateVector:
 # Fixing one tensor axis to a bit by a length-1 slice keeps every axis,
 # so the views below stay views (never scalars) at any width.
 _BIT = (slice(0, 1), slice(1, 2))
-
-# The diagonal gates' q=1 phases and the Hadamard's 1/sqrt(2), read off
-# the gate matrices so the kernel and the matrices cannot disagree.
-_PHASES = {k: complex(matrix(Gate(k, (0,)))[1, 1]) for k in ("t", "tdg", "s", "sdg")}
-_H_SCALE = float(matrix(Gate("h", (0,)))[0, 0].real)
 
 
 def _view(psi: np.ndarray, bits) -> np.ndarray:
@@ -173,16 +181,16 @@ def apply_gate_inplace(psi: np.ndarray, gate: Gate) -> None:
     they are exact.  Qubit indices are not checked here.
     """
     kind, qubits = gate.kind, gate.qubits
-    if kind in _PHASES:
+    if kind in PHASES:
         one = _view(psi, [(qubits[0], 1)])
-        one *= _PHASES[kind]
+        one *= PHASES[kind]
     elif kind == "h":
         q = qubits[0]
         a = _view(psi, [(q, 0)])
         b = _view(psi, [(q, 1)])
         # scale first, so each output is r*a +- r*b, rounded as the
         # matrix product rounds it
-        psi *= _H_SCALE
+        psi *= H_SCALE
         diff = a - b
         a += b
         b[...] = diff
@@ -211,7 +219,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 def probabilities(state: StateVector) -> np.ndarray:
     """Outcome probabilities p_j = |c_j|^2 as a float vector."""
-    return np.abs(state.amps) ** 2
+    return abs(state.amps) ** 2
 
 
 def sample(state: StateVector, shots: int, seed: int) -> MeasurementCounts:
@@ -227,5 +235,5 @@ def sample(state: StateVector, shots: int, seed: int) -> MeasurementCounts:
     rng = make_rng(seed)
     p = probabilities(state)
     counts = rng.multinomial(shots, p / p.sum())
-    hit = np.flatnonzero(counts)
+    hit = counts.nonzero()[0]
     return MeasurementCounts(shots, dict(zip(hit.tolist(), counts[hit].tolist())))

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cache
 from itertools import repeat
 from math import nan
 from numbers import Real
-from typing import Callable, Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .arith import ArithInstance
 from .circuit import (Circuit, is_permutation_circuit, run_columns, simulate,
@@ -41,6 +40,9 @@ from .errors import DomainError, FitError, ResourceError
 from .gates import Gate, h, sdg
 from .state import (apply_gate, check_int, check_shots, make_rng,
                     probabilities)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: An oracle maps register values to the registers' expected outputs.
 #: Each value is an integer or a ``uint64`` array with one entry per
@@ -202,6 +204,8 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     states at once raise ``ResourceError``; an oracle value that does not
     fit its register raises ``DomainError``.
     """
+    import numpy as np
+
     circ = instance.circuit
     sliced = is_permutation_circuit(circ)
     layout = circ.layout
@@ -306,6 +310,8 @@ def _pack(registers: Sequence[tuple[str, int, int]],
     stands for every row.  A value that is negative or does not fit its
     register raises ``DomainError``.
     """
+    import numpy as np
+
     ones = (1 << rows) - 1
     cols: list[int] = []
     for name, size, default in registers:
@@ -345,6 +351,8 @@ def _unpack(cols: list[int], n_rows: int, rows: Sequence[int]) -> list[int]:
     along the qubit axis into one little-endian byte string per row.  The
     ``S`` type drops a string's trailing NULs, the high zero bytes of its
     index, so no value changes."""
+    import numpy as np
+
     width = (n_rows + 7) >> 3
     octets = np.frombuffer(
         b"".join(map(int.to_bytes, cols, repeat(width), repeat("little"))),
@@ -408,7 +416,7 @@ def tomography_1q(state_prep: Circuit, shots_per_axis: int,
         state = prepared
         for g in prefix:
             state = apply_gate(state, g)
-        p0 = float(np.clip(probabilities(state)[0], 0.0, 1.0))
+        p0 = min(max(float(probabilities(state)[0]), 0.0), 1.0)
         zeros = int(rng.binomial(shots_per_axis, p0))
         estimates[axis] = 2.0 * zeros / shots_per_axis - 1.0
     return estimates["x"], estimates["y"], estimates["z"]
@@ -423,14 +431,28 @@ def _after(a: tuple, b: tuple) -> tuple:
     return tuple((a[axis][0], sign * a[axis][1]) for axis, sign in b)
 
 
-def _clifford_tables():
-    """Exact tables of the 24 single-qubit Cliffords, found breadth first.
+class _Tables(NamedTuple):
+    """The Clifford group tables; see ``_clifford_tables``."""
+
+    words: list
+    mul: np.ndarray
+    inv: np.ndarray
+    pauli: np.ndarray
+    p0: np.ndarray
+
+
+@cache
+def _clifford_tables() -> _Tables:
+    """Exact tables of the 24 single-qubit Cliffords, found breadth first
+    on the first call, which the first RB step makes.
 
     Word (g_1, ..., g_k) is the matrix g_k ... g_1; elements are ordered by
-    (length, word).  ``MUL[a, b]`` indexes C_a C_b, ``INV[a]`` C_a^-1,
-    ``PAULI`` X, Y, Z, and ``P0[a]`` is |<0|C_a|0>|^2 = (1 + z)/2, where z
+    (length, word).  ``mul[a, b]`` indexes C_a C_b, ``inv[a]`` C_a^-1,
+    ``pauli`` X, Y, Z, and ``p0[a]`` is |<0|C_a|0>|^2 = (1 + z)/2, where z
     is the sign of Z's image if that image lies on Z, else 0.
     """
+    import numpy as np
+
     elements = [((0, 1), (1, 1), (2, 1))]
     words = {elements[0]: ()}
     for old in elements:
@@ -444,11 +466,8 @@ def _clifford_tables():
     pauli = [index[tuple((axis, 1 if axis == p else -1) for axis in range(3))]
              for p in range(3)]
     p0 = [(1 + sign) / 2 if axis == 2 else 0.5 for _, _, (axis, sign) in elements]
-    return ([words[e] for e in elements], mul, np.argmax(mul == 0, axis=1),
-            np.array(pauli), np.array(p0))
-
-
-_CLIFFORDS, _MUL, _INV, _PAULI, _P0 = _clifford_tables()
+    return _Tables([words[e] for e in elements], mul,
+                   np.argmax(mul == 0, axis=1), np.array(pauli), np.array(p0))
 
 
 def _rb_step(noisy: np.ndarray, ideal: np.ndarray, picks: np.ndarray,
@@ -460,10 +479,11 @@ def _rb_step(noisy: np.ndarray, ideal: np.ndarray, picks: np.ndarray,
     each sequence's error, the identity 0 where none struck (None: no
     errors at all).
     """
-    noisy = _MUL[picks, noisy]
+    mul = _clifford_tables().mul
+    noisy = mul[picks, noisy]
     if errors is not None:
-        noisy = _MUL[errors, noisy]
-    return noisy, _MUL[picks, ideal]
+        noisy = mul[errors, noisy]
+    return noisy, mul[picks, ideal]
 
 
 def _draw_errors(rng: np.random.Generator, d: float, n: int) -> np.ndarray | None:
@@ -471,9 +491,11 @@ def _draw_errors(rng: np.random.Generator, d: float, n: int) -> np.ndarray | Non
     probability d, else the identity."""
     if d == 0.0:
         return None
+    import numpy as np
+
     hit = rng.random(n) < d
     errors = np.zeros(n, dtype=np.intp)
-    errors[hit] = _PAULI[rng.integers(3, size=int(hit.sum()))]
+    errors[hit] = _clifford_tables().pauli[rng.integers(3, size=int(hit.sum()))]
     return errors
 
 
@@ -493,6 +515,8 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
     indices, so each trajectory is followed exactly, with no amplitudes,
     in memory proportional to ``n_sequences``.
     """
+    import numpy as np
+
     lengths = tuple(check_int(m, "sequence length") for m in lengths)
     if len(lengths) < 3:
         raise DomainError("need at least 3 sequence lengths to fit the decay")
@@ -505,6 +529,7 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
     shots = check_shots(shots)
     d = noise.depolarizing_prob
     rng = make_rng(seed)
+    tables = _clifford_tables()
     mean_fidelity = []
     for m in lengths:
         noisy = ideal = np.zeros(n_sequences, dtype=np.intp)
@@ -512,9 +537,9 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
             picks = rng.integers(0, 24, size=n_sequences)
             noisy, ideal = _rb_step(noisy, ideal, picks,
                                     _draw_errors(rng, d, n_sequences))
-        noisy, _ = _rb_step(noisy, ideal, _INV[ideal],
+        noisy, _ = _rb_step(noisy, ideal, tables.inv[ideal],
                             _draw_errors(rng, d, n_sequences))
-        zeros = rng.binomial(shots, _P0[noisy])
+        zeros = rng.binomial(shots, tables.p0[noisy])
         mean_fidelity.append(float(zeros.mean() / shots))
     fit = fit_exponential_decay(list(zip(lengths, mean_fidelity)))
     p = min(max(fit.p, 0.0), 1.0)
@@ -531,6 +556,8 @@ def fit_exponential_decay(points: Sequence[tuple[float, float]]) -> FitResult:
     report p exactly 1.  Fewer than three points or fewer than two
     distinct m values cannot determine the model and raise FitError.
     """
+    import numpy as np
+
     ms = np.array([float(m) for m, _ in points])
     fs = np.array([float(f) for _, f in points])
     if len(points) < 3:

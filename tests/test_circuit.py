@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import cliffordt
 from cliffordt.arith import (BUILDERS, build_adder, build_ctrl_add,
                              build_multiplier, build_subtractor, build_taylor)
-from cliffordt.circuit import (OFFSETS, ROLES, TEMPLATES, Circuit, Register,
+from cliffordt.circuit import (MAX_DIGITS, OFFSETS, ROLES, TEMPLATES, Circuit,
+                               Register,
                                RegisterLayout, ResourceReport,
                                default_layout,
                                inverse_circuit,
@@ -520,6 +521,39 @@ def test_gate_line_names_its_first_bad_operand(token, message):
             parse(f"qubits 12\nh 0\n{line}\nh 1\n")
         assert str(err.value) == message
         assert err.value.lineno == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    ("qubits " + "1" * 5000 + "\n",
+     "line 1: qubit count has more than 640 digits"),
+    ("qubits 2\nh " + "1" * 5000 + "\n",
+     "line 2: qubit index has more than 640 digits"),
+    ("qubits 2\nh 0\ncnot 0 " + "0" * 640 + "1\n",
+     "line 3: qubit index has more than 640 digits"),
+    ("qubits 2\nregister a 0.." + "1" * 5000 + " input\n",
+     "line 2: register high index has more than 640 digits")],
+    ids=["header", "operand", "zero-padded-operand", "register-bound"])
+def test_parse_refuses_a_number_past_max_digits(text, message):
+    # int() would raise a bare ValueError past its 4,300-digit limit
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_parse_reads_max_digits_under_the_lowest_int_limit():
+    # MAX_DIGITS is the least value sys.set_int_max_str_digits takes, so
+    # int() never refuses a token that passed
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int digit limit")
+    wide = "9" * MAX_DIGITS
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
+    try:
+        c = parse(f"qubits {wide}\ncnot {'0' * MAX_DIGITS} 1\n")
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert c.n_qubits == int(wide)
+    assert c.ops == (cnot(0, 1),)
 
 
 def test_parse_same_gate_in_any_spelling_is_one_gate():

@@ -101,6 +101,18 @@ def test_metrics_parse_error_has_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("qubits 2\nh " + "1" * 5000 + "\n",
+     "line 2: qubit index has more than 640 digits"),
+    ("qubits " + "1" * 5000 + "\n",
+     "line 1: qubit count has more than 640 digits")])
+def test_metrics_refuses_a_number_past_max_digits(tmp_path, capsys, text,
+                                                  message):
+    path = tmp_path / "long.qc"
+    path.write_text(text)
+    assert run_cli(capsys, "metrics", str(path)) == (1, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # sim
 # ---------------------------------------------------------------------------
@@ -171,6 +183,49 @@ def test_sim_huge_permutation_reports_out_of_memory(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == "q: 1\n"
     assert proc.stderr == ""
+
+
+# Runs the CLI in a fresh interpreter where ``import numpy`` fails.
+NO_NUMPY = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import cliffordt\n"
+            "from cliffordt.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+
+#: Commands that compute no amplitude, each with the files it writes.
+NO_AMPLITUDE_COMMANDS = [
+    (["gen", "adder", "4", "a.qc"], ["a.qc"]),
+    (["metrics", "a.qc"], []),
+    (["metrics", "a.qc", "--format", "json"], []),
+    (["uncompute", "a.qc", "--wires", "0,1,2,3", "--out", "w.qc"], ["w.qc"]),
+    (["sim", "a.qc", "--input", "53"], []),
+    (["sim", "a.qc", "--input", "53", "--shots", "7", "--format", "json"], []),
+]
+
+
+def run_without_numpy(cwd, *argv):
+    src = str(Path(cliffordt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", NO_NUMPY, *argv], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_commands_that_compute_no_amplitude_run_without_numpy(tmp_path,
+                                                              capsys,
+                                                              monkeypatch):
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    blocked.mkdir()
+    free.mkdir()
+    for argv, written in NO_AMPLITUDE_COMMANDS:
+        proc = run_without_numpy(blocked, *argv)
+        monkeypatch.chdir(free)
+        assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv)[:2]
+        assert proc.stderr == ""
+        for name in written:
+            assert (blocked / name).read_bytes() == (free / name).read_bytes()
+    # the block holds: a command that needs amplitudes cannot run
+    proc = run_without_numpy(blocked, "verify", "adder", "2")
+    assert proc.returncode != 0 and "numpy" in proc.stderr
 
 
 def test_memory_error_reported_without_traceback(tmp_path, capsys, monkeypatch):
@@ -477,6 +532,8 @@ BAD_CIRCUITS = {
     "repeated operand": b"qubits 2\ncnot 1 1\n",
     "no header": b"cnot 0 1\n",
     "not utf-8": b"qubits 2\n\xff\xfe\n",
+    "5,000-digit operand": b"qubits 2\nh " + b"1" * 5000 + b"\n",
+    "5,000-digit header": b"qubits " + b"1" * 5000 + b"\n",
     "missing": None,
 }
 

@@ -30,14 +30,27 @@ def test_golden_matrix_digest():
     # the dense reference the evaluators are tested against, so any change
     # to an entry or dtype must be deliberate
     digest = hashlib.sha256()
-    for kind in sorted(gates._MATRICES):
-        m = gates._MATRICES[kind]
+    matrices = gates._matrices()
+    for kind in sorted(matrices):
+        m = matrices[kind]
         for part in (kind, str(m.dtype), str(m.shape)):
             digest.update(part.encode())
         digest.update(m.tobytes())
-    assert len(gates._MATRICES) == len(GATE_ARITY)
+    assert len(matrices) == len(GATE_ARITY)
     assert digest.hexdigest() == (
         "569fd81ea041470b92f11e0c9ce1c9e0bfd84cffb7e7cb8b67a16606aae79f3d")
+
+
+def test_kernel_scalars_are_the_matrix_entries():
+    # the dense kernel multiplies by PHASES and H_SCALE; repr tells signed
+    # zeros apart (-1j has real part -0.0, the conjugate of 1j +0.0)
+    assert sorted(gates.PHASES) == ["s", "sdg", "t", "tdg"]
+    for kind, phase in gates.PHASES.items():
+        assert type(phase) is complex
+        assert repr(phase) == repr(complex(matrix(Gate(kind, (0,)))[1, 1]))
+    assert type(gates.H_SCALE) is float
+    assert repr(complex(gates.H_SCALE)) == repr(complex(matrix(h(0))[0, 0]))
+    assert repr(gates.T_PHASE) == repr(gates.PHASES["t"])
 
 
 def test_single_qubit_matrices():

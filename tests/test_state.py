@@ -37,6 +37,22 @@ def test_basis_state_bounds():
         new_basis_state(0, 0)
 
 
+@pytest.mark.parametrize("width", [2.0, 1.5, "2", None])
+def test_width_must_be_an_integer(width):
+    with pytest.raises(DomainError, match="qubit count .* is not an integer"):
+        new_basis_state(width, 0)
+    with pytest.raises(DomainError, match="qubit count .* is not an integer"):
+        StateVector(width, np.zeros(4, dtype=complex))
+
+
+def test_width_is_stored_as_a_python_int():
+    st = StateVector(True, np.array([1, 0], dtype=complex))
+    assert st.n_qubits == 1 and type(st.n_qubits) is int
+    st = new_basis_state(np.int64(2), np.int64(3))
+    assert st.n_qubits == 2 and type(st.n_qubits) is int
+    assert st.amps.tolist() == [0, 0, 0, 1]
+
+
 def test_simulation_ceiling():
     with pytest.raises(ResourceError):
         new_basis_state(MAX_SIM_QUBITS + 1, 0)

@@ -758,34 +758,35 @@ def test_rb_result_serialization():
 PAULIS = (np.array([[0, 1], [1, 0]], complex),
           np.array([[0, -1j], [1j, 0]], complex),
           np.array([[1, 0], [0, -1]], complex))
+TABLES = verify._clifford_tables()
 CLIFFORDS = [compose_matrices([{"h": h, "s": s}[g](0) for g in word], 1)
-             for word in verify._CLIFFORDS]
+             for word in TABLES.words]
 
 
 def test_product_table_matches_matrix_products():
     for a in range(24):
         for b in range(24):
             product = CLIFFORDS[a] @ CLIFFORDS[b]
-            assert phase_aligned_distance(CLIFFORDS[verify._MUL[a, b]], product) < 1e-12
+            assert phase_aligned_distance(CLIFFORDS[TABLES.mul[a, b]], product) < 1e-12
 
 
 def test_inverse_table():
     assert phase_aligned_distance(CLIFFORDS[0], np.eye(2)) < 1e-12
     for a in range(24):
-        inv = verify._INV[a]
-        assert verify._MUL[a, inv] == verify._MUL[inv, a] == 0
+        inv = TABLES.inv[a]
+        assert TABLES.mul[a, inv] == TABLES.mul[inv, a] == 0
         assert phase_aligned_distance(CLIFFORDS[inv], CLIFFORDS[a].conj().T) < 1e-12
 
 
 def test_paulis_are_group_elements():
-    for index, pauli in zip(verify._PAULI, PAULIS):
+    for index, pauli in zip(TABLES.pauli, PAULIS):
         assert phase_aligned_distance(CLIFFORDS[index], pauli) < 1e-12
 
 
 def test_survival_table_is_exact():
     for a, m in enumerate(CLIFFORDS):
-        assert verify._P0[a] in (0.0, 0.5, 1.0)
-        assert abs(verify._P0[a] - abs(m[0, 0]) ** 2) < 1e-12
+        assert TABLES.p0[a] in (0.0, 0.5, 1.0)
+        assert abs(TABLES.p0[a] - abs(m[0, 0]) ** 2) < 1e-12
 
 
 # sha256 of the sorted-key JSON of run_rb(NoiseModel(d), RB_GOLDEN_LENGTHS,
@@ -821,7 +822,7 @@ def test_rb_golden_digest(d, seed):
 
 
 def test_clifford_tables_golden_digest():
-    tables = (verify._MUL, verify._INV, verify._PAULI, verify._P0)
+    tables = (TABLES.mul, TABLES.inv, TABLES.pauli, TABLES.p0)
     assert [t.dtype for t in tables] == [np.intp, np.intp, np.intp, np.float64]
     digest = hashlib.sha256(b"".join(t.tobytes() for t in tables))
     assert digest.hexdigest() == TABLES_GOLDEN
@@ -833,11 +834,11 @@ def test_table_trajectories_match_matrix_products():
     picks = rng.integers(0, 24, size=(m, n))
     hits = rng.random((m + 1, n)) < 0.3
     which = rng.integers(0, 3, size=(m + 1, n))
-    errors = np.where(hits, verify._PAULI[which], 0)
+    errors = np.where(hits, TABLES.pauli[which], 0)
     noisy = ideal = np.zeros(n, dtype=np.intp)
     for step in range(m):
         noisy, ideal = verify._rb_step(noisy, ideal, picks[step], errors[step])
-    noisy, _ = verify._rb_step(noisy, ideal, verify._INV[ideal], errors[m])
+    noisy, _ = verify._rb_step(noisy, ideal, TABLES.inv[ideal], errors[m])
     # reference: each sequence as amplitudes and 2x2 matrix products
     for i in range(n):
         psi = np.array([1.0, 0.0], complex)
@@ -848,7 +849,7 @@ def test_table_trajectories_match_matrix_products():
             total = c @ total
             if hits[step, i]:
                 psi = PAULIS[which[step, i]] @ psi
-        assert abs(verify._P0[noisy[i]] - abs(psi[0]) ** 2) < 1e-12
+        assert abs(TABLES.p0[noisy[i]] - abs(psi[0]) ** 2) < 1e-12
 
 
 # ---------------------------------------------------------------------------
