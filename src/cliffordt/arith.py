@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Mapping
 from .circuit import Circuit, Register, RegisterLayout
 from .errors import DomainError
 from .gates import Gate, ccx, cnot, x
-from .state import check_int
+from .state import check_count, check_int, check_register_value
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,7 @@ class ArithInstance:
     enumeration order; ``constants`` pins registers to fixed values; every
     other register is an ancilla that must enter as 0.  ``encode`` packs
     named integer values into a basis index and ``decode`` unpacks one.
+    ``n_bits`` is stored as a Python int (see ``state.check_count``).
     """
 
     n_bits: int
@@ -34,19 +35,16 @@ class ArithInstance:
     input_names: tuple[str, ...]
     constants: dict[str, int] = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "n_bits", check_count(self.n_bits, "n_bits"))
+
     def encode(self, values: Mapping[str, int]) -> int:
         """Registers missing from ``values`` take their constant, else 0.
-        Each value is taken by ``operator.index``, so a numpy integer acts
-        as the Python int it holds; a value that is no integer or does not
-        fit its register raises ``DomainError``."""
+        Each value goes through ``state.check_register_value``."""
         basis = 0
         for r in self.circuit.layout.registers:
             v = values.get(r.name, self.constants.get(r.name, 0))
-            v = check_int(v, f"register {r.name} value")
-            if v < 0 or v >> r.size:
-                raise DomainError(
-                    f"value {v} does not fit register {r.name} ({r.size} bits)")
-            basis |= v << r.start
+            basis |= check_register_value(v, r.name, r.size) << r.start
         return basis
 
     def decode(self, basis_index: int) -> dict[str, int]:
@@ -160,15 +158,6 @@ def _registers(*specs: tuple[str, int, str]
             {r.name: list(r.qubits()) for r in registers})
 
 
-def _width(n: int, what: str) -> int:
-    """A builder's width as a Python int (see ``check_int``), at least 1;
-    raises ``DomainError`` otherwise."""
-    n = check_int(n, what)
-    if n < 1:
-        raise DomainError(f"{what} must be at least 1")
-    return n
-
-
 def build_adder(n: int) -> ArithInstance:
     """Ripple-carry adder with no input carry: 2n+1 qubits.
 
@@ -176,7 +165,7 @@ def build_adder(n: int) -> ArithInstance:
     (one ancilla) reading the carry-out s_n.  Exactly one ancilla and no
     garbage outputs.
     """
-    n = _width(n, "adder width")
+    n = check_count(n, "adder width")
     layout, q = _registers(("b", n, "output"), ("a", n, "restored-input"),
                            ("z", 1, "ancilla"))
     ops = _ladder(q["b"], q["a"], carry=q["z"][0])
@@ -189,7 +178,7 @@ def build_subtractor(n: int) -> ArithInstance:
     The adder core is conjugated by X gates on b; the carry-out wire and
     its circuitry are dropped since the complemented sum never needs s_n.
     """
-    n = _width(n, "subtractor width")
+    n = check_count(n, "subtractor width")
     layout, q = _registers(("b", n, "output"), ("a", n, "restored-input"))
     ops = _sub_core(q["b"], q["a"])
     return ArithInstance(n, Circuit(2 * n, tuple(ops), layout), ("b", "a"))
@@ -204,7 +193,7 @@ def build_ctrl_add(n: int) -> ArithInstance:
     multiplier this wire is borrowed from the product register, which is
     why the product register carries one extra qubit).
     """
-    n = _width(n, "controlled adder width")
+    n = check_count(n, "controlled adder width")
     layout, q = _registers(("ctrl", 1, "restored-input"), ("b", n, "output"),
                            ("a", n, "restored-input"), ("z", 1, "ancilla"),
                            ("g", 1, "ancilla"))
@@ -223,7 +212,7 @@ def build_multiplier(n: int) -> ArithInstance:
     free.  Stage k borrows p[k+n+1] as its carry scratch, which is still 0
     because the running sum cannot have reached that bit yet.
     """
-    n = _width(n, "multiplier width")
+    n = check_count(n, "multiplier width")
     layout, q = _registers(("b", n, "restored-input"),
                            ("a", n, "restored-input"),
                            ("p", 2 * n + 1, "ancilla"))
@@ -259,7 +248,7 @@ def build_taylor(n: int, f_c: int, fp_c: int, fpp_half_c: int, c: int) -> ArithI
     ``check_int``); each constant is an unsigned residue mod 2^n, and
     any fixed-point scaling is the caller's convention.
     """
-    n = _width(n, "width")
+    n = check_count(n, "width")
     consts = {name: check_int(v, f"constant {name}") for name, v in
               (("fc", f_c), ("fp", fp_c), ("fpp", fpp_half_c), ("c", c))}
     for name, v in consts.items():

@@ -33,8 +33,8 @@ from typing import Sequence
 from . import gates as G
 from .errors import DomainError, ParseError, ResourceError
 from .gates import H_SCALE, Gate
-from .state import (StateVector, apply_gate_inplace, check_index, check_int,
-                    check_width)
+from .state import (StateVector, apply_gate_inplace, check_count, check_index,
+                    check_int, check_width)
 
 ROLES = ("input", "ancilla", "output", "garbage", "restored-input")
 
@@ -61,7 +61,8 @@ class Register:
     role: str
 
     def __post_init__(self):
-        if self.name.split() != [self.name] or "#" in self.name:
+        if (not isinstance(self.name, str) or self.name.split() != [self.name]
+                or "#" in self.name):
             raise DomainError(f"register name {self.name!r} is not one token "
                               "without '#'")
         for what in ("start", "size"):
@@ -113,7 +114,11 @@ class RegisterLayout:
     def decode(self, index: int) -> dict[str, int]:
         """Each register's value in a basis index, in register order.  The
         bits above a register are shifted out rather than masked, so the
-        cost follows the index, not the register width."""
+        cost follows the index, not the register width.  A negative or
+        non-integer index raises ``DomainError``."""
+        index = check_int(index, "basis index")
+        if index < 0:
+            raise DomainError(f"basis index {index} is negative")
         return {r.name: (index >> r.start) ^ (index >> r.stop << r.size)
                 for r in self.registers}
 
@@ -446,35 +451,18 @@ def parse(text: str) -> Circuit:
 
     ``parse(serialize(c))`` is structurally identical to ``c``.  Errors
     report the offending line number and reason; ``Gate`` and ``Register``
-    check their own fields.  Each distinct line is read once per call, and
-    a gate line that recurs reuses its ``Gate``.  Each distinct operand
-    token is checked once per call (ASCII digits, at most ``MAX_DIGITS``
-    of them, then below the width) into a memo that grows with the
-    tokens, not with the width.  A gate line of a known kind whose
-    operands are all in the memo, one per qubit of its arity and
-    distinct, is made by ``_derived_gate``; that is every gate line that
-    parses.  Any other line is a fault, and the general path
-    (``_parse_int``, ``Gate``, the width) names the first one.  Every
-    gate is thereby known to fit, so only the layout is validated when
-    the circuit is made, not each op again.
+    check their own fields.  Each distinct line is read once per call (a
+    recurring gate line reuses its ``Gate``), and each operand token once:
+    the memo starts with the first 1,024 qubits as ``serialize`` spells
+    them and reads any other token by ``_parse_int``.  A line of a wrong
+    arity or with a repeated operand goes to ``Gate`` for its message,
+    then the width is checked, so only the layout is validated at the end.
     """
     n_qubits = None
     registers: list[Register] = []
     first_register_line = 0
     ops: list[Gate] = []
     gates: dict[str, Gate] = {}
-    memo: dict[str, int] = {}
-
-    def operand(token: str) -> int | None:
-        q = memo.get(token)
-        if (q is None and token.isascii() and token.isdigit()
-                and len(token) <= MAX_DIGITS):
-            q = int(token)
-            if q >= n_qubits:
-                return None
-            memo[token] = q
-        return q
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         gate = gates.get(raw)
         if gate is not None:
@@ -484,23 +472,20 @@ def parse(text: str) -> Circuit:
         if not line:
             continue
         tokens = line.split()
+        kind = tokens[0]
         if n_qubits is None:
-            if tokens[0] != "qubits" or len(tokens) != 2:
+            if kind != "qubits" or len(tokens) != 2:
                 raise ParseError(lineno, "expected 'qubits N' header")
             n_qubits = _parse_int(tokens[1], lineno, "qubit count")
             if n_qubits < 1:
                 raise ParseError(lineno, "qubit count must be positive")
+            # the first qubits as serialize spells them
+            memo = {str(q): q for q in range(min(n_qubits, 1024))}
             continue
-        if G.GATE_ARITY.get(tokens[0]) == len(tokens) - 1:
-            qubits = tuple(map(operand, tokens[1:]))
-            if None not in qubits and len(set(qubits)) == len(qubits):
-                gate = gates[raw] = G._derived_gate(tokens[0], qubits)
-                ops.append(gate)
-                continue
-        if tokens[0] == "qubits":
+        if kind == "qubits":
             raise ParseError(lineno, "duplicate 'qubits' header")
         try:
-            if tokens[0] == "register":
+            if kind == "register":
                 if len(tokens) != 4:
                     raise ParseError(lineno,
                                      "expected 'register name lo..hi role'")
@@ -518,14 +503,27 @@ def parse(text: str) -> Circuit:
                     first_register_line = lineno
                 registers.append(Register(name, lo, hi - lo + 1, role))
                 continue
-            qubits = tuple(_parse_int(tok, lineno, "qubit index")
-                           for tok in tokens[1:])
-            Gate(tokens[0], qubits)
+            operands = tokens[1:]
+            # a memo token is below the width, or was read on a line that
+            # fit (any other ends the parse): only new tokens are checked
+            try:
+                qubits = tuple(map(memo.__getitem__, operands))
+                wide = False
+            except KeyError:  # a token not read yet
+                for token in operands:
+                    if token not in memo:
+                        memo[token] = _parse_int(token, lineno, "qubit index")
+                qubits = tuple(map(memo.__getitem__, operands))
+                wide = max(qubits) >= n_qubits
+            if (G.GATE_ARITY.get(kind) != len(qubits)
+                    or len(set(qubits)) != len(qubits)):
+                Gate(kind, qubits)
         except DomainError as exc:
             raise ParseError(lineno, str(exc)) from None
-        # Gate took the line, so the memo turned down an operand at or
-        # beyond the width.
-        raise ParseError(lineno, f"qubit index out of range in {line!r}")
+        if wide:
+            raise ParseError(lineno, f"qubit index out of range in {line!r}")
+        gate = gates[raw] = G._derived_gate(kind, qubits)
+        ops.append(gate)
     if n_qubits is None:
         raise ParseError(0, "missing 'qubits' header")
     layout = (RegisterLayout(tuple(registers)) if registers
@@ -703,9 +701,9 @@ def run_columns(c: Circuit, cols: list[int], n_rows: int) -> None:
     acts on all rows at once: X complements its column, CNOT and Toffoli
     XOR the AND of their controls into the target, and SWAP and Fredkin
     exchange the two columns where (controlled) they differ.  Any other
-    gate raises ``DomainError``.
+    gate, or a row count below 1, raises ``DomainError``.
     """
-    ones = (1 << n_rows) - 1
+    ones = (1 << check_count(n_rows, "row count")) - 1
     for g in c.ops:
         k = g.kind
         q = g.qubits

@@ -5,6 +5,7 @@ long-form.  ``--format json`` selects machine-readable output (a single
 JSON document on stdout, never mixed with human text).  Identical
 invocations with identical seeds print byte-identical output.  The only
 environment variable honored is CLIFFORDT_SEED, a default for --seed.
+Every integer, CLIFFORDT_SEED and list items included, is read by ``_int``.
 """
 
 from __future__ import annotations
@@ -15,14 +16,26 @@ import os
 import sys
 
 from .arith import ArithInstance, BUILDERS
-from .circuit import (is_permutation_circuit, parse, permutation_output,
-                      resources, serialize, simulate)
-from .errors import CliffordTError
+from .circuit import (_parse_int, is_permutation_circuit, parse,
+                      permutation_output, resources, serialize, simulate)
+from .errors import CliffordTError, ParseError
 from .state import check_shots, probabilities, sample
 from .uncompute import BennettSpec, bennett_wrap
 from .verify import ORACLES, NoiseModel, exhaustive_check, run_rb
 
 _TAYLOR_FLAGS = ("f", "fp", "fpp", "c")
+
+
+def _int(text: str) -> int:
+    """A command-line integer: the circuit text format's digits
+    (``circuit._parse_int``) after an optional '-'.  Anything else raises
+    ``ArgumentTypeError``, worded as argparse words a bad ``int``."""
+    try:
+        value = _parse_int(text.removeprefix("-"), 0, "integer")
+    except ParseError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    return -value if text.startswith("-") else value
 
 
 def _build(args) -> ArithInstance:
@@ -90,7 +103,7 @@ def _cmd_sim(args) -> int:
 def _cmd_uncompute(args) -> int:
     with open(args.path, encoding="utf-8") as fh:
         circ = parse(fh.read())
-    wires = tuple(int(w) for w in args.wires.split(","))
+    wires = [_int(w) for w in args.wires.split(",")]
     wrapped = bennett_wrap(BennettSpec(circ, wires))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize(wrapped))
@@ -105,7 +118,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rb(args) -> int:
-    lengths = [int(m) for m in args.lengths.split(",")]
+    lengths = [_int(m) for m in args.lengths.split(",")]
     result = run_rb(NoiseModel(args.d), lengths, args.sequences,
                     args.shots, args.seed)
     _emit(args, result.to_dict(), result.to_text())
@@ -123,9 +136,9 @@ def _make_parser() -> argparse.ArgumentParser:
 
     def add_kind_n(p):
         p.add_argument("kind", choices=kinds)
-        p.add_argument("n", type=int, help="register width in bits")
+        p.add_argument("n", type=_int, help="register width in bits")
         for name in _TAYLOR_FLAGS:
-            p.add_argument(f"--{name}", type=int, default=None,
+            p.add_argument(f"--{name}", type=_int, default=None,
                            help="taylor constant (required for kind=taylor)")
 
     p = sub.add_parser("gen", help="generate a circuit file")
@@ -140,9 +153,9 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="simulate a circuit on a basis input")
     p.add_argument("path")
-    p.add_argument("--input", type=int, required=True, help="basis index")
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--input", type=_int, required=True, help="basis index")
+    p.add_argument("--shots", type=_int, default=None)
+    p.add_argument("--seed", type=_int, default=None,
                    help="RNG seed (default: $CLIFFORDT_SEED, else 0)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_sim)
@@ -165,9 +178,9 @@ def _make_parser() -> argparse.ArgumentParser:
                    help="depolarizing probability per gate")
     p.add_argument("--lengths", required=True,
                    help="comma-separated increasing sequence lengths")
-    p.add_argument("--sequences", type=int, default=50)
-    p.add_argument("--shots", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--sequences", type=_int, default=50)
+    p.add_argument("--shots", type=_int, default=100)
+    p.add_argument("--seed", type=_int, default=None,
                    help="RNG seed (default: $CLIFFORDT_SEED, else 0)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_rb)
@@ -180,8 +193,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     env_seed = os.environ.get("CLIFFORDT_SEED", "0")
     try:
-        default_seed = int(env_seed)
-    except ValueError:
+        default_seed = _int(env_seed)
+    except argparse.ArgumentTypeError:
         default_seed = -1
     if default_seed < 0:
         parser.error("CLIFFORDT_SEED must be a non-negative integer, "
@@ -193,7 +206,8 @@ def main(argv=None) -> int:
             parser.error(f"--seed must be non-negative, got {args.seed}")
     try:
         return args.func(args)
-    except (CliffordTError, OSError, ValueError) as exc:
+    except (argparse.ArgumentTypeError, CliffordTError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -224,6 +224,9 @@ def compose_matrices(gates, n_qubits: int) -> np.ndarray:
     """
     import numpy as np
 
+    from .state import check_count  # state imports this module
+
+    n_qubits = check_count(n_qubits, "qubit count")
     dim = 1 << n_qubits
     u = np.eye(dim, dtype=complex)
     for g in gates:
@@ -238,6 +241,9 @@ def expand_matrix(gate: Gate, n_qubits: int) -> np.ndarray:
     """
     import numpy as np
 
+    from .state import check_count  # state imports this module
+
+    n_qubits = check_count(n_qubits, "qubit count")
     if any(q >= n_qubits for q in gate.qubits):
         raise DomainError(f"gate {gate} does not fit in {n_qubits} qubits")
     dim = 1 << n_qubits

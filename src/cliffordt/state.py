@@ -78,6 +78,25 @@ def check_int(value: int, name: str) -> int:
         raise DomainError(f"{name} {value!r} is not an integer") from None
 
 
+def check_count(value: int, name: str) -> int:
+    """``value`` as a Python int (see ``check_int``), at least 1; raises
+    ``DomainError`` otherwise."""
+    value = check_int(value, name)
+    if value < 1:
+        raise DomainError(f"{name} must be at least 1")
+    return value
+
+
+def check_register_value(value: int, register: str, size: int) -> int:
+    """``value`` as a Python int (see ``check_int``) that fits the
+    unsigned ``size``-bit ``register``; raises ``DomainError`` otherwise."""
+    value = check_int(value, f"register {register} value")
+    if value < 0 or value >> size:
+        raise DomainError(
+            f"value {value} does not fit register {register} ({size} bits)")
+    return value
+
+
 def check_index(n: int, basis: int) -> int:
     """``basis`` as a Python int (see ``check_int``), checked by bit
     length to satisfy 0 <= basis < 2^n; raises ``DomainError``
@@ -89,12 +108,10 @@ def check_index(n: int, basis: int) -> int:
 
 
 def check_shots(shots: int, name: str = "shots") -> int:
-    """``shots`` as a Python int (see ``check_int``), checked to satisfy
-    1 <= shots <= 2^63 - 1, since numpy's binomial and multinomial draws
-    take their count as a 64-bit int; raises ``DomainError`` otherwise."""
-    shots = check_int(shots, name)
-    if shots < 1:
-        raise DomainError(f"{name} must be at least 1")
+    """``shots`` as a ``check_count`` at most 2^63 - 1, since numpy's
+    binomial and multinomial draws take their count as a 64-bit int;
+    raises ``DomainError`` otherwise."""
+    shots = check_count(shots, name)
     if shots > (1 << 63) - 1:
         raise DomainError(f"{name} must be at most 2^63 - 1")
     return shots

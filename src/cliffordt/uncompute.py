@@ -19,18 +19,20 @@ from dataclasses import dataclass
 from .circuit import Circuit, Register, RegisterLayout, inverse_circuit
 from .errors import DomainError
 from .gates import cnot
+from .state import check_int
 
 
 @dataclass(frozen=True)
 class BennettSpec:
     """Wrap request: the inner circuit and its output wires, each copied
-    onto one fresh qubit above the inner circuit."""
+    onto one fresh qubit above the inner circuit.  The wires are stored
+    as Python ints (see ``state.check_int``)."""
 
     inner: Circuit
     output_wires: tuple[int, ...]
 
     def __post_init__(self):
-        wires = tuple(self.output_wires)
+        wires = tuple(check_int(w, "output wire") for w in self.output_wires)
         if not wires:
             raise DomainError("at least one output wire is required")
         if len(set(wires)) != len(wires):

@@ -38,7 +38,8 @@ from .circuit import (Circuit, is_permutation_circuit, run_columns, simulate,
                       sparse_evaluate)
 from .errors import DomainError, FitError, ResourceError
 from .gates import Gate, h, sdg
-from .state import (apply_gate, check_int, check_shots, make_rng,
+from .state import (apply_gate, check_count, check_int,
+                    check_register_value, check_shots, make_rng,
                     probabilities)
 
 if TYPE_CHECKING:
@@ -317,10 +318,7 @@ def _pack(registers: Sequence[tuple[str, int, int]],
     for name, size, default in registers:
         v = values.get(name, default)
         if np.ndim(v) == 0:
-            v = check_int(v, f"register {name} value")
-            if v < 0 or v >> size:
-                raise DomainError(
-                    f"value {v} does not fit register {name} ({size} bits)")
+            v = check_register_value(v, name, size)
             cols += [ones if v >> i & 1 else 0 for i in range(size)]
             continue
         v = np.asarray(v)
@@ -330,9 +328,8 @@ def _pack(registers: Sequence[tuple[str, int, int]],
                               f"{v.shape}")
         word = v.astype("<u8", copy=False)
         if v.dtype.kind == "i" and v.min() < 0 or int(word.max()) >> size:
-            bad = next(x for x in v.tolist() if x < 0 or x >> size)
-            raise DomainError(
-                f"value {bad} does not fit register {name} ({size} bits)")
+            for x in v.tolist():  # the first row that does not fit raises
+                check_register_value(x, name, size)
         # byte k of every row, then bit j of those bytes packed per qubit
         octets = np.ascontiguousarray(
             word.view(np.uint8).reshape(rows, 8)[:, :(size + 7) >> 3].T)
@@ -523,9 +520,7 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
     if any(m < 1 for m in lengths) or any(
             b <= a for a, b in zip(lengths, lengths[1:])):
         raise DomainError("lengths must be positive and strictly increasing")
-    n_sequences = check_int(n_sequences, "n_sequences")
-    if n_sequences < 1:
-        raise DomainError("n_sequences must be at least 1")
+    n_sequences = check_count(n_sequences, "n_sequences")
     shots = check_shots(shots)
     d = noise.depolarizing_prob
     rng = make_rng(seed)

@@ -517,3 +517,16 @@ def test_taylor_stores_constants_as_python_ints():
     assert all(type(v) is int for v in inst.constants.values())
     assert serialize(inst.circuit) == serialize(
         build_taylor(3, 5, 1, 1, 0).circuit)
+
+
+@pytest.mark.parametrize("index", [-1, 1.5, "1", None])
+def test_decode_refuses_a_negative_or_non_integer_index(index):
+    with pytest.raises(DomainError, match="basis index"):
+        build_adder(2).decode(index)
+
+
+def test_instance_stores_a_python_int_width():
+    inst = ArithInstance(np.int64(2), build_adder(2).circuit, ("b", "a"))
+    assert type(inst.n_bits) is int and inst.n_bits == 2
+    with pytest.raises(DomainError, match="n_bits"):
+        ArithInstance(1.5, build_adder(2).circuit, ("b", "a"))

@@ -729,6 +729,12 @@ def test_register_names_the_text_format_cannot_carry(name):
         Register(name, 0, 1, "input")
 
 
+@pytest.mark.parametrize("name", [None, 1, b"a"])
+def test_register_name_that_is_no_string_is_refused(name):
+    with pytest.raises(DomainError, match="register name"):
+        Register(name, 0, 1, "input")
+
+
 @pytest.mark.parametrize("start, size", [(0, 0), (-1, 2), (3, -1)])
 def test_register_extent_is_a_start_and_a_positive_size(start, size):
     with pytest.raises(DomainError, match="bad register extent a"):

@@ -561,3 +561,65 @@ def test_unwritable_circuit_file_is_one_error_line(tmp_path, capsys):
     assert_one_error_line(run_cli(capsys, "gen", "adder", "2", str(tmp_path)))
     assert_one_error_line(run_cli(capsys, "uncompute", str(tmp_path / "x.qc"),
                                   "--wires", "0", "--out", str(tmp_path)))
+
+
+# ---------------------------------------------------------------------------
+# integers: the circuit text format's ASCII digits, after an optional '-'
+# ---------------------------------------------------------------------------
+
+# "_" separators, non-ASCII digits, a '+' sign and spaces, which int()
+# takes and the text format does not
+NOT_DIGITS = ["1_0", "٣", "+1", " 2", "2 ", "１", "1" * 5000]
+
+
+@pytest.mark.parametrize("token", NOT_DIGITS)
+@pytest.mark.parametrize("argv", [
+    ["gen", "adder", "{v}", "{tmp}/g.qc"],
+    ["gen", "taylor", "2", "--f", "{v}", "--fp", "1", "--fpp", "1",
+     "--c", "1", "{tmp}/g.qc"],
+    ["verify", "adder", "{v}"],
+    ["sim", "{tmp}/x.qc", "--input", "{v}"],
+    ["sim", "{tmp}/x.qc", "--input", "0", "--shots", "{v}"],
+    ["sim", "{tmp}/x.qc", "--input", "0", "--seed", "{v}"],
+    ["rb", "--d", "0", "--lengths", "1,2,3", "--sequences", "{v}"],
+])
+def test_an_integer_flag_takes_only_ascii_digits(tmp_path, capsys, argv,
+                                                 token):
+    (tmp_path / "x.qc").write_text("qubits 2\ncnot 0 1\n")
+    assert_usage_error(capsys, [a.format(tmp=tmp_path, v=token)
+                                for a in argv], "invalid int value")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.qc"]
+
+
+@pytest.mark.parametrize("token", NOT_DIGITS)
+@pytest.mark.parametrize("argv", [
+    ["uncompute", "{tmp}/x.qc", "--wires", "{v}", "--out", "{tmp}/y.qc"],
+    ["uncompute", "{tmp}/x.qc", "--wires", "0,{v}", "--out", "{tmp}/y.qc"],
+    ["rb", "--d", "0.1", "--lengths", "1,{v}"],
+    ["rb", "--d", "0.1", "--lengths", "1, 2,{v}"],
+])
+def test_a_list_item_takes_only_ascii_digits(tmp_path, capsys, argv, token):
+    (tmp_path / "x.qc").write_text("qubits 12\ncnot 0 1\n")
+    result = run_cli(capsys, *[a.format(tmp=tmp_path, v=token) for a in argv])
+    assert_one_error_line(result)
+    assert "invalid int value" in result[2]
+    assert not (tmp_path / "y.qc").exists()
+
+
+@pytest.mark.parametrize("token", NOT_DIGITS)
+def test_seed_env_takes_only_ascii_digits(capsys, monkeypatch, token):
+    monkeypatch.setenv("CLIFFORDT_SEED", token)
+    assert_usage_error(capsys, ["verify", "adder", "2"],
+                       "CLIFFORDT_SEED must be a non-negative integer")
+
+
+def test_a_minus_sign_keeps_its_messages(tmp_path, capsys):
+    (tmp_path / "x.qc").write_text("qubits 2\ncnot 0 1\n")
+    result = run_cli(capsys, "sim", str(tmp_path / "x.qc"), "--input", "-1")
+    assert_one_error_line(result)
+    assert "out of range" in result[2]
+    assert_usage_error(capsys, ["sim", str(tmp_path / "x.qc"), "--input", "0",
+                                "--seed", "-1"], "--seed must be non-negative")
+    code, out, _ = run_cli(capsys, "sim", str(tmp_path / "x.qc"),
+                           "--input", "01", "--seed", "-0")
+    assert (code, out) == (0, "q: 3\n")

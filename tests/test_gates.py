@@ -246,3 +246,11 @@ def _list_operands():
                          ids=["numpy-int", "bool", "float", "list"])
 def test_gate_stores_operands_as_a_tuple_of_ints(case):
     case()
+
+
+@pytest.mark.parametrize("n", [1.5, "1", None, 0])
+def test_dense_matrices_refuse_a_bad_qubit_count(n):
+    with pytest.raises(DomainError, match="qubit count"):
+        expand_matrix(h(0), n)
+    with pytest.raises(DomainError, match="qubit count"):
+        compose_matrices([h(0)], n)

@@ -1,5 +1,6 @@
 """Compute, copy, uncompute: garbage removal on classical-reversible circuits."""
 
+import numpy as np
 import pytest
 
 from cliffordt.arith import build_adder, build_multiplier
@@ -117,3 +118,15 @@ def test_wrap_tolerates_superposition_inner_for_resources_only():
     inner = Circuit(2, (h(0), cnot(0, 1)))
     wrapped = bennett_wrap(BennettSpec(inner, (1,)))
     assert len(wrapped.ops) == 2 * len(inner.ops) + 1
+
+
+@pytest.mark.parametrize("wire", [None, "1", 1.5])
+def test_spec_refuses_a_wire_that_is_no_integer(wire):
+    with pytest.raises(DomainError, match="output wire"):
+        BennettSpec(Circuit(2, (cnot(0, 1),)), (wire,))
+
+
+def test_spec_stores_python_int_wires():
+    spec = BennettSpec(Circuit(3, (cnot(0, 1),)), (np.int64(2), True))
+    assert spec.output_wires == (2, 1)
+    assert all(type(w) is int for w in spec.output_wires)
