@@ -27,7 +27,10 @@ class ArithInstance:
     enumeration order; ``constants`` pins registers to fixed values; every
     other register is an ancilla that must enter as 0.  ``encode`` packs
     named integer values into a basis index and ``decode`` unpacks one.
-    ``n_bits`` is stored as a Python int (see ``state.check_count``).
+    ``n_bits`` is stored as a Python int (see ``state.check_count``),
+    ``input_names`` as a tuple of distinct register names, and each
+    constant as a Python int that fits its non-input register; anything
+    else raises ``DomainError``.
     """
 
     n_bits: int
@@ -37,6 +40,20 @@ class ArithInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "n_bits", check_count(self.n_bits, "n_bits"))
+        layout, names = self.circuit.layout, self.input_names
+        if isinstance(names, str):
+            raise DomainError(f"input_names {names!r} is a string, not a "
+                              "sequence of register names")
+        names = tuple(layout.register(name).name for name in names)
+        if len(set(names)) < len(names):
+            raise DomainError(f"input_names {names} lists a register twice")
+        constants = {name: check_register_value(
+            value, name, layout.register(name).size)
+            for name, value in self.constants.items()}
+        if pinned := constants.keys() & set(names):
+            raise DomainError(f"constant {min(pinned)} is an input register")
+        object.__setattr__(self, "input_names", names)
+        object.__setattr__(self, "constants", constants)
 
     def encode(self, values: Mapping[str, int]) -> int:
         """Registers missing from ``values`` take their constant, else 0.

@@ -180,15 +180,8 @@ class ResourceReport:
     gate_histogram: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "t_count": self.t_count,
-            "t_depth": self.t_depth,
-            "depth": self.depth,
-            "qubit_cost": self.qubit_cost,
-            "ancilla_count": self.ancilla_count,
-            "garbage_count": self.garbage_count,
-            "gate_histogram": dict(sorted(self.gate_histogram.items())),
-        }
+        return {**vars(self),
+                "gate_histogram": dict(sorted(self.gate_histogram.items()))}
 
     def to_text(self) -> str:
         lines = [
@@ -701,9 +694,18 @@ def run_columns(c: Circuit, cols: list[int], n_rows: int) -> None:
     acts on all rows at once: X complements its column, CNOT and Toffoli
     XOR the AND of their controls into the target, and SWAP and Fredkin
     exchange the two columns where (controlled) they differ.  Any other
-    gate, or a row count below 1, raises ``DomainError``.
+    gate, a row count below 1, fewer columns than qubits, or a column that
+    is not an integer (see ``state.check_int``) in [0, 2^n_rows) raises
+    ``DomainError``, the columns checked once, before any gate runs.
     """
-    ones = (1 << check_count(n_rows, "row count")) - 1
+    n_rows = check_count(n_rows, "row count")
+    if len(cols) < c.n_qubits:
+        raise DomainError(f"{len(cols)} columns for {c.n_qubits} qubits")
+    for i, col in enumerate(cols):
+        cols[i] = col = check_int(col, f"column {i}")
+        if col < 0 or col >> n_rows:
+            raise DomainError(f"column {i} is outside [0, 2^{n_rows})")
+    ones = (1 << n_rows) - 1
     for g in c.ops:
         k = g.kind
         q = g.qubits

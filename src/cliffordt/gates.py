@@ -246,28 +246,16 @@ def expand_matrix(gate: Gate, n_qubits: int) -> np.ndarray:
     n_qubits = check_count(n_qubits, "qubit count")
     if any(q >= n_qubits for q in gate.qubits):
         raise DomainError(f"gate {gate} does not fit in {n_qubits} qubits")
-    dim = 1 << n_qubits
+    index = np.arange(1 << n_qubits)
     k = len(gate.qubits)
-    small = _matrices()[gate.kind]
-    u = np.zeros((dim, dim), dtype=complex)
-    rest = [q for q in range(n_qubits) if q not in gate.qubits]
-    for local_in in range(1 << k):
-        for local_out in range(1 << k):
-            amp = small[local_out, local_in]
-            if amp == 0:
-                continue
-            for other in range(1 << len(rest)):
-                base = 0
-                for i, q in enumerate(rest):
-                    base |= ((other >> i) & 1) << q
-                src = base
-                dst = base
-                for i, q in enumerate(gate.qubits):
-                    # first listed qubit is the most significant local bit
-                    src |= ((local_in >> (k - 1 - i)) & 1) << q
-                    dst |= ((local_out >> (k - 1 - i)) & 1) << q
-                u[dst, src] = amp
-    return u
+    # entry (dst, src) is the gate's nonzero entry at their local indices
+    # (first listed qubit most significant) where their other bits agree;
+    # every other entry is +0, though the daggers' zeros are -0j
+    local = sum((index >> q & 1) << (k - 1 - i)
+                for i, q in enumerate(gate.qubits))
+    rest = index & ~sum(1 << q for q in gate.qubits)
+    amp = _matrices()[gate.kind][local[:, None], local]
+    return np.where((rest[:, None] == rest) & (amp != 0), amp, 0)
 
 
 def phase_aligned_distance(actual: np.ndarray, reference: np.ndarray) -> float:

@@ -28,6 +28,7 @@ results are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from operator import index
 from typing import TYPE_CHECKING
 
@@ -246,11 +247,16 @@ def sample(state: StateVector, shots: int, seed: int) -> MeasurementCounts:
     probabilities, so the cost grows with the number of basis states, not
     with ``shots``.  Outcomes drawn at least once are listed in ascending
     order.  Deterministic for a fixed seed; see ``make_rng`` for the
-    generator.
+    generator.  A state whose squared norm is zero, or too large for a
+    float, gives no distribution to draw from and raises ``DomainError``
+    before any draw.
     """
     shots = check_shots(shots)
     rng = make_rng(seed)
     p = probabilities(state)
-    counts = rng.multinomial(shots, p / p.sum())
+    total = p.sum()
+    if not 0.0 < total < inf:
+        raise DomainError(f"cannot sample a state of squared norm {total}")
+    counts = rng.multinomial(shots, p / total)
     hit = counts.nonzero()[0]
     return MeasurementCounts(shots, dict(zip(hit.tolist(), counts[hit].tolist())))

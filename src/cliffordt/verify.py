@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache
 from itertools import repeat
-from math import nan
+from math import isfinite, nan
 from numbers import Real
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
@@ -45,15 +45,12 @@ from .state import (apply_gate, check_count, check_int,
 if TYPE_CHECKING:
     import numpy as np
 
-#: An oracle maps register values to the registers' expected outputs.
-#: Each value is an integer or a ``uint64`` array with one entry per
-#: basis input, and the outputs come back in the same kind; an integer
-#: output stands for every input.  Registers an oracle leaves out are
-#: expected to keep their constant, else to read 0.  The arrays are
-#: read-only: an oracle that writes into one raises numpy's ``ValueError``,
-#: and one that hands an array or a constant back as given says that
-#: register is restored.  The mapping itself is the oracle's own copy, so
-#: it may rebind names in it and return it.
+#: An oracle maps register values to the expected outputs of the
+#: registers the circuit changes, and names no other.  Each value it is
+#: given is an integer (a constant) or a ``uint64`` array with one entry
+#: per basis input, and it returns the same kinds; an integer output
+#: stands for every input.  Every register it does not name, whether an
+#: input, a constant or an ancilla, is expected to end as it began.
 Oracle = Callable[[Mapping[str, "int | np.ndarray"]], "dict[str, int | np.ndarray]"]
 
 #: Basis inputs per bit-sliced batch of ``exhaustive_check``.  A batch's
@@ -76,25 +73,30 @@ MAX_SLICED_BITS = 1 << 24
 MAX_CHECK_INPUTS = 1 << 28
 
 
+def _real(value: float, name: str) -> float:
+    """``value`` as a Python float: any real number (a ``numbers.Real``
+    such as a numpy float or a ``Fraction``, or a ``Decimal``) is taken,
+    and one a float cannot hold reads NaN; any other value (a string,
+    None, a complex) raises ``DomainError``."""
+    if not isinstance(value, (Real, Decimal)):
+        raise DomainError(f"{name} {value!r} is not a real number")
+    try:
+        return float(value)
+    except (OverflowError, ValueError):  # 10**400, Decimal("sNaN")
+        return nan
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-gate depolarizing fault: error probability d in [0, 1], stored
-    as a Python float.  Any real number (a ``numbers.Real`` such as a
-    numpy float or a ``Fraction``, or a ``Decimal``) is taken; any other
-    value (a string, None, a complex) or one outside [0, 1] (NaN
-    included) raises ``DomainError``."""
+    as a Python float.  Any real number (see ``_real``) is taken; any
+    other value, or one outside [0, 1] (NaN included), raises
+    ``DomainError``."""
 
     depolarizing_prob: float
 
     def __post_init__(self):
-        d = self.depolarizing_prob
-        if not isinstance(d, (Real, Decimal)):
-            raise DomainError(f"depolarizing probability {d!r} is not a "
-                              "real number")
-        try:
-            d = float(d)
-        except (OverflowError, ValueError):  # 10**400, Decimal("sNaN")
-            d = nan
+        d = _real(self.depolarizing_prob, "depolarizing probability")
         if not 0.0 <= d <= 1.0:
             raise DomainError("depolarizing probability must lie in [0, 1]")
         object.__setattr__(self, "depolarizing_prob", d)
@@ -118,12 +120,7 @@ class EquivalenceReport:
     method: str = "bitsliced"
 
     def to_dict(self) -> dict:
-        return {
-            "total_inputs": self.total_inputs,
-            "mismatches": [list(m) for m in self.mismatches],
-            "passed": self.passed,
-            "method": self.method,
-        }
+        return {**vars(self), "mismatches": [list(m) for m in self.mismatches]}
 
     def to_text(self) -> str:
         lines = [
@@ -149,14 +146,8 @@ class RBResult:
     error_per_gate: float
 
     def to_dict(self) -> dict:
-        return {
-            "lengths": list(self.lengths),
-            "mean_fidelity": list(self.mean_fidelity),
-            "fit_A": self.fit_A,
-            "fit_B": self.fit_B,
-            "fit_p": self.fit_p,
-            "error_per_gate": self.error_per_gate,
-        }
+        return {**vars(self), "lengths": list(self.lengths),
+                "mean_fidelity": list(self.mean_fidelity)}
 
     def to_text(self) -> str:
         lines = ["lengths: " + " ".join(str(m) for m in self.lengths),
@@ -182,27 +173,23 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     last input register varies fastest), with ancillae held at 0 and
     constants pinned.  Each run must land exactly on the oracle's
     predicted basis state, with amplitude exactly 1.  Inputs go
-    ``CHECK_BATCH`` at a time: each free register of a batch is one slice
-    of a ``uint64`` counter (``ArithInstance.counter``), and the oracle is
-    called once per batch on those arrays, made read-only (see
-    ``Oracle``).  Each batch holds one bit column per qubit.  An input
-    column is a counter bit, periodic in the row, so it is built in closed
-    form (``_count_column``) with no numpy; a constant's is all ones or
-    zeros.  An expected column is the input column when the oracle hands
-    a register back as the very object its input columns were built from
-    (the read-only array, or the constant); a register it leaves out
-    keeps its default.  Only the registers the oracle computes go through
-    ``_pack``, the one encoder of arrays and integers.  Permutation
-    circuits (X, CNOT, SWAP, Toffoli, Fredkin) then run bit-sliced on the
-    whole batch (``circuit.run_columns``), and only rows that differ are
-    read back, input, expected and observed columns in one ``_unpack``
-    call; every other circuit runs on the exact sparse evaluator
-    (``circuit.sparse_evaluate``), one row at a time, its inputs and
-    expected outputs read back the same way.  Both work at any
-    width.  Input spaces larger than ``MAX_CHECK_INPUTS``, registers wider
-    than 64 bits, circuits of more than ``MAX_SLICED_BITS`` qubits, and
-    sparse runs that hold more than ``circuit.MAX_SPARSE_SUPPORT`` basis
-    states at once raise ``ResourceError``; an oracle value that does not
+    ``CHECK_BATCH`` at a time, one bit column per qubit: an input column
+    is a bit of the row counter, built in closed form (``_count_column``),
+    and a constant's is all ones or zeros.  The oracle is called once per
+    batch on the constants and each free register's slice of a ``uint64``
+    counter (``ArithInstance.counter``).  The expected columns are the
+    input columns with each register the oracle names packed by
+    ``_pack``, so a register it leaves out must end as it began (see
+    ``Oracle``).  Permutation circuits (X, CNOT, SWAP, Toffoli, Fredkin)
+    run bit-sliced on the whole batch (``circuit.run_columns``), and only
+    rows that differ are read back, in one ``_unpack`` call; every other
+    circuit runs row by row on the exact sparse evaluator
+    (``circuit.sparse_evaluate``).  Both work at any width.  Input spaces
+    larger than ``MAX_CHECK_INPUTS``, registers wider than 64 bits,
+    circuits of more than ``MAX_SLICED_BITS`` qubits, and sparse runs that
+    hold more than ``circuit.MAX_SPARSE_SUPPORT`` basis states at once
+    raise ``ResourceError``.  An oracle result that is not a mapping,
+    names a register the circuit lacks, or holds a value that does not
     fit its register raises ``DomainError``.
     """
     import numpy as np
@@ -225,8 +212,7 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
         raise ResourceError(f"{n} qubits exceeds the {MAX_SLICED_BITS}-bit "
                             "limit of the bit-sliced evaluator")
     constants = instance.constants
-    registers = [(r.name, r.size, constants.get(r.name, 0), r.start)
-                 for r in sorted(layout.registers, key=lambda r: r.start)]
+    ordered = sorted(layout.registers, key=lambda r: r.start)
     counter = instance.counter()
     shifts = {name: at for name, at, _ in counter}
     total = 1 << bits
@@ -236,28 +222,22 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     for base in range(0, total, batch):
         rows = min(batch, total - base)
         count = np.arange(base, base + rows, dtype=np.uint64)
-        values = {}
-        for name, at, mask in counter:
-            # read-only, so an array the oracle hands back is unchanged
-            values[name] = v = (count >> at) & mask
-            v.flags.writeable = False
         cols: list[int] = []
-        for name, size, default, _ in registers:
-            if name in shifts:
-                at = shifts[name]
-                cols += [_count_column(at + i, base, rows) for i in range(size)]
+        for r in ordered:
+            if r.name in shifts:
+                at = shifts[r.name]
+                cols += [_count_column(at + i, base, rows) for i in range(r.size)]
             else:
-                cols += _pack(((name, size, default),), {}, rows)
-        given = {**constants, **values}
-        got = oracle(dict(given))
-        # a register handed back as the very object its input columns were
-        # built from keeps those columns; ``given`` is never the oracle's,
-        # so one that rebinds a name in its own dict cannot alter it
+                cols += _pack(r.name, r.size, constants.get(r.name, 0), rows)
+        got = oracle({**constants, **{name: (count >> at) & mask
+                                      for name, at, mask in counter}})
+        if not isinstance(got, Mapping):
+            raise DomainError(f"the oracle returned {type(got).__name__}, "
+                              "not a mapping of register names")
         expected = list(cols)
-        for name, size, default, start in registers:
-            if got.get(name, default) is not given.get(name, default):
-                expected[start:start + size] = _pack(((name, size, default),),
-                                                     got, rows)
+        for name, value in got.items():
+            r = layout.register(name)
+            expected[r.start:r.stop] = _pack(name, r.size, value, rows)
         if sliced:
             out = list(cols)
             run_columns(circ, out, rows)
@@ -302,42 +282,34 @@ def _count_column(bit: int, base: int, rows: int) -> int:
     return col & ones
 
 
-def _pack(registers: Sequence[tuple[str, int, int]],
-          values: Mapping[str, "int | np.ndarray"], rows: int) -> list[int]:
-    """Bit columns of a batch: bit r of column q is qubit q of row r.
-
-    ``registers`` lists (name, size, default) in qubit order; a register
-    missing from ``values`` takes its default, and an integer value
-    stands for every row.  A value that is negative or does not fit its
-    register raises ``DomainError``.
+def _pack(name: str, size: int, value: "int | np.ndarray",
+          rows: int) -> list[int]:
+    """The ``size`` bit columns of register ``name`` over a batch of
+    ``rows`` rows: bit r of column i is bit i of row r's value.  An
+    integer value stands for every row.  A value that is negative or does
+    not fit the register raises ``DomainError``.
     """
     import numpy as np
 
-    ones = (1 << rows) - 1
-    cols: list[int] = []
-    for name, size, default in registers:
-        v = values.get(name, default)
-        if np.ndim(v) == 0:
-            v = check_register_value(v, name, size)
-            cols += [ones if v >> i & 1 else 0 for i in range(size)]
-            continue
-        v = np.asarray(v)
-        if v.shape != (rows,) or v.dtype.kind not in "iu":
-            raise DomainError(f"register {name} needs an integer or {rows} "
-                              f"integers, got a {v.dtype} array of shape "
-                              f"{v.shape}")
-        word = v.astype("<u8", copy=False)
-        if v.dtype.kind == "i" and v.min() < 0 or int(word.max()) >> size:
-            for x in v.tolist():  # the first row that does not fit raises
-                check_register_value(x, name, size)
-        # byte k of every row, then bit j of those bytes packed per qubit
-        octets = np.ascontiguousarray(
-            word.view(np.uint8).reshape(rows, 8)[:, :(size + 7) >> 3].T)
-        cols += [int.from_bytes(np.packbits(octets[i >> 3] & 1 << (i & 7),
-                                            bitorder="little").tobytes(),
-                                "little")
-                 for i in range(size)]
-    return cols
+    if np.ndim(value) == 0:
+        value = check_register_value(value, name, size)
+        ones = (1 << rows) - 1
+        return [ones if value >> i & 1 else 0 for i in range(size)]
+    v = np.asarray(value)
+    if v.shape != (rows,) or v.dtype.kind not in "iu":
+        raise DomainError(f"register {name} needs an integer or {rows} "
+                          f"integers, got a {v.dtype} array of shape "
+                          f"{v.shape}")
+    word = v.astype("<u8", copy=False)
+    if v.dtype.kind == "i" and v.min() < 0 or int(word.max()) >> size:
+        for x in v.tolist():  # the first row that does not fit raises
+            check_register_value(x, name, size)
+    # byte k of every row, then bit j of those bytes packed per qubit
+    octets = np.ascontiguousarray(
+        word.view(np.uint8).reshape(rows, 8)[:, :(size + 7) >> 3].T)
+    return [int.from_bytes(np.packbits(octets[i >> 3] & 1 << (i & 7),
+                                       bitorder="little").tobytes(), "little")
+            for i in range(size)]
 
 
 def _unpack(cols: list[int], n_rows: int, rows: Sequence[int]) -> list[int]:
@@ -548,14 +520,21 @@ def fit_exponential_decay(points: Sequence[tuple[float, float]]) -> FitResult:
     Initialization is a log-domain linear fit of f - 0.5 (the one-qubit
     uniform-outcome floor), refined by damped Gauss-Newton.  Constant data
     takes the p=1 branch with B equal to the constant, so noiseless runs
-    report p exactly 1.  Fewer than three points or fewer than two
+    report p exactly 1.  ``points`` is read once, so an iterator will do.
+    An m or f that is not a finite real number (see ``_real``) raises
+    ``DomainError``.  Fewer than three points or fewer than two
     distinct m values cannot determine the model and raise FitError.
     """
     import numpy as np
 
-    ms = np.array([float(m) for m, _ in points])
-    fs = np.array([float(f) for _, f in points])
-    if len(points) < 3:
+    pairs = [(_real(m, "sequence length"), _real(f, "survival"))
+             for m, f in points]
+    for pair in pairs:
+        if not all(map(isfinite, pair)):
+            raise DomainError(f"point {pair} is not finite")
+    ms = np.array([m for m, _ in pairs])
+    fs = np.array([f for _, f in pairs])
+    if len(pairs) < 3:
         raise FitError("need at least 3 points")
     if len(np.unique(ms)) < 2:
         raise FitError("need at least 2 distinct sequence lengths")
@@ -603,46 +582,43 @@ def fit_exponential_decay(points: Sequence[tuple[float, float]]) -> FitResult:
 
 
 def oracle_adder(n: int) -> Oracle:
-    """(a, b) -> b reads (a+b) mod 2^n, z reads the carry, a restored."""
+    """(a, b) -> b reads (a+b) mod 2^n and z the carry."""
     def f(v):
         total = v["a"] + v["b"]
-        return {"b": total % (1 << n), "a": v["a"], "z": total >> n}
+        return {"b": total % (1 << n), "z": total >> n}
     return f
 
 
 def oracle_subtractor(n: int) -> Oracle:
-    """(a, b) -> b reads (b-a) mod 2^n, a restored.  On ``uint64`` arrays
-    the difference wraps mod 2^64, which 2^n divides."""
+    """(a, b) -> b reads (b-a) mod 2^n.  On ``uint64`` arrays the
+    difference wraps mod 2^64, which 2^n divides."""
     def f(v):
-        return {"b": (v["b"] - v["a"]) % (1 << n), "a": v["a"]}
+        return {"b": (v["b"] - v["a"]) % (1 << n)}
     return f
 
 
 def oracle_ctrl_add(n: int) -> Oracle:
-    """(ctrl, a, b) -> b reads (b + ctrl*a) mod 2^n and z the carry;
-    ctrl and a restored, g back to 0."""
+    """(ctrl, a, b) -> b reads (b + ctrl*a) mod 2^n and z the carry."""
     def f(v):
         total = v["b"] + v["ctrl"] * v["a"]
-        return {"ctrl": v["ctrl"], "b": total % (1 << n), "a": v["a"],
-                "z": total >> n, "g": 0}
+        return {"b": total % (1 << n), "z": total >> n}
     return f
 
 
 def oracle_multiplier(n: int) -> Oracle:
-    """(a, b) -> p reads a*b, a and b restored."""
+    """(a, b) -> p reads a*b."""
     def f(v):
-        return {"b": v["b"], "a": v["a"], "p": v["a"] * v["b"]}
+        return {"p": v["a"] * v["b"]}
     return f
 
 
 def oracle_taylor(n: int) -> Oracle:
-    """Restores everything except y4 = (fc + fp*(x-c) + fpp*(x-c)^2) mod 2^n.
-    On ``uint64`` arrays every step wraps mod 2^64, which 2^n divides."""
+    """x -> y4 reads (fc + fp*(x-c) + fpp*(x-c)^2) mod 2^n.  On ``uint64``
+    arrays every step wraps mod 2^64, which 2^n divides."""
     def f(v):
         delta = v["x"] - v["c"]
         y4 = (v["fc"] + v["fp"] * delta + v["fpp"] * delta * delta) % (1 << n)
-        return {"c": v["c"], "x": v["x"], "xc": 0, "fc": v["fc"],
-                "fp": v["fp"], "fpp": v["fpp"], "y1": 0, "y2": 0, "y4": y4}
+        return {"y4": y4}
     return f
 
 

@@ -530,3 +530,29 @@ def test_instance_stores_a_python_int_width():
     assert type(inst.n_bits) is int and inst.n_bits == 2
     with pytest.raises(DomainError, match="n_bits"):
         ArithInstance(1.5, build_adder(2).circuit, ("b", "a"))
+
+
+def test_instance_stores_its_inputs_as_a_tuple_of_distinct_registers():
+    circ = build_adder(1).circuit
+    inst = ArithInstance(1, circ, ["b", "a"])
+    assert inst.input_names == ("b", "a") and inst == build_adder(1)
+    assert ArithInstance(1, circ, iter(["a"])).input_names == ("a",)
+    for names, message in [(("b", "a", "a"), "lists a register twice"),
+                           ("ba", "'ba' is a string"),
+                           (("b", "q"), "no register named 'q'")]:
+        with pytest.raises(DomainError, match=message):
+            ArithInstance(1, circ, names)
+
+
+def test_instance_checks_each_constant_against_its_register():
+    circ = build_taylor(2, 1, 2, 3, 1).circuit
+    inst = ArithInstance(2, circ, ("x",), {"c": np.int64(3)})
+    assert inst.constants == {"c": 3} and type(inst.constants["c"]) is int
+    for constants, message in [({"x": 1}, "constant x is an input register"),
+                               ({"q": 1}, "no register named 'q'"),
+                               ({"c": 4}, r"value 4 does not fit register c"),
+                               ({"c": -1}, "value -1 does not fit register c"),
+                               ({"c": 1.5}, "register c value 1.5 is not an integer")]:
+        with pytest.raises(DomainError, match=message):
+            ArithInstance(2, circ, ("x",), constants)
+

@@ -871,6 +871,26 @@ def test_permutation_path_rejects_superposition_gates():
         run_columns(c, [0], 1)
 
 
+@pytest.mark.parametrize("cols, message", [
+    ([0], "1 columns for 2 qubits"),
+    ([1.5, 0], "column 0 1.5 is not an integer"),
+    ([0, None], "column 1 None is not an integer"),
+    ([-1, 0], r"column 0 is outside \[0, 2\^2\)"),
+    ([0, 4], r"column 1 is outside \[0, 2\^2\)"),
+])
+def test_run_columns_checks_its_columns_before_any_gate(cols, message):
+    given = list(cols)
+    with pytest.raises(DomainError, match=message):
+        run_columns(Circuit(2, (x(0), x(1))), cols, 2)
+    assert cols == given  # no gate ran
+
+
+def test_run_columns_takes_integer_columns_as_python_ints():
+    cols = [np.int64(1), True, 2]
+    run_columns(Circuit(2, (cnot(0, 1),)), cols, 2)
+    assert cols == [1, 0, 2] and all(type(c) is int for c in cols)
+
+
 def test_permutation_path_validates_input_index():
     c = Circuit(3, (x(0),))
     for bad in (-1, 8):
@@ -940,8 +960,8 @@ def test_bitsliced_evaluator_agrees_with_statevector(case, data):
     assert [permutation_output(c, j) for j in inputs] == dense
 
     def columns(indices):  # one n-bit register q
-        return _pack([("q", c.n_qubits, 0)],
-                     {"q": np.array(indices, dtype=np.uint64)}, len(inputs))
+        return _pack("q", c.n_qubits, np.array(indices, dtype=np.uint64),
+                     len(inputs))
     cols = columns(inputs)
     run_columns(c, cols, len(inputs))
     assert cols == columns(dense)

@@ -1,6 +1,7 @@
 """Gate matrices, inverses, and Clifford+T decompositions."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -254,3 +255,32 @@ def test_dense_matrices_refuse_a_bad_qubit_count(n):
         expand_matrix(h(0), n)
     with pytest.raises(DomainError, match="qubit count"):
         compose_matrices([h(0)], n)
+
+
+def loop_expand_matrix(gate, n):
+    """``expand_matrix`` entry by entry: each nonzero entry of the gate's
+    matrix, placed for every setting of the other qubits."""
+    small, k = matrix(gate), len(gate.qubits)
+    rest = [q for q in range(n) if q not in gate.qubits]
+    u = np.zeros((1 << n, 1 << n), dtype=complex)
+    for local_in in range(1 << k):
+        for local_out in range(1 << k):
+            if small[local_out, local_in] == 0:
+                continue
+            for other in range(1 << len(rest)):
+                src = dst = sum((other >> i & 1) << q for i, q in enumerate(rest))
+                for i, q in enumerate(gate.qubits):
+                    src |= (local_in >> (k - 1 - i) & 1) << q
+                    dst |= (local_out >> (k - 1 - i) & 1) << q
+                u[dst, src] = small[local_out, local_in]
+    return u
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expand_matrix_matches_the_entry_by_entry_reference(n):
+    for kind, arity in GATE_ARITY.items():
+        for qubits in itertools.permutations(range(n), arity):
+            gate = Gate(kind, qubits)
+            got, want = expand_matrix(gate, n), loop_expand_matrix(gate, n)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), gate

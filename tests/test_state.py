@@ -200,6 +200,14 @@ def test_sample_validates_shots():
         sample(new_basis_state(1, 0), 0, seed=1)
 
 
+@pytest.mark.parametrize("amps, norm", [([0, 0], "0.0"), ([1e200, 0], "inf")])
+def test_sample_refuses_a_state_with_no_distribution(amps, norm):
+    # numpy's multinomial would raise ValueError on the NaN weights
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match=f"squared norm {norm}"):
+            sample(StateVector(1, amps), 10, seed=1)
+
+
 @pytest.mark.parametrize("shots", [2.5, 2.0, "3", None])
 def test_sample_takes_whole_shot_counts_only(shots):
     with pytest.raises(DomainError, match=r"shots .* is not an integer"):
