@@ -10,13 +10,15 @@ seen in circuit diagrams is purely a drawing order.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
 from .circuit import Circuit, Register, RegisterLayout
-from .errors import DomainError
+from .errors import (DomainError, ResourceError, check_count, check_int,
+                     check_register_value, show)
 from .gates import Gate, ccx, cnot, x
-from .state import check_count, check_int, check_register_value
 
 
 @dataclass(frozen=True)
@@ -27,16 +29,16 @@ class ArithInstance:
     enumeration order; ``constants`` pins registers to fixed values; every
     other register is an ancilla that must enter as 0.  ``encode`` packs
     named integer values into a basis index and ``decode`` unpacks one.
-    ``n_bits`` is stored as a Python int (see ``state.check_count``),
-    ``input_names`` as a tuple of distinct register names, and each
-    constant as a Python int that fits its non-input register; anything
-    else raises ``DomainError``.
+    ``n_bits`` is stored as a Python int (see ``errors.check_count``),
+    ``input_names`` as a tuple of distinct register names, and
+    ``constants`` as a read-only mapping of each to a Python int that fits
+    its non-input register; anything else raises ``DomainError``.
     """
 
     n_bits: int
     circuit: Circuit
     input_names: tuple[str, ...]
-    constants: dict[str, int] = field(default_factory=dict)
+    constants: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "n_bits", check_count(self.n_bits, "n_bits"))
@@ -53,11 +55,15 @@ class ArithInstance:
         if pinned := constants.keys() & set(names):
             raise DomainError(f"constant {min(pinned)} is an input register")
         object.__setattr__(self, "input_names", names)
-        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "constants", MappingProxyType(constants))
+
+    def __reduce__(self):  # a mappingproxy does not pickle; its dict does
+        return type(self), (self.n_bits, self.circuit, self.input_names,
+                            dict(self.constants))
 
     def encode(self, values: Mapping[str, int]) -> int:
         """Registers missing from ``values`` take their constant, else 0.
-        Each value goes through ``state.check_register_value``."""
+        Each value goes through ``errors.check_register_value``."""
         basis = 0
         for r in self.circuit.layout.registers:
             v = values.get(r.name, self.constants.get(r.name, 0))
@@ -171,6 +177,8 @@ def _registers(*specs: tuple[str, int, str]
     for name, size, role in specs:
         start = registers[-1].stop if registers else 0
         registers.append(Register(name, start, size, role))
+    if (n := registers[-1].stop) > sys.maxsize:
+        raise ResourceError(f"{show(n)} qubits exceeds what a list can index")
     return (RegisterLayout(tuple(registers)),
             {r.name: list(r.qubits()) for r in registers})
 
@@ -269,8 +277,8 @@ def build_taylor(n: int, f_c: int, fp_c: int, fpp_half_c: int, c: int) -> ArithI
     consts = {name: check_int(v, f"constant {name}") for name, v in
               (("fc", f_c), ("fp", fp_c), ("fpp", fpp_half_c), ("c", c))}
     for name, v in consts.items():
-        if not 0 <= v < (1 << n):
-            raise DomainError(f"constant {name}={v} outside [0, 2^{n})")
+        if v < 0 or v >> n:
+            raise DomainError(f"constant {name}={show(v)} outside [0, 2^{show(n)})")
     layout, r = _registers(*(
         (name, n, "restored-input" if name in consts or name == "x" else "ancilla")
         for name in TAYLOR_REGISTERS))

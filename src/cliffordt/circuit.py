@@ -8,13 +8,13 @@ Circuit text format (bit exact, UTF-8, newline terminated):
     <mnemonic> <q> [<q> ...]              # one gate per line
 
 Gate lines use the mnemonics h, t, tdg, s, sdg, x, cnot, swap, ccx, cswap.
-Every number (qubit count, register bounds, qubit operands) is ASCII
-decimal digits only, ``[0-9]+``.  ``#`` starts a comment that runs to end
-of line; blank lines are ignored.  Register roles are input, ancilla, output,
-garbage and restored-input; ancilla registers must enter the circuit
-holding the constant 0.  Unknown mnemonics or roles are hard errors.  A
-register name is one token with no ``#``, so every layout the format
-carries parses back as written.
+Every number (qubit count, register bounds, qubit operands) is at most
+``MAX_DIGITS`` ASCII decimal digits, ``[0-9]+``.  ``#`` starts a comment
+that runs to end of line; blank lines are ignored.  Register roles are
+input, ancilla, output, garbage and restored-input; ancilla registers
+must enter the circuit holding the constant 0.  Unknown mnemonics or
+roles are hard errors.  A register name is one token with no ``#``, so
+every layout the format carries parses back as written.
 
 Evaluators: ``sparse_evaluate`` runs any circuit exactly on one basis
 input at any width (``permutation_output`` reads its one output);
@@ -31,10 +31,10 @@ from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from . import gates as G
-from .errors import DomainError, ParseError, ResourceError
+from .errors import (MAX_DIGITS, DomainError, ParseError, ResourceError,
+                     check_count, check_index, check_int, parse_int, show)
 from .gates import H_SCALE, Gate
-from .state import (StateVector, apply_gate_inplace, check_count, check_index,
-                    check_int, check_width)
+from .state import StateVector, apply_gate_inplace, check_width
 
 ROLES = ("input", "ancilla", "output", "garbage", "restored-input")
 
@@ -52,7 +52,7 @@ class Register:
     endian).  Registers with role ``ancilla`` require initial value 0.  The
     name must be one text-format token: not empty, no whitespace, no ``#``.
     ``start`` and ``size`` are stored as Python ints (see
-    ``state.check_int``).
+    ``errors.check_int``).
     """
 
     name: str
@@ -96,7 +96,7 @@ class RegisterLayout:
         for r in covered:
             if r.start != cursor:
                 raise DomainError(
-                    f"registers do not partition the qubit range at {r.start}"
+                    f"registers do not partition the qubit range at {show(r.start)}"
                 )
             cursor = r.stop
         if cursor != n_qubits:
@@ -118,7 +118,7 @@ class RegisterLayout:
         non-integer index raises ``DomainError``."""
         index = check_int(index, "basis index")
         if index < 0:
-            raise DomainError(f"basis index {index} is negative")
+            raise DomainError(f"basis index {show(index)} is negative")
         return {r.name: (index >> r.start) ^ (index >> r.stop << r.size)
                 for r in self.registers}
 
@@ -131,7 +131,7 @@ def default_layout(n_qubits: int) -> RegisterLayout:
 class Circuit:
     """An ordered gate list over a register-structured qubit space.
 
-    ``n_qubits`` is stored as a Python int (see ``state.check_int``)."""
+    ``n_qubits`` is stored as a Python int (see ``errors.check_int``)."""
 
     n_qubits: int
     ops: tuple[Gate, ...] = ()
@@ -150,7 +150,8 @@ class Circuit:
         qubits = chain.from_iterable(map(attrgetter("qubits"), self.ops))
         if self.ops and max(qubits) >= n:
             g = next(g for g in self.ops if max(g.qubits) >= n)
-            raise DomainError(f"gate {g.kind} {g.qubits} exceeds {n} qubits")
+            raise DomainError(
+                f"gate {g.kind} {show(g.qubits)} exceeds {show(n)} qubits")
 
 
 def _derived_circuit(n_qubits: int, ops: tuple[Gate, ...],
@@ -420,25 +421,6 @@ def serialize(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Most digits a number in the text format may have.  640 is the least
-#: limit Python's ``int`` conversion of a string can be set to
-#: (``sys.set_int_max_str_digits``), so ``int`` never refuses a token
-#: that passed, and no circuit is wide enough to need more.
-MAX_DIGITS = 640
-
-
-def _parse_int(token: str, lineno: int, what: str) -> int:
-    """An operand in ASCII decimal digits, at most ``MAX_DIGITS`` of
-    them; ``int`` alone would also take signs, ``_`` separators and
-    non-ASCII digits, and raise a bare ``ValueError`` past its own
-    digit limit."""
-    if not (token.isascii() and token.isdigit()):
-        raise ParseError(lineno, f"{what} is not an integer: {token!r}")
-    if len(token) > MAX_DIGITS:
-        raise ParseError(lineno, f"{what} has more than {MAX_DIGITS} digits")
-    return int(token)
-
-
 def parse(text: str) -> Circuit:
     """Parse the text format back into a circuit.
 
@@ -447,7 +429,7 @@ def parse(text: str) -> Circuit:
     check their own fields.  Each distinct line is read once per call (a
     recurring gate line reuses its ``Gate``), and each operand token once:
     the memo starts with the first 1,024 qubits as ``serialize`` spells
-    them and reads any other token by ``_parse_int``.  A line of a wrong
+    them and reads any other token by ``parse_int``.  A line of a wrong
     arity or with a repeated operand goes to ``Gate`` for its message,
     then the width is checked, so only the layout is validated at the end.
     """
@@ -469,7 +451,7 @@ def parse(text: str) -> Circuit:
         if n_qubits is None:
             if kind != "qubits" or len(tokens) != 2:
                 raise ParseError(lineno, "expected 'qubits N' header")
-            n_qubits = _parse_int(tokens[1], lineno, "qubit count")
+            n_qubits = parse_int(tokens[1], lineno, "qubit count")
             if n_qubits < 1:
                 raise ParseError(lineno, "qubit count must be positive")
             # the first qubits as serialize spells them
@@ -487,8 +469,8 @@ def parse(text: str) -> Circuit:
                 if len(lo_hi) != 2:
                     raise ParseError(lineno,
                                      f"malformed register range {span!r}")
-                lo = _parse_int(lo_hi[0], lineno, "register low index")
-                hi = _parse_int(lo_hi[1], lineno, "register high index")
+                lo = parse_int(lo_hi[0], lineno, "register low index")
+                hi = parse_int(lo_hi[1], lineno, "register high index")
                 if not 0 <= lo <= hi < n_qubits:
                     raise ParseError(lineno,
                                      f"register range {span} out of bounds")
@@ -505,7 +487,7 @@ def parse(text: str) -> Circuit:
             except KeyError:  # a token not read yet
                 for token in operands:
                     if token not in memo:
-                        memo[token] = _parse_int(token, lineno, "qubit index")
+                        memo[token] = parse_int(token, lineno, "qubit index")
                 qubits = tuple(map(memo.__getitem__, operands))
                 wide = max(qubits) >= n_qubits
             if (G.GATE_ARITY.get(kind) != len(qubits)
@@ -695,16 +677,16 @@ def run_columns(c: Circuit, cols: list[int], n_rows: int) -> None:
     XOR the AND of their controls into the target, and SWAP and Fredkin
     exchange the two columns where (controlled) they differ.  Any other
     gate, a row count below 1, fewer columns than qubits, or a column that
-    is not an integer (see ``state.check_int``) in [0, 2^n_rows) raises
+    is not an integer (see ``errors.check_int``) in [0, 2^n_rows) raises
     ``DomainError``, the columns checked once, before any gate runs.
     """
     n_rows = check_count(n_rows, "row count")
     if len(cols) < c.n_qubits:
-        raise DomainError(f"{len(cols)} columns for {c.n_qubits} qubits")
+        raise DomainError(f"{len(cols)} columns for {show(c.n_qubits)} qubits")
     for i, col in enumerate(cols):
         cols[i] = col = check_int(col, f"column {i}")
         if col < 0 or col >> n_rows:
-            raise DomainError(f"column {i} is outside [0, 2^{n_rows})")
+            raise DomainError(f"column {i} is outside [0, 2^{show(n_rows)})")
     ones = (1 << n_rows) - 1
     for g in c.ops:
         k = g.kind

@@ -16,10 +16,10 @@ import os
 import sys
 
 from .arith import ArithInstance, BUILDERS
-from .circuit import (_parse_int, is_permutation_circuit, parse,
-                      permutation_output, resources, serialize, simulate)
-from .errors import CliffordTError, ParseError
-from .state import check_shots, probabilities, sample
+from .circuit import (is_permutation_circuit, parse, permutation_output,
+                      resources, serialize, simulate)
+from .errors import CliffordTError, ParseError, check_shots, parse_int
+from .state import probabilities, sample
 from .uncompute import BennettSpec, bennett_wrap
 from .verify import ORACLES, NoiseModel, exhaustive_check, run_rb
 
@@ -28,10 +28,10 @@ _TAYLOR_FLAGS = ("f", "fp", "fpp", "c")
 
 def _int(text: str) -> int:
     """A command-line integer: the circuit text format's digits
-    (``circuit._parse_int``) after an optional '-'.  Anything else raises
+    (``errors.parse_int``) after an optional '-'.  Anything else raises
     ``ArgumentTypeError``, worded as argparse words a bad ``int``."""
     try:
-        value = _parse_int(text.removeprefix("-"), 0, "integer")
+        value = parse_int(text.removeprefix("-"), 0, "integer")
     except ParseError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None

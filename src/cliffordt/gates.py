@@ -16,7 +16,7 @@ from functools import cache
 from operator import index
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import DomainError
+from .errors import DomainError, check_count, show
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,14 +71,14 @@ class Gate:
             qubits = tuple(map(index, qubits))
         except TypeError:
             raise DomainError(f"{kind} qubit indices must be integers, "
-                              f"got {qubits!r}") from None
+                              f"got {show(qubits)}") from None
         if len(qubits) != arity:
             raise DomainError(
                 f"{kind} takes {arity} qubit indices, got {len(qubits)}")
         if min(qubits) < 0:
             raise DomainError(f"negative qubit index in {kind}")
         if len(set(qubits)) != arity:
-            raise DomainError(f"duplicate qubit in {kind} {qubits}")
+            raise DomainError(f"duplicate qubit in {kind} {show(qubits)}")
         _set(self, "kind", kind)
         _set(self, "qubits", qubits)
 
@@ -224,8 +224,6 @@ def compose_matrices(gates, n_qubits: int) -> np.ndarray:
     """
     import numpy as np
 
-    from .state import check_count  # state imports this module
-
     n_qubits = check_count(n_qubits, "qubit count")
     dim = 1 << n_qubits
     u = np.eye(dim, dtype=complex)
@@ -241,11 +239,10 @@ def expand_matrix(gate: Gate, n_qubits: int) -> np.ndarray:
     """
     import numpy as np
 
-    from .state import check_count  # state imports this module
-
     n_qubits = check_count(n_qubits, "qubit count")
     if any(q >= n_qubits for q in gate.qubits):
-        raise DomainError(f"gate {gate} does not fit in {n_qubits} qubits")
+        raise DomainError(
+            f"gate {show(gate)} does not fit in {show(n_qubits)} qubits")
     index = np.arange(1 << n_qubits)
     k = len(gate.qubits)
     # entry (dst, src) is the gate's nonzero entry at their local indices

@@ -12,13 +12,13 @@ mutable buffer viewed as a (2,)*n tensor: ``simulate`` in the circuit
 module finishes a run on one buffer, once its exact sparse evaluator
 holds too many basis states, and wraps it in a ``StateVector`` at the
 end, and ``apply_gate`` runs the same kernel on a copy, so no state a
-caller holds is ever written.  ``check_width`` caps statevectors at 24
-qubits (a ~270 MB vector) and ``check_index`` checks basis indices; wider
-circuits go through the exact evaluators of the circuit module.  The
-kernel multiplies by the ``gates`` module's ``PHASES`` and ``H_SCALE``,
-the very scalars the gate matrices are built from, so the two cannot
-disagree.  numpy is imported inside the functions that make or read
-arrays, so importing this module loads none.
+caller holds is ever written.  ``check_width``, the one argument rule
+not in ``errors``, caps statevectors at 24 qubits (a ~270 MB vector);
+wider circuits go through the exact evaluators of the circuit module.
+The kernel multiplies by the ``gates`` module's ``PHASES`` and
+``H_SCALE``, the very scalars the gate matrices are built from, so the
+two cannot disagree.  numpy is imported inside the functions that make
+or read arrays, so importing this module loads none.
 
 Randomness is never ambient.  Every sampling operation takes an explicit
 integer seed and draws from a Philox 64-bit counter-based generator, so
@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from operator import index
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, ResourceError
+from .errors import (DomainError, ResourceError, check_index, check_int,
+                     check_shots, show)
 from .gates import H_SCALE, PHASES, Gate
 
 if TYPE_CHECKING:
@@ -51,7 +51,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
     seed = check_int(seed, "seed")
     if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+        raise DomainError(f"seed must be non-negative, got {show(seed)}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -63,59 +63,8 @@ def check_width(n: int) -> int:
         raise DomainError("need at least one qubit")
     if n > MAX_SIM_QUBITS:
         raise ResourceError(
-            f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit statevector ceiling")
+            f"{show(n)} qubits exceeds the {MAX_SIM_QUBITS}-qubit statevector ceiling")
     return n
-
-
-def check_int(value: int, name: str) -> int:
-    """``value`` as a Python int: anything ``operator.index`` accepts (a
-    numpy integer, a bool) is converted, and any other value (a float, a
-    string, None) raises ``DomainError``.  Callers keep the returned
-    value, so a numpy integer never reaches a shift that would wrap at 64
-    bits, and a float is never truncated."""
-    try:
-        return index(value)
-    except TypeError:
-        raise DomainError(f"{name} {value!r} is not an integer") from None
-
-
-def check_count(value: int, name: str) -> int:
-    """``value`` as a Python int (see ``check_int``), at least 1; raises
-    ``DomainError`` otherwise."""
-    value = check_int(value, name)
-    if value < 1:
-        raise DomainError(f"{name} must be at least 1")
-    return value
-
-
-def check_register_value(value: int, register: str, size: int) -> int:
-    """``value`` as a Python int (see ``check_int``) that fits the
-    unsigned ``size``-bit ``register``; raises ``DomainError`` otherwise."""
-    value = check_int(value, f"register {register} value")
-    if value < 0 or value >> size:
-        raise DomainError(
-            f"value {value} does not fit register {register} ({size} bits)")
-    return value
-
-
-def check_index(n: int, basis: int) -> int:
-    """``basis`` as a Python int (see ``check_int``), checked by bit
-    length to satisfy 0 <= basis < 2^n; raises ``DomainError``
-    otherwise."""
-    basis = check_int(basis, "basis index")
-    if basis < 0 or basis.bit_length() > n:
-        raise DomainError(f"basis index {basis} out of range for {n} qubits")
-    return basis
-
-
-def check_shots(shots: int, name: str = "shots") -> int:
-    """``shots`` as a ``check_count`` at most 2^63 - 1, since numpy's
-    binomial and multinomial draws take their count as a 64-bit int;
-    raises ``DomainError`` otherwise."""
-    shots = check_count(shots, name)
-    if shots > (1 << 63) - 1:
-        raise DomainError(f"{name} must be at most 2^63 - 1")
-    return shots
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +178,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """
     n = state.n_qubits
     if any(q >= n for q in gate.qubits):
-        raise DomainError(f"gate {gate.kind} {gate.qubits} exceeds {n} qubits")
+        raise DomainError(f"gate {gate.kind} {show(gate.qubits)} exceeds {n} qubits")
     amps = state.amps.copy()
     apply_gate_inplace(amps.reshape((2,) * n), gate)
     return StateVector(n, amps)

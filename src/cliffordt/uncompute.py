@@ -17,16 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, Register, RegisterLayout, inverse_circuit
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .gates import cnot
-from .state import check_int
 
 
 @dataclass(frozen=True)
 class BennettSpec:
     """Wrap request: the inner circuit and its output wires, each copied
     onto one fresh qubit above the inner circuit.  The wires are stored
-    as Python ints (see ``state.check_int``)."""
+    as Python ints (see ``errors.check_int``)."""
 
     inner: Circuit
     output_wires: tuple[int, ...]

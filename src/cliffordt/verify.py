@@ -26,21 +26,18 @@ quant-ph/0406196), so no matrix, rounding or tolerance enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from functools import cache
 from itertools import repeat
-from math import isfinite, nan
-from numbers import Real
+from math import isfinite
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .arith import ArithInstance
 from .circuit import (Circuit, is_permutation_circuit, run_columns, simulate,
                       sparse_evaluate)
-from .errors import DomainError, FitError, ResourceError
+from .errors import (DomainError, FitError, ResourceError, check_int,
+                     check_real, check_register_value, check_shots, show)
 from .gates import Gate, h, sdg
-from .state import (apply_gate, check_count, check_int,
-                    check_register_value, check_shots, make_rng,
-                    probabilities)
+from .state import apply_gate, make_rng, probabilities
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,30 +70,17 @@ MAX_SLICED_BITS = 1 << 24
 MAX_CHECK_INPUTS = 1 << 28
 
 
-def _real(value: float, name: str) -> float:
-    """``value`` as a Python float: any real number (a ``numbers.Real``
-    such as a numpy float or a ``Fraction``, or a ``Decimal``) is taken,
-    and one a float cannot hold reads NaN; any other value (a string,
-    None, a complex) raises ``DomainError``."""
-    if not isinstance(value, (Real, Decimal)):
-        raise DomainError(f"{name} {value!r} is not a real number")
-    try:
-        return float(value)
-    except (OverflowError, ValueError):  # 10**400, Decimal("sNaN")
-        return nan
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-gate depolarizing fault: error probability d in [0, 1], stored
-    as a Python float.  Any real number (see ``_real``) is taken; any
+    as a Python float.  Any real number (see ``check_real``) is taken; any
     other value, or one outside [0, 1] (NaN included), raises
     ``DomainError``."""
 
     depolarizing_prob: float
 
     def __post_init__(self):
-        d = _real(self.depolarizing_prob, "depolarizing probability")
+        d = check_real(self.depolarizing_prob, "depolarizing probability")
         if not 0.0 <= d <= 1.0:
             raise DomainError("depolarizing probability must lie in [0, 1]")
         object.__setattr__(self, "depolarizing_prob", d)
@@ -201,16 +185,16 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     # compare exponents: 1 << bits would allocate a bits-bit integer
     if bits > MAX_CHECK_INPUTS.bit_length() - 1:
         raise ResourceError(
-            f"2^{bits} inputs exceeds the exhaustive-check limit of "
+            f"2^{show(bits)} inputs exceeds the exhaustive-check limit of "
             f"{MAX_CHECK_INPUTS}")
     for r in layout.registers:  # a batch holds each register as uint64
         if r.size > 64:
-            raise ResourceError(f"register {r.name} ({r.size} bits) is wider "
-                                "than the 64 bits an exhaustive check packs")
+            raise ResourceError(f"register {r.name} ({show(r.size)} bits) is "
+                                "wider than the 64 bits an exhaustive check packs")
     n = circ.n_qubits
     if n > MAX_SLICED_BITS:
-        raise ResourceError(f"{n} qubits exceeds the {MAX_SLICED_BITS}-bit "
-                            "limit of the bit-sliced evaluator")
+        raise ResourceError(f"{show(n)} qubits exceeds the {MAX_SLICED_BITS}"
+                            "-bit limit of the bit-sliced evaluator")
     constants = instance.constants
     ordered = sorted(layout.registers, key=lambda r: r.start)
     counter = instance.counter()
@@ -492,7 +476,7 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
     if any(m < 1 for m in lengths) or any(
             b <= a for a, b in zip(lengths, lengths[1:])):
         raise DomainError("lengths must be positive and strictly increasing")
-    n_sequences = check_count(n_sequences, "n_sequences")
+    n_sequences = check_shots(n_sequences, "n_sequences")
     shots = check_shots(shots)
     d = noise.depolarizing_prob
     rng = make_rng(seed)
@@ -521,13 +505,13 @@ def fit_exponential_decay(points: Sequence[tuple[float, float]]) -> FitResult:
     uniform-outcome floor), refined by damped Gauss-Newton.  Constant data
     takes the p=1 branch with B equal to the constant, so noiseless runs
     report p exactly 1.  ``points`` is read once, so an iterator will do.
-    An m or f that is not a finite real number (see ``_real``) raises
+    An m or f that is not a finite real number (see ``check_real``) raises
     ``DomainError``.  Fewer than three points or fewer than two
     distinct m values cannot determine the model and raise FitError.
     """
     import numpy as np
 
-    pairs = [(_real(m, "sequence length"), _real(f, "survival"))
+    pairs = [(check_real(m, "sequence length"), check_real(f, "survival"))
              for m, f in points]
     for pair in pairs:
         if not all(map(isfinite, pair)):

@@ -1,6 +1,8 @@
 """Arithmetic generators checked against plain integer arithmetic."""
 
+import copy
 import hashlib
+import pickle
 import time
 
 import numpy as np
@@ -12,7 +14,7 @@ from cliffordt.arith import (BUILDERS, TAYLOR_REGISTERS, ArithInstance,
                              build_subtractor, build_taylor)
 from cliffordt.circuit import (Circuit, inverse_circuit, is_permutation_circuit,
                                permutation_output, serialize, simulate)
-from cliffordt.errors import DomainError
+from cliffordt.errors import DomainError, ResourceError
 from cliffordt.gates import cnot
 
 
@@ -556,3 +558,21 @@ def test_instance_checks_each_constant_against_its_register():
         with pytest.raises(DomainError, match=message):
             ArithInstance(2, circ, ("x",), constants)
 
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_a_width_no_list_can_index_is_a_resource_error(kind):
+    n = 10**30
+    args = (n, 0, 0, 0, 0) if kind == "taylor" else (n,)
+    with pytest.raises(ResourceError, match="exceeds what a list can index"):
+        BUILDERS[kind](*args)
+
+
+def test_instance_constants_are_read_only():
+    inst = build_taylor(2, 1, 1, 1, 1)
+    with pytest.raises(TypeError):
+        inst.constants["c"] = 2**70
+    assert inst.constants == {"fc": 1, "fp": 1, "fpp": 1, "c": 1}
+    assert {**inst.constants} == dict(inst.constants)
+    assert inst.constants.get("x", 0) == 0
+    assert inst == build_taylor(2, 1, 1, 1, 1)
+    assert pickle.loads(pickle.dumps(inst)) == inst == copy.deepcopy(inst)

@@ -63,6 +63,16 @@ def test_gen_bad_width(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "adder", "1" + "0" * 30, "{tmp}/o.qc"],
+    ["verify", "adder", "1" + "0" * 30],
+])
+def test_a_width_no_list_can_index_is_one_error_line(tmp_path, capsys, argv):
+    assert_one_error_line(run_cli(capsys, *[a.format(tmp=tmp_path)
+                                            for a in argv]))
+    assert not (tmp_path / "o.qc").exists()
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------

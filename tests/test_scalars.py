@@ -10,25 +10,33 @@ must raise.  Every pair is tried, so no sampling is needed.
 String arguments (names, roles, kinds, circuit text) and arguments that
 take a ``Circuit``, a ``Gate`` or an array are outside the contract: a
 wrong type there fails as duck typing does.
+
+A second table (``LARGE``) hands integers past Python's 4,300-digit
+string limit to the calls whose messages name an integer argument.  The
+``run_rb`` lengths stay out of it: they are loop counts, so a huge one
+is real work, not a bad argument.
 """
 
 from __future__ import annotations
 
 import inspect
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import cliffordt
 from cliffordt import (ArithInstance, BennettSpec, Circuit, CliffordTError,
-                       Gate, NoiseModel, Register, StateVector,
+                       Gate, NoiseModel, Register, StateVector, apply_gate,
                        build_adder, build_ctrl_add, build_multiplier,
                        build_subtractor, build_taylor, ccx, cnot, cswap,
                        decompose_fredkin, decompose_swap, decompose_toffoli,
-                       default_layout, h, make_rng, new_basis_state,
-                       permutation_output, run_columns, run_rb, s, sample,
-                       sdg, simulate, sparse_evaluate, swap, t, tdg,
-                       tomography_1q, x)
+                       default_layout, exhaustive_check, h, make_rng,
+                       new_basis_state, permutation_output, run_columns,
+                       run_rb, s, sample, sdg, simulate, sparse_evaluate,
+                       swap, t, tdg, tomography_1q, x)
+from cliffordt.errors import MAX_DIGITS, show
+from cliffordt.gates import expand_matrix
 
 HOSTILE = (1.5, "1", None, -1, float("nan"), True, np.int64(1))
 
@@ -173,3 +181,58 @@ def test_a_hostile_scalar_raises_or_acts_as_its_int(label, fn, args, paths,
             else:
                 want = _outcome(fn, _replace(args, path, as_int), key)
                 assert got == want, (path, value)
+
+
+_HUGE = 10**5000  # past Python's 4,300-digit limit on int-string conversion
+
+
+def _huge_constant(v):
+    return ArithInstance(1, _ADDER.circuit, ("b",), {"a": v})
+
+
+def _huge_oracle(v):
+    return exhaustive_check(_ADDER, lambda values: {"b": v})
+
+
+# (label, call of one integer, the signs whose call must raise).  Each
+# call is refused with a short message: one that wrote the integer out
+# would end in the bare ValueError of str(int) instead.
+LARGE = [
+    ("ArithInstance.encode", lambda v: _ADDER.encode({"a": v}), (1, -1)),
+    ("ArithInstance constant", _huge_constant, (1, -1)),
+    ("exhaustive_check oracle", _huge_oracle, (1, -1)),
+    ("sparse_evaluate", lambda v: sparse_evaluate(Circuit(1), v), (1, -1)),
+    ("simulate", lambda v: simulate(Circuit(1), v), (1, -1)),
+    ("permutation_output", lambda v: permutation_output(Circuit(1), v),
+     (1, -1)),
+    ("new_basis_state", lambda v: new_basis_state(1, v), (1, -1)),
+    ("RegisterLayout.decode", lambda v: default_layout(1).decode(v), (-1,)),
+    ("make_rng", make_rng, (-1,)),
+    ("build_taylor", lambda v: build_taylor(2, v, 0, 0, 0), (1, -1)),
+    ("StateVector", lambda v: StateVector(v, [1]), (1, -1)),
+    ("cnot", lambda v: cnot(v, v), (1, -1)),
+    ("Circuit", lambda v: Circuit(1, (x(v),)), (1, -1)),
+    ("expand_matrix", lambda v: expand_matrix(x(v), 2), (1, -1)),
+    ("apply_gate", lambda v: apply_gate(new_basis_state(1, 0), x(v)),
+     (1, -1)),
+    ("make_rng of a Fraction", lambda v: make_rng(Fraction(v, 3)), (1, -1)),
+]
+
+
+@pytest.mark.parametrize("label, call, signs", LARGE,
+                         ids=[case[0] for case in LARGE])
+def test_a_huge_integer_ends_in_a_toolkit_error(label, call, signs):
+    for sign in signs:
+        with pytest.raises(CliffordTError) as info:
+            call(sign * _HUGE)
+        assert len(str(info.value)) < 200, (sign, str(info.value)[:200])
+
+
+def test_show_names_an_integer_past_max_digits_by_its_bit_length():
+    assert show(10**MAX_DIGITS - 1) == str(10**MAX_DIGITS - 1)
+    assert show(10**MAX_DIGITS) == "<2127-bit integer>"
+    assert show(-(10**MAX_DIGITS)) == "<negative 2127-bit integer>"
+    assert show((3, _HUGE)) == "(3, <16610-bit integer>)"
+    assert show((3,)) == "(3,)" and show(()) == "()"
+    assert show(Fraction(_HUGE, 3)) == "<Fraction>"
+    assert show("1") == "'1'" and show(1.5) == "1.5" and show(True) == "True"

@@ -940,3 +940,8 @@ def test_fit_validation():
         fit_exponential_decay([(1, 0.9), (2, 0.8)])
     with pytest.raises(FitError):
         fit_exponential_decay([(3, 0.9), (3, 0.8), (3, 0.7)])
+
+
+def test_rb_refuses_more_sequences_than_numpy_can_size():
+    with pytest.raises(DomainError, match=r"n_sequences must be at most 2\^63 - 1"):
+        run_rb(NoiseModel(0.0), [1, 2, 3], 2**64, 1, 0)
