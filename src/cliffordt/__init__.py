@@ -17,8 +17,8 @@ from .circuit import (Circuit, Register, RegisterLayout, ResourceReport,
 from .errors import (CliffordTError, DomainError, FitError, ParseError,
                      ResourceError)
 from .gates import (Gate, ccx, cnot, cswap, decompose_fredkin,
-                    decompose_swap, decompose_toffoli, h, inverse, matrix,
-                    phase_aligned_distance, s, sdg, swap, t, tdg, x)
+                    decompose_swap, decompose_toffoli, h, inverse, matrix, s,
+                    sdg, swap, t, tdg, x)
 from .state import (MAX_SIM_QUBITS, MeasurementCounts, StateVector,
                     apply_gate, make_rng, new_basis_state, probabilities,
                     sample)

@@ -24,6 +24,7 @@ input at any width (``permutation_output`` reads its one output);
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -107,9 +108,6 @@ class RegisterLayout:
             if r.name == name:
                 return r
         raise DomainError(f"no register named {name!r}")
-
-    def qubits_with_role(self, role: str) -> list[int]:
-        return [q for r in self.registers if r.role == role for q in r.qubits()]
 
     def decode(self, index: int) -> dict[str, int]:
         """Each register's value in a basis index, in register order.  The
@@ -272,7 +270,8 @@ def _place(frontier: dict[int, int], qubits: Sequence[int]) -> int:
     return at
 
 
-def _offsets(template, arity: int) -> tuple[tuple[tuple[int, int], ...], int]:
+def _offsets(template, arity: int
+             ) -> tuple[tuple[tuple[int, int], ...], int] | None:
     """One template's costing table ``(rows, shift)``, derived with ``_place``.
 
     Placed ASAP after entry layers ``entry`` (the last gate on each
@@ -282,8 +281,8 @@ def _offsets(template, arity: int) -> tuple[tuple[tuple[int, int], ...], int]:
     by d.  Every operand exits at ``top + shift``.  Placing the steps from
     operand i at 0 and every other operand further back than the template
     is long reads off each step's distance from operand i (negative where
-    it does not follow i).  A template of any other shape raises
-    ``ValueError``.
+    it does not follow i).  A template of any other shape has no table
+    and gives None.
     """
     behind = -len(template) - 1
     columns, exits = [], set()
@@ -301,34 +300,16 @@ def _offsets(template, arity: int) -> tuple[tuple[tuple[int, int], ...], int]:
         elif len(depends) == 1:
             rows.append(depends[0])
         else:
-            raise ValueError(f"T step {row} follows neither every operand "
-                             "alike nor one")
+            return None
     if len(exits) != 1:
-        raise ValueError(f"operands exit at differing layers {sorted(exits)}")
+        return None
     return tuple(dict.fromkeys(rows)), exits.pop()
 
 
-#: Kinds costed as the kinds they are built of, each part a (kind,
-#: operand positions) pair: Fredkin (c, t1, t2) is CNOT(t2, t1), Toffoli
-#: (c, t1, t2), CNOT(t2, t1).  ASAP placement goes step by step, so
-#: placing the parts in order places the kind's template, which they
-#: must join to (checked below).
-_PARTS = {"cswap": (("cnot", (2, 1)), ("ccx", (0, 1, 2)), ("cnot", (2, 1)))}
-
-
-def _join(parts) -> tuple:
-    """The template of a gate built of ``parts``: each part's steps in
-    order, on the gate's operand positions."""
-    return tuple((step, tuple(where[p] for p in at))
-                 for part, where in parts for step, at in TEMPLATES[part])
-
-
-if any(_join(parts) != TEMPLATES[kind] for kind, parts in _PARTS.items()):
-    raise ValueError("a _PARTS entry does not join to its kind's template")
-
-#: kind -> its costing table ``(rows, shift)``; see ``_offsets``.
-OFFSETS = {kind: _offsets(TEMPLATES[kind], arity)
-           for kind, arity in G.GATE_ARITY.items() if kind not in _PARTS}
+#: kind -> its costing table ``(rows, shift)``, for each kind whose
+#: template ``_offsets`` can tabulate (every kind but Fredkin).
+OFFSETS = {kind: table for kind, arity in G.GATE_ARITY.items()
+           if (table := _offsets(TEMPLATES[kind], arity)) is not None}
 
 
 def schedule_layers(c: Circuit) -> list[list[Gate]]:
@@ -355,14 +336,13 @@ def resources(c: Circuit) -> ResourceReport:
 
     T-count totals t and tdg gates; T-depth counts schedule layers holding
     at least one of them; depth is the total layer count.  Ancilla and
-    garbage counts are read from the register layout.  The lowering is
-    never built, and its steps are never placed one by one: each gate
+    garbage counts sum the sizes of the registers of those roles.  The
+    lowering is never built.  A gate of a kind with an ``OFFSETS`` table
     reads the frontier of its qubits once, takes ``top``, the latest of
     those entry layers, adds the layer of each of its kind's distinct T
-    rows to the T layers, and moves every qubit to ``top`` plus one
-    shift, all read off the ``OFFSETS`` table that ``_place`` gave at
-    import (see ``_offsets``).  A Fredkin gate is costed as its
-    ``_PARTS``, CNOT, Toffoli, CNOT, whose steps are its template.  The
+    rows to the T layers, and moves every qubit to ``top`` plus one shift
+    (see ``_offsets``).  A gate of any other kind (only Fredkin) places
+    its ``TEMPLATES`` steps one by one with ``_place``.  Either way the
     result equals scheduling the built lowering with ``schedule_layers``.
     """
     kinds = Counter(g.kind for g in c.ops)
@@ -370,35 +350,36 @@ def resources(c: Circuit) -> ResourceReport:
     for kind, count in kinds.items():
         for step, _ in TEMPLATES[kind]:
             hist[step] += count
-    ops = c.ops
-    if kinds.keys() & _PARTS.keys():
-        ops = []
-        for g in c.ops:
-            ops += ([G._derived_gate(part, tuple(g.qubits[p] for p in where))
-                     for part, where in _PARTS[g.kind]]
-                    if g.kind in _PARTS else [g])
     frontier: dict[int, int] = {}
     get = frontier.get
     t_layers = set()
     add_t = t_layers.add
-    for g in ops:
+    for g in c.ops:
         q = g.qubits
+        table = OFFSETS.get(g.kind)
+        if table is None:
+            for step, operands in _STEP_OPERANDS[g.kind]:
+                at = _place(frontier, operands(q))
+                if step in ("t", "tdg"):
+                    add_t(at)
+            continue
         entry = [get(x, -1) for x in q]
         top = max(entry)
         entry.append(top)
-        rows, shift = OFFSETS[g.kind]
+        rows, shift = table
         for i, d in rows:
             add_t(entry[i] + d)
         top += shift
         for x in q:
             frontier[x] = top
+    registers = c.layout.registers
     return ResourceReport(
         t_count=hist["t"] + hist["tdg"],
         t_depth=len(t_layers),
         depth=max(frontier.values(), default=-1) + 1,
         qubit_cost=c.n_qubits,
-        ancilla_count=len(c.layout.qubits_with_role("ancilla")),
-        garbage_count=len(c.layout.qubits_with_role("garbage")),
+        ancilla_count=sum(r.size for r in registers if r.role == "ancilla"),
+        garbage_count=sum(r.size for r in registers if r.role == "garbage"),
         gate_histogram=dict(hist),
     )
 
@@ -678,9 +659,12 @@ def run_columns(c: Circuit, cols: list[int], n_rows: int) -> None:
     exchange the two columns where (controlled) they differ.  Any other
     gate, a row count below 1, fewer columns than qubits, or a column that
     is not an integer (see ``errors.check_int``) in [0, 2^n_rows) raises
-    ``DomainError``, the columns checked once, before any gate runs.
+    ``DomainError``, the columns checked once, before any gate runs.  A
+    row count past ``sys.maxsize`` raises ``ResourceError``.
     """
     n_rows = check_count(n_rows, "row count")
+    if n_rows > sys.maxsize:
+        raise ResourceError(f"{show(n_rows)} rows exceeds what a column holds")
     if len(cols) < c.n_qubits:
         raise DomainError(f"{len(cols)} columns for {show(c.n_qubits)} qubits")
     for i, col in enumerate(cols):

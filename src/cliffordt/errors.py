@@ -10,6 +10,9 @@ from operator import index
 #: ``int`` and ``str`` never refuse such a number, and no circuit needs more.
 MAX_DIGITS = 640
 
+#: Hard ceiling on statevector width; 2^24 amplitudes is the desk-scale limit.
+MAX_SIM_QUBITS = 24
+
 
 class CliffordTError(Exception):
     """Base class for all toolkit errors."""
@@ -69,6 +72,17 @@ def check_count(value: int, name: str) -> int:
     if value < 1:
         raise DomainError(f"{name} must be at least 1")
     return value
+
+
+def check_matrix_width(n: int) -> int:
+    """``n`` as a ``check_count`` whose 2^n x 2^n matrix holds no more
+    entries than a statevector of ``MAX_SIM_QUBITS`` qubits; raises
+    ``ResourceError`` past that."""
+    n = check_count(n, "qubit count")
+    if n > MAX_SIM_QUBITS // 2:
+        raise ResourceError(f"a {show(n)}-qubit matrix exceeds the "
+                            f"{MAX_SIM_QUBITS}-qubit statevector ceiling")
+    return n
 
 
 def check_register_value(value: int, register: str, size: int) -> int:

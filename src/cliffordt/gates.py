@@ -16,7 +16,7 @@ from functools import cache
 from operator import index
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import DomainError, check_count, show
+from .errors import DomainError, check_matrix_width, show
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,8 +87,8 @@ def _derived_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
     """A ``Gate`` made without ``Gate.__init__``'s checks, for operands
     taken from a gate that already passed them: ``kind`` is a known kind
     and ``qubits`` a tuple of its arity of distinct non-negative ints.
-    Only ``inverse``, the lowering, the Fredkin parts that ``resources``
-    costs and ``parse`` (for operands its token memo checked) call it."""
+    Only ``inverse``, the lowering and ``parse`` (for operands its token
+    memo checked) call it."""
     gate = object.__new__(Gate)
     _set(gate, "kind", kind)
     _set(gate, "qubits", qubits)
@@ -219,12 +219,13 @@ def decompose_swap(a: int, b: int) -> list[Gate]:
 def compose_matrices(gates, n_qubits: int) -> np.ndarray:
     """Multiply out a gate sequence into one 2^n x 2^n unitary.
 
-    Intended for small n (decomposition checks); simulation of states goes
-    through the state module instead.
+    Intended for small n (decomposition checks): n is capped by
+    ``errors.check_matrix_width``.  Simulation of states goes through the
+    state module instead.
     """
     import numpy as np
 
-    n_qubits = check_count(n_qubits, "qubit count")
+    n_qubits = check_matrix_width(n_qubits)
     dim = 1 << n_qubits
     u = np.eye(dim, dtype=complex)
     for g in gates:
@@ -235,11 +236,12 @@ def compose_matrices(gates, n_qubits: int) -> np.ndarray:
 def expand_matrix(gate: Gate, n_qubits: int) -> np.ndarray:
     """Tensor-extend a gate matrix with identity onto an n-qubit space.
 
-    Qubit k is bit k of the global basis index.
+    Qubit k is bit k of the global basis index.  n is capped by
+    ``errors.check_matrix_width``.
     """
     import numpy as np
 
-    n_qubits = check_count(n_qubits, "qubit count")
+    n_qubits = check_matrix_width(n_qubits)
     if any(q >= n_qubits for q in gate.qubits):
         raise DomainError(
             f"gate {show(gate)} does not fit in {show(n_qubits)} qubits")
@@ -253,22 +255,3 @@ def expand_matrix(gate: Gate, n_qubits: int) -> np.ndarray:
     rest = index & ~sum(1 << q for q in gate.qubits)
     amp = _matrices()[gate.kind][local[:, None], local]
     return np.where((rest[:, None] == rest) & (amp != 0), amp, 0)
-
-
-def phase_aligned_distance(actual: np.ndarray, reference: np.ndarray) -> float:
-    """Max entrywise deviation after removing one global phase.
-
-    The phase is extracted from the largest-magnitude entry of the
-    reference, which keeps the alignment robust against near-zero entries.
-    """
-    import numpy as np
-
-    if actual.shape != reference.shape:
-        raise DomainError("matrix shapes differ")
-    idx = np.unravel_index(np.argmax(np.abs(reference)), reference.shape)
-    ref_entry = reference[idx]
-    act_entry = actual[idx]
-    if abs(act_entry) < 1e-14:
-        return float(np.max(np.abs(actual - reference)))
-    phase = act_entry / abs(act_entry) * abs(ref_entry) / ref_entry
-    return float(np.max(np.abs(actual / phase - reference)))

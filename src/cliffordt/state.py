@@ -31,15 +31,12 @@ from dataclasses import dataclass
 from math import inf
 from typing import TYPE_CHECKING
 
-from .errors import (DomainError, ResourceError, check_index, check_int,
-                     check_shots, show)
+from .errors import (MAX_SIM_QUBITS, DomainError, ResourceError, check_index,
+                     check_int, check_shots, show)
 from .gates import H_SCALE, PHASES, Gate
 
 if TYPE_CHECKING:
     import numpy as np
-
-#: Hard ceiling on statevector width; 2^24 amplitudes is the desk-scale limit.
-MAX_SIM_QUBITS = 24
 
 
 def make_rng(seed: int) -> np.random.Generator:

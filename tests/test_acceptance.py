@@ -16,13 +16,14 @@ from cliffordt.circuit import (Circuit, lower_to_clifford_t, parse,
                                simulate)
 from cliffordt.gates import (ccx, cnot, compose_matrices, cswap,
                              decompose_fredkin, decompose_toffoli,
-                             expand_matrix, h, phase_aligned_distance, x)
+                             expand_matrix, h, x)
 from cliffordt.state import sample
 from cliffordt.uncompute import BennettSpec, bennett_wrap
 from cliffordt.verify import (NoiseModel, exhaustive_check, oracle_adder,
                               oracle_ctrl_add, oracle_multiplier,
                               oracle_subtractor, oracle_taylor, run_rb,
                               tomography_1q)
+from helpers import phase_aligned_distance
 
 
 @contextmanager

@@ -123,6 +123,30 @@ def test_metrics_refuses_a_number_past_max_digits(tmp_path, capsys, text,
     assert run_cli(capsys, "metrics", str(path)) == (1, "", f"error: {message}\n")
 
 
+def test_metrics_of_a_huge_ancilla_register_sums_register_sizes(tmp_path):
+    # the ancilla count is a sum of register sizes, so a file of 10^30
+    # qubits costs at once; a child that listed the qubits would run out
+    # of its 2 GiB address space or its time limit, and fail here instead
+    # of hanging or eating the machine's memory
+    n = 10**30
+    path = tmp_path / "wide.qc"
+    path.write_text(f"qubits {n}\nregister a 0..{n - 1} ancilla\n")
+    limit = 1 << 31
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from cliffordt.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(cliffordt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "metrics", str(path), "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = json.loads(proc.stdout)
+    assert payload["ancilla_count"] == payload["qubit_cost"] == n
+    assert payload["garbage_count"] == payload["t_count"] == 0
+
+
 # ---------------------------------------------------------------------------
 # sim
 # ---------------------------------------------------------------------------

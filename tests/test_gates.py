@@ -13,8 +13,8 @@ from cliffordt.errors import DomainError
 from cliffordt.gates import (GATE_ARITY, Gate, ccx, cnot, compose_matrices,
                              cswap, decompose_fredkin, decompose_swap,
                              decompose_toffoli, expand_matrix, h, inverse,
-                             matrix, phase_aligned_distance, s, sdg, swap, t,
-                             tdg, x)
+                             matrix, s, sdg, swap, t, tdg, x)
+from helpers import phase_aligned_distance
 
 SQ2 = 1 / np.sqrt(2)
 

@@ -36,7 +36,7 @@ from cliffordt import (ArithInstance, BennettSpec, Circuit, CliffordTError,
                        run_rb, s, sample, sdg, simulate, sparse_evaluate,
                        swap, t, tdg, tomography_1q, x)
 from cliffordt.errors import MAX_DIGITS, show
-from cliffordt.gates import expand_matrix
+from cliffordt.gates import compose_matrices, expand_matrix
 
 HOSTILE = (1.5, "1", None, -1, float("nan"), True, np.int64(1))
 
@@ -113,8 +113,8 @@ NO_SCALAR = {
     # a Circuit, a Gate, a spec, an instance and an oracle, or arrays
     "apply_gate", "bennett_wrap", "exhaustive_check", "inverse",
     "inverse_circuit", "is_permutation_circuit", "lower_to_clifford_t",
-    "matrix", "phase_aligned_distance", "probabilities", "resources",
-    "schedule_layers", "serialize",
+    "matrix", "probabilities", "resources", "schedule_layers",
+    "serialize",
     # circuit text, a string
     "parse",
     # the layout's only argument is its tuple of registers
@@ -226,6 +226,24 @@ def test_a_huge_integer_ends_in_a_toolkit_error(label, call, signs):
         with pytest.raises(CliffordTError) as info:
             call(sign * _HUGE)
         assert len(str(info.value)) < 200, (sign, str(info.value)[:200])
+
+
+# (label, call) of a width no dense matrix or bit column can hold: past
+# the statevector ceiling a matrix would not fit in memory, and past
+# sys.maxsize a shift by the width raises Python's bare OverflowError.
+WIDE = [
+    ("expand_matrix 10^30", lambda: expand_matrix(x(0), 10**30)),
+    ("compose_matrices 10^30", lambda: compose_matrices([], 10**30)),
+    ("run_columns 10^30", lambda: run_columns(Circuit(1), [0], 10**30)),
+    ("expand_matrix 40", lambda: expand_matrix(x(0), 40)),
+    ("compose_matrices 40", lambda: compose_matrices([], 40)),
+]
+
+
+@pytest.mark.parametrize("label, call", WIDE, ids=[case[0] for case in WIDE])
+def test_a_width_past_what_memory_holds_ends_in_a_toolkit_error(label, call):
+    with pytest.raises(CliffordTError):
+        call()
 
 
 def test_show_names_an_integer_past_max_digits_by_its_bit_length():

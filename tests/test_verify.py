@@ -23,14 +23,14 @@ from cliffordt.arith import (BUILDERS, ArithInstance, build_adder,
 from cliffordt.circuit import (Circuit, Register, RegisterLayout,
                                lower_to_clifford_t, simulate)
 from cliffordt.errors import DomainError, FitError, ResourceError
-from cliffordt.gates import (cnot, compose_matrices, h,
-                             phase_aligned_distance, s, t, x)
+from cliffordt.gates import cnot, compose_matrices, h, s, t, x
 from cliffordt.state import make_rng
 from cliffordt.verify import (ORACLES, EquivalenceReport, NoiseModel,
                               exhaustive_check, fit_exponential_decay,
                               oracle_adder, oracle_multiplier,
                               oracle_subtractor, oracle_taylor, run_rb,
                               tomography_1q)
+from helpers import phase_aligned_distance
 
 SQ2 = 1 / np.sqrt(2)
 
