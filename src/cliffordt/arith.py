@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
 from .circuit import Circuit, Register, RegisterLayout
-from .errors import (DomainError, ResourceError, check_count, check_int,
+from .errors import (DomainError, ResourceError, check_count,
                      check_register_value, show)
 from .gates import Gate, ccx, cnot, x
 
@@ -63,11 +63,12 @@ class ArithInstance:
 
     def encode(self, values: Mapping[str, int]) -> int:
         """Registers missing from ``values`` take their constant, else 0.
-        Each value goes through ``errors.check_register_value``."""
+        Each name (constants too) goes through ``RegisterLayout.register``
+        and each value through ``errors.check_register_value``."""
         basis = 0
-        for r in self.circuit.layout.registers:
-            v = values.get(r.name, self.constants.get(r.name, 0))
-            basis |= check_register_value(v, r.name, r.size) << r.start
+        for name, v in {**self.constants, **values}.items():
+            r = self.circuit.layout.register(name)
+            basis |= check_register_value(v, name, r.size) << r.start
         return basis
 
     def decode(self, basis_index: int) -> dict[str, int]:
@@ -269,16 +270,13 @@ def build_taylor(n: int, f_c: int, fp_c: int, fpp_half_c: int, c: int) -> ArithI
     the copy as it stands, and the ladders of x-c and y1+fc, since each
     sum and its difference share the ladder inside the difference.
 
-    The width and the constants are taken as Python ints (see
-    ``check_int``); each constant is an unsigned residue mod 2^n, and
-    any fixed-point scaling is the caller's convention.
+    Each constant is an unsigned residue mod 2^n, checked before any gate
+    is built by ``check_register_value``, the rule ``ArithInstance``
+    applies; any fixed-point scaling is the caller's convention.
     """
     n = check_count(n, "width")
-    consts = {name: check_int(v, f"constant {name}") for name, v in
+    consts = {name: check_register_value(v, name, n) for name, v in
               (("fc", f_c), ("fp", fp_c), ("fpp", fpp_half_c), ("c", c))}
-    for name, v in consts.items():
-        if v < 0 or v >> n:
-            raise DomainError(f"constant {name}={show(v)} outside [0, 2^{show(n)})")
     layout, r = _registers(*(
         (name, n, "restored-input" if name in consts or name == "x" else "ancilla")
         for name in TAYLOR_REGISTERS))

@@ -111,12 +111,11 @@ class RegisterLayout:
 
     def decode(self, index: int) -> dict[str, int]:
         """Each register's value in a basis index, in register order.  The
-        bits above a register are shifted out rather than masked, so the
-        cost follows the index, not the register width.  A negative or
-        non-integer index raises ``DomainError``."""
-        index = check_int(index, "basis index")
-        if index < 0:
-            raise DomainError(f"basis index {show(index)} is negative")
+        index is checked by ``errors.check_index`` over the layout's width,
+        its largest register stop.  The bits above a register are shifted
+        out rather than masked, so the cost follows the index."""
+        width = max((r.stop for r in self.registers), default=0)
+        index = check_index(width, index)
         return {r.name: (index >> r.start) ^ (index >> r.stop << r.size)
                 for r in self.registers}
 
@@ -129,7 +128,7 @@ def default_layout(n_qubits: int) -> RegisterLayout:
 class Circuit:
     """An ordered gate list over a register-structured qubit space.
 
-    ``n_qubits`` is stored as a Python int (see ``errors.check_int``)."""
+    ``n_qubits`` is stored as a Python int (see ``errors.check_count``)."""
 
     n_qubits: int
     ops: tuple[Gate, ...] = ()
@@ -137,9 +136,7 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "n_qubits",
-                           check_int(self.n_qubits, "qubit count"))
-        if self.n_qubits < 1:
-            raise DomainError("circuit needs at least one qubit")
+                           check_count(self.n_qubits, "qubit count"))
         object.__setattr__(self, "ops", tuple(self.ops))
         if self.layout is None:
             object.__setattr__(self, "layout", default_layout(self.n_qubits))
@@ -183,17 +180,11 @@ class ResourceReport:
                 "gate_histogram": dict(sorted(self.gate_histogram.items()))}
 
     def to_text(self) -> str:
-        lines = [
-            f"t_count: {self.t_count}",
-            f"t_depth: {self.t_depth}",
-            f"depth: {self.depth}",
-            f"qubit_cost: {self.qubit_cost}",
-            f"ancilla_count: {self.ancilla_count}",
-            f"garbage_count: {self.garbage_count}",
-        ]
-        for kind in sorted(self.gate_histogram):
-            lines.append(f"gate.{kind}: {self.gate_histogram[kind]}")
-        return "\n".join(lines) + "\n"
+        """``to_dict`` as lines, each histogram entry as ``gate.<kind>``."""
+        fields = self.to_dict()
+        fields.update((f"gate.{kind}", count) for kind, count
+                      in fields.pop("gate_histogram").items())
+        return "".join(f"{name}: {value}\n" for name, value in fields.items())
 
 
 def inverse_circuit(c: Circuit) -> Circuit:

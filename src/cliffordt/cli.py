@@ -16,8 +16,8 @@ import os
 import sys
 
 from .arith import ArithInstance, BUILDERS
-from .circuit import (is_permutation_circuit, parse, permutation_output,
-                      resources, serialize, simulate)
+from .circuit import (Circuit, is_permutation_circuit, parse,
+                      permutation_output, resources, serialize, simulate)
 from .errors import CliffordTError, ParseError, check_shots, parse_int
 from .state import probabilities, sample
 from .uncompute import BennettSpec, bennett_wrap
@@ -48,6 +48,16 @@ def _build(args) -> ArithInstance:
     return BUILDERS[args.kind](args.n)
 
 
+def _read(path: str) -> Circuit:
+    with open(path, encoding="utf-8") as fh:
+        return parse(fh.read())
+
+
+def _write(path: str, circ: Circuit) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize(circ))
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if getattr(args, "format", "text") == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -56,23 +66,18 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_gen(args) -> int:
-    instance = _build(args)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(serialize(instance.circuit))
+    _write(args.out, _build(args).circuit)
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        circ = parse(fh.read())
-    report = resources(circ)
+    report = resources(_read(args.path))
     _emit(args, report.to_dict(), report.to_text())
     return 0
 
 
 def _cmd_sim(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        circ = parse(fh.read())
+    circ = _read(args.path)
     permutation = is_permutation_circuit(circ)
     if args.shots is not None:
         if permutation:
@@ -81,8 +86,8 @@ def _cmd_sim(args) -> int:
             check_shots(args.shots)
             ordered = {out_index: args.shots}
         else:
-            counts = sample(simulate(circ, args.input), args.shots, args.seed)
-            ordered = dict(sorted(counts.counts.items()))
+            ordered = sample(simulate(circ, args.input), args.shots,
+                             args.seed).counts  # in ascending order
         text = "".join(f"{k}: {v}\n" for k, v in ordered.items())
         _emit(args, {"shots": args.shots,
                      "counts": {str(k): v for k, v in ordered.items()}}, text)
@@ -101,12 +106,9 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_uncompute(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        circ = parse(fh.read())
+    circ = _read(args.path)
     wires = [_int(w) for w in args.wires.split(",")]
-    wrapped = bennett_wrap(BennettSpec(circ, wires))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(serialize(wrapped))
+    _write(args.out, bennett_wrap(BennettSpec(circ, wires)))
     return 0
 
 

@@ -36,9 +36,6 @@ GATE_ARITY = {
     "cswap": 3,
 }
 
-# Gates already in the fault-tolerant target set (left untouched by lowering).
-CLIFFORD_T_KINDS = frozenset({"h", "t", "tdg", "s", "sdg", "x", "cnot"})
-
 # Gates whose matrices are 0/1 permutations of the computational basis.
 PERMUTATION_KINDS = frozenset({"x", "cnot", "swap", "ccx", "cswap"})
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from math import inf
 from typing import TYPE_CHECKING
 
-from .errors import (MAX_SIM_QUBITS, DomainError, ResourceError, check_index,
-                     check_int, check_shots, show)
+from .errors import (MAX_SIM_QUBITS, DomainError, ResourceError, check_count,
+                     check_index, check_int, check_shots, show)
 from .gates import H_SCALE, PHASES, Gate
 
 if TYPE_CHECKING:
@@ -53,11 +53,9 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def check_width(n: int) -> int:
-    """``n`` as a Python int (see ``check_int``); raise ``DomainError``
-    below one qubit and ``ResourceError`` past ``MAX_SIM_QUBITS``."""
-    n = check_int(n, "qubit count")
-    if n < 1:
-        raise DomainError("need at least one qubit")
+    """``n`` as an ``errors.check_count`` qubit count; raise
+    ``ResourceError`` past ``MAX_SIM_QUBITS``."""
+    n = check_count(n, "qubit count")
     if n > MAX_SIM_QUBITS:
         raise ResourceError(
             f"{show(n)} qubits exceeds the {MAX_SIM_QUBITS}-qubit statevector ceiling")

@@ -46,8 +46,9 @@ if TYPE_CHECKING:
 #: registers the circuit changes, and names no other.  Each value it is
 #: given is an integer (a constant) or a ``uint64`` array with one entry
 #: per basis input, and it returns the same kinds; an integer output
-#: stands for every input.  Every register it does not name, whether an
-#: input, a constant or an ancilla, is expected to end as it began.
+#: stands for every input and packs at any width, an array only into a
+#: register of at most 64 bits.  Every register it does not name, whether
+#: an input, a constant or an ancilla, is expected to end as it began.
 Oracle = Callable[[Mapping[str, "int | np.ndarray"]], "dict[str, int | np.ndarray]"]
 
 #: Basis inputs per bit-sliced batch of ``exhaustive_check``.  A batch's
@@ -134,13 +135,12 @@ class RBResult:
                 "mean_fidelity": list(self.mean_fidelity)}
 
     def to_text(self) -> str:
-        lines = ["lengths: " + " ".join(str(m) for m in self.lengths),
-                 "mean_fidelity: " + " ".join(f"{f:.6f}" for f in self.mean_fidelity),
-                 f"fit_A: {self.fit_A:.6f}",
-                 f"fit_B: {self.fit_B:.6f}",
-                 f"fit_p: {self.fit_p:.6f}",
-                 f"error_per_gate: {self.error_per_gate:.6f}"]
-        return "\n".join(lines) + "\n"
+        lines = []
+        for name, value in vars(self).items():
+            fmt = str if name == "lengths" else "{:.6f}".format
+            items = value if isinstance(value, tuple) else (value,)
+            lines.append(f"{name}: {' '.join(map(fmt, items))}\n")
+        return "".join(lines)
 
 
 class FitResult(NamedTuple):
@@ -169,12 +169,12 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     rows that differ are read back, in one ``_unpack`` call; every other
     circuit runs row by row on the exact sparse evaluator
     (``circuit.sparse_evaluate``).  Both work at any width.  Input spaces
-    larger than ``MAX_CHECK_INPUTS``, registers wider than 64 bits,
-    circuits of more than ``MAX_SLICED_BITS`` qubits, and sparse runs that
-    hold more than ``circuit.MAX_SPARSE_SUPPORT`` basis states at once
-    raise ``ResourceError``.  An oracle result that is not a mapping,
-    names a register the circuit lacks, or holds a value that does not
-    fit its register raises ``DomainError``.
+    larger than ``MAX_CHECK_INPUTS``, circuits of more than
+    ``MAX_SLICED_BITS`` qubits, an array result for a register wider than
+    64 bits, and sparse runs that hold more than ``MAX_SPARSE_SUPPORT``
+    basis states at once raise ``ResourceError``.  An oracle result that
+    is not a mapping, names a register the circuit lacks, or holds a
+    value that does not fit its register raises ``DomainError``.
     """
     import numpy as np
 
@@ -187,10 +187,6 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
         raise ResourceError(
             f"2^{show(bits)} inputs exceeds the exhaustive-check limit of "
             f"{MAX_CHECK_INPUTS}")
-    for r in layout.registers:  # a batch holds each register as uint64
-        if r.size > 64:
-            raise ResourceError(f"register {r.name} ({show(r.size)} bits) is "
-                                "wider than the 64 bits an exhaustive check packs")
     n = circ.n_qubits
     if n > MAX_SLICED_BITS:
         raise ResourceError(f"{show(n)} qubits exceeds the {MAX_SLICED_BITS}"
@@ -270,8 +266,9 @@ def _pack(name: str, size: int, value: "int | np.ndarray",
           rows: int) -> list[int]:
     """The ``size`` bit columns of register ``name`` over a batch of
     ``rows`` rows: bit r of column i is bit i of row r's value.  An
-    integer value stands for every row.  A value that is negative or does
-    not fit the register raises ``DomainError``.
+    integer value stands for every row, at any width; an array, packed as
+    ``uint64``, raises ``ResourceError`` for a register wider than 64
+    bits.  A value that is negative or does not fit raises ``DomainError``.
     """
     import numpy as np
 
@@ -279,6 +276,9 @@ def _pack(name: str, size: int, value: "int | np.ndarray",
         value = check_register_value(value, name, size)
         ones = (1 << rows) - 1
         return [ones if value >> i & 1 else 0 for i in range(size)]
+    if size > 64:
+        raise ResourceError(f"register {name} ({show(size)} bits) is wider "
+                            "than the 64 bits an exhaustive check packs")
     v = np.asarray(value)
     if v.shape != (rows,) or v.dtype.kind not in "iu":
         raise DomainError(f"register {name} needs an integer or {rows} "
@@ -507,7 +507,8 @@ def fit_exponential_decay(points: Sequence[tuple[float, float]]) -> FitResult:
     report p exactly 1.  ``points`` is read once, so an iterator will do.
     An m or f that is not a finite real number (see ``check_real``) raises
     ``DomainError``.  Fewer than three points or fewer than two
-    distinct m values cannot determine the model and raise FitError.
+    distinct m values cannot determine the model and raise FitError, as
+    does a fit that numpy cannot solve or whose residual is not finite.
     """
     import numpy as np
 
@@ -524,44 +525,46 @@ def fit_exponential_decay(points: Sequence[tuple[float, float]]) -> FitResult:
         raise FitError("need at least 2 distinct sequence lengths")
     if np.allclose(fs, fs[0], atol=1e-12):
         return FitResult(A=0.0, B=float(fs[0]), p=1.0, residual=0.0)
-
-    b0 = 0.5
-    y = fs - b0
-    mask = y > 1e-9
-    if mask.sum() >= 2:
-        coeffs = np.polyfit(ms[mask], np.log(y[mask]), 1)
-        p0 = float(np.exp(coeffs[0]))
-        a0 = float(np.exp(coeffs[1]))
-    else:
-        p0, a0 = 0.9, max(float(fs.max() - b0), 0.1)
-    p0 = min(max(p0, 1e-6), 1.0)
-
-    params = np.array([a0, b0, p0])
-    lam = 1e-3
-    for _ in range(200):
-        a, b, p = params
-        r = a * p ** ms + b - fs
-        jac = np.column_stack([p ** ms,
-                               np.ones_like(ms),
-                               a * ms * p ** np.maximum(ms - 1, 0.0)])
-        grad = jac.T @ r
-        hess = jac.T @ jac + lam * np.eye(3)
+    with np.errstate(all="ignore"):  # an overflow shows in the residual
         try:
-            step = np.linalg.solve(hess, grad)
+            b0 = 0.5
+            y = fs - b0
+            mask = y > 1e-9
+            if mask.sum() >= 2:
+                coeffs = np.polyfit(ms[mask], np.log(y[mask]), 1)
+                p0 = float(np.exp(coeffs[0]))
+                a0 = float(np.exp(coeffs[1]))
+            else:
+                p0, a0 = 0.9, max(float(fs.max() - b0), 0.1)
+            p0 = min(max(p0, 1e-6), 1.0)
+
+            params = np.array([a0, b0, p0])
+            lam = 1e-3
+            for _ in range(200):
+                a, b, p = params
+                r = a * p ** ms + b - fs
+                jac = np.column_stack([p ** ms,
+                                       np.ones_like(ms),
+                                       a * ms * p ** np.maximum(ms - 1, 0.0)])
+                grad = jac.T @ r
+                hess = jac.T @ jac + lam * np.eye(3)
+                step = np.linalg.solve(hess, grad)
+                trial = params - step
+                trial[2] = min(max(trial[2], 1e-9), 1.0)
+                trial_r = trial[0] * trial[2] ** ms + trial[1] - fs
+                if np.linalg.norm(trial_r) < np.linalg.norm(r):
+                    params = trial
+                    lam = max(lam / 3.0, 1e-12)
+                else:
+                    lam *= 10.0
+                if np.linalg.norm(step) < 1e-12:
+                    break
+            a, b, p = params
+            residual = float(np.linalg.norm(a * p ** ms + b - fs))
         except np.linalg.LinAlgError as exc:
             raise FitError(f"singular system: {exc}") from None
-        trial = params - step
-        trial[2] = min(max(trial[2], 1e-9), 1.0)
-        trial_r = trial[0] * trial[2] ** ms + trial[1] - fs
-        if np.linalg.norm(trial_r) < np.linalg.norm(r):
-            params = trial
-            lam = max(lam / 3.0, 1e-12)
-        else:
-            lam *= 10.0
-        if np.linalg.norm(step) < 1e-12:
-            break
-    a, b, p = params
-    residual = float(np.linalg.norm(a * p ** ms + b - fs))
+    if not isfinite(residual):
+        raise FitError("the fit diverged: its residual is not finite")
     return FitResult(float(a), float(b), float(p), residual)
 
 

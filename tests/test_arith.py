@@ -2,12 +2,17 @@
 
 import copy
 import hashlib
+import os
 import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cliffordt
 from cliffordt.arith import (BUILDERS, TAYLOR_REGISTERS, ArithInstance,
                              _ladder, _mod_mul_ops, _sub_core, build_adder,
                              build_ctrl_add, build_multiplier,
@@ -509,7 +514,7 @@ def test_generators_take_a_numpy_integer_width(kind):
 def test_taylor_refuses_a_constant_that_is_no_residue(at, value):
     consts = [0, 0, 0, 0]
     consts[at] = value
-    with pytest.raises(DomainError, match="not an integer|outside"):
+    with pytest.raises(DomainError, match="not an integer|outside|does not fit"):
         build_taylor(3, *consts)
 
 
@@ -525,6 +530,43 @@ def test_taylor_stores_constants_as_python_ints():
 def test_decode_refuses_a_negative_or_non_integer_index(index):
     with pytest.raises(DomainError, match="basis index"):
         build_adder(2).decode(index)
+
+
+@pytest.mark.parametrize("index", [1 << 5, 1 << 40])
+def test_decode_refuses_an_index_past_the_circuit_width(index):
+    with pytest.raises(DomainError,
+                       match=f"basis index {index} out of range for 5 qubits"):
+        build_adder(2).decode(index)
+
+
+def test_encode_refuses_a_register_the_circuit_lacks():
+    with pytest.raises(DomainError, match="no register named 'A'"):
+        build_adder(2).encode({"A": 3})
+    with pytest.raises(DomainError, match="no register named 'q'"):
+        build_taylor(2, 1, 1, 1, 1).encode({"x": 1, "q": 0})
+
+
+def test_taylor_refuses_a_bad_constant_before_building():
+    # at 10^6 bits the circuit would hold about 10^12 gates, so the check
+    # must come first.  The child runs under a 1 GiB address-space limit
+    # and a timeout, so a regression fails instead of eating the memory
+    limit = 1 << 30
+    code = ("import resource, time\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from cliffordt.arith import build_taylor\n"
+            "from cliffordt.errors import DomainError\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    build_taylor(10**6, -1, 0, 0, 0)\n"
+            "except DomainError as exc:\n"
+            "    print(exc, time.perf_counter() - start < 1)\n")
+    src = str(Path(cliffordt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=30)
+    assert proc.stderr == ""
+    assert proc.stdout == ("value -1 does not fit register fc "
+                           "(1000000 bits) True\n")
 
 
 def test_instance_stores_a_python_int_width():

@@ -29,15 +29,20 @@ from cliffordt.circuit import (MAX_DIGITS, OFFSETS, ROLES, TEMPLATES, Circuit,
                                simulate, sparse_evaluate)
 from cliffordt.circuit import _offsets, _place, _spill_support
 from cliffordt.errors import DomainError, ParseError, ResourceError
-from cliffordt.gates import (CLIFFORD_T_KINDS, GATE_ARITY, PERMUTATION_KINDS,
-                             Gate, ccx, cnot, compose_matrices, cswap,
-                             decompose_fredkin, decompose_swap,
-                             decompose_toffoli, h, swap, t, tdg, x)
+from cliffordt.gates import (GATE_ARITY, PERMUTATION_KINDS, Gate, ccx, cnot,
+                             compose_matrices, cswap, decompose_fredkin,
+                             decompose_swap, decompose_toffoli, h, swap, t,
+                             tdg, x)
 from cliffordt.state import new_basis_state
 from cliffordt.uncompute import BennettSpec, bennett_wrap
 from cliffordt.verify import _pack, _unpack
 
 SQ2 = 1 / np.sqrt(2)
+
+# the kinds that lowering leaves as they are: each is its own single step
+CLIFFORD_T_KINDS = frozenset(
+    kind for kind, template in TEMPLATES.items()
+    if template == ((kind, tuple(range(GATE_ARITY[kind]))),))
 
 
 def bell_circuit():
@@ -760,7 +765,7 @@ def test_numpy_widths_are_stored_as_python_ints():
 
 
 def test_circuit_needs_a_qubit():
-    with pytest.raises(DomainError, match="at least one qubit"):
+    with pytest.raises(DomainError, match="qubit count must be at least 1"):
         Circuit(0)
 
 
@@ -903,6 +908,14 @@ def test_basis_index_must_be_an_integer():
                 lambda c, j: new_basis_state(c.n_qubits, j)):
         with pytest.raises(DomainError, match="basis index 1.0 is not an integer"):
             run(c, 1.0)
+
+
+def test_layout_decode_refuses_an_index_past_its_width():
+    assert default_layout(3).decode(7) == {"q": 7}
+    for index in (8, 1 << 40):
+        with pytest.raises(DomainError,
+                           match=f"basis index {index} out of range for 3"):
+            default_layout(3).decode(index)
 
 
 def test_permutation_output_runs_at_any_width():

@@ -373,11 +373,13 @@ def test_exhaustive_check_refuses_registers_wider_than_64_bits():
         exhaustive_check(ones, lambda v: {
             "a": v["a"], "w": np.full(v["a"].shape, -1, dtype=np.int64)})
 
-    def untouchable(values):
-        pytest.fail("the oracle was called")
+    # an integer packs at any width; only an array is held as uint64
     wide = ArithInstance(2, Circuit(67, flip_w, layout(65)), ("a",))
+    report = exhaustive_check(wide, lambda v: {"w": (1 << 64) - 1})
+    assert report.passed and report.total_inputs == 4
     with pytest.raises(ResourceError, match=r"register w \(65 bits\)"):
-        exhaustive_check(wide, untouchable)
+        exhaustive_check(wide, lambda v: {
+            "w": np.full_like(v["a"], (1 << 64) - 1)})
 
 
 @pytest.mark.parametrize("change, message", [
@@ -933,6 +935,15 @@ def test_fit_reads_its_points_once():
                                    (np.int64(2), np.float32(0.8)), (3, 0.7)])
     assert exact == fit_exponential_decay([(1, 0.9), (2, float(np.float32(0.8))),
                                            (3, 0.7)])
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0.9), (1e-300, 0.8), (2e-300, 0.7)],  # polyfit's SVD fails
+    [(1, 1e300), (2, 0.8), (3, 0.7)],  # the start overflows to A = inf
+])
+def test_fit_raises_fit_error_on_a_fit_it_cannot_make(points):
+    with pytest.raises(FitError):
+        fit_exponential_decay(points)
 
 
 def test_fit_validation():
