@@ -39,13 +39,15 @@ def _int(text: str) -> int:
 
 
 def _build(args) -> ArithInstance:
-    if args.kind == "taylor":
-        missing = [f"--{name}" for name in _TAYLOR_FLAGS
-                   if getattr(args, name) is None]
-        if missing:
-            raise CliffordTError(f"taylor requires {' '.join(missing)}")
-        return BUILDERS["taylor"](args.n, args.f, args.fp, args.fpp, args.c)
-    return BUILDERS[args.kind](args.n)
+    """The instance to build.  Taylor takes all four of --f --fp --fpp --c,
+    every other kind none; ``CliffordTError`` names the flags that break it."""
+    taylor = args.kind == "taylor"
+    flags = {f"--{name}": getattr(args, name) for name in _TAYLOR_FLAGS}
+    wrong = [flag for flag, value in flags.items() if (value is None) == taylor]
+    if wrong:
+        verb = "requires" if taylor else "takes no"
+        raise CliffordTError(f"{args.kind} {verb} {' '.join(wrong)}")
+    return BUILDERS[args.kind](args.n, *(flags.values() if taylor else ()))
 
 
 def _read(path: str) -> Circuit:
@@ -78,30 +80,27 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_sim(args) -> int:
     circ = _read(args.path)
-    permutation = is_permutation_circuit(circ)
-    if args.shots is not None:
-        if permutation:
-            # a basis permutation lands every shot on one outcome
-            out_index = permutation_output(circ, args.input)
-            check_shots(args.shots)
-            ordered = {out_index: args.shots}
-        else:
-            ordered = sample(simulate(circ, args.input), args.shots,
-                             args.seed).counts  # in ascending order
-        text = "".join(f"{k}: {v}\n" for k, v in ordered.items())
-        _emit(args, {"shots": args.shots,
-                     "counts": {str(k): v for k, v in ordered.items()}}, text)
-        return 0
-    if permutation:
+    if is_permutation_circuit(circ):
         out_index = permutation_output(circ, args.input)
-        decoded = circ.layout.decode(out_index)
-        text = "".join(f"{name}: {value}\n" for name, value in decoded.items())
-        _emit(args, {"basis_index": out_index, "registers": decoded}, text)
-        return 0
-    probs = probabilities(simulate(circ, args.input))
-    nonzero = {int(i): float(probs[i]) for i in (probs > 1e-12).nonzero()[0]}
-    text = "".join(f"{k}: {v:.10f}\n" for k, v in nonzero.items())
-    _emit(args, {"probabilities": {str(k): v for k, v in nonzero.items()}}, text)
+        if args.shots is None:
+            decoded = circ.layout.decode(out_index)
+            text = "".join(f"{name}: {value}\n" for name, value in decoded.items())
+            _emit(args, {"basis_index": out_index, "registers": decoded}, text)
+            return 0
+        # a basis permutation lands every shot on one outcome
+        counts = {out_index: check_shots(args.shots)}
+    else:
+        state = simulate(circ, args.input)
+        if args.shots is None:
+            p = probabilities(state)
+            probs = {int(i): float(p[i]) for i in (p > 1e-12).nonzero()[0]}
+            text = "".join(f"{k}: {v:.10f}\n" for k, v in probs.items())
+            _emit(args, {"probabilities": {str(k): v for k, v in probs.items()}}, text)
+            return 0
+        counts = sample(state, args.shots, args.seed).counts  # ascending
+    text = "".join(f"{k}: {v}\n" for k, v in counts.items())
+    _emit(args, {"shots": args.shots,
+                 "counts": {str(k): v for k, v in counts.items()}}, text)
     return 0
 
 
@@ -141,7 +140,7 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("n", type=_int, help="register width in bits")
         for name in _TAYLOR_FLAGS:
             p.add_argument(f"--{name}", type=_int, default=None,
-                           help="taylor constant (required for kind=taylor)")
+                           help="taylor constant (taylor only, and required there)")
 
     p = sub.add_parser("gen", help="generate a circuit file")
     add_kind_n(p)

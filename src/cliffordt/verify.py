@@ -157,24 +157,24 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     last input register varies fastest), with ancillae held at 0 and
     constants pinned.  Each run must land exactly on the oracle's
     predicted basis state, with amplitude exactly 1.  Inputs go
-    ``CHECK_BATCH`` at a time, one bit column per qubit: an input column
-    is a bit of the row counter, built in closed form (``_count_column``),
-    and a constant's is all ones or zeros.  The oracle is called once per
-    batch on the constants and each free register's slice of a ``uint64``
-    counter (``ArithInstance.counter``).  The expected columns are the
-    input columns with each register the oracle names packed by
-    ``_pack``, so a register it leaves out must end as it began (see
+    ``CHECK_BATCH`` at a time, one bit column per qubit, each register's
+    at its own qubits: a free input's are bits of the row counter
+    (``_count_column``), any other's ``_pack`` of its constant, 0 for an
+    ancilla.  The oracle is called once per batch on the constants and
+    each free register's slice of a ``uint64`` counter
+    (``ArithInstance.counter``).  The expected columns are the input
+    columns with each register the oracle names packed by ``_pack``, so a register it leaves out must end as it began (see
     ``Oracle``).  Permutation circuits (X, CNOT, SWAP, Toffoli, Fredkin)
     run bit-sliced on the whole batch (``circuit.run_columns``), and only
-    rows that differ are read back, in one ``_unpack`` call; every other
-    circuit runs row by row on the exact sparse evaluator
-    (``circuit.sparse_evaluate``).  Both work at any width.  Input spaces
-    larger than ``MAX_CHECK_INPUTS``, circuits of more than
+    rows that differ are read back, by their mask, in one ``_unpack``
+    call; every other circuit runs row by row on the exact sparse
+    evaluator (``circuit.sparse_evaluate``).  Both work at any width.  Input
+    spaces larger than ``MAX_CHECK_INPUTS``, circuits of more than
     ``MAX_SLICED_BITS`` qubits, an array result for a register wider than
     64 bits, and sparse runs that hold more than ``MAX_SPARSE_SUPPORT``
-    basis states at once raise ``ResourceError``.  An oracle result that
-    is not a mapping, names a register the circuit lacks, or holds a
-    value that does not fit its register raises ``DomainError``.
+    basis states at once raise ``ResourceError``.  An oracle result that is
+    not a mapping, names a register the circuit lacks, or holds a value
+    that does not fit its register raises ``DomainError``.
     """
     import numpy as np
 
@@ -192,7 +192,6 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
         raise ResourceError(f"{show(n)} qubits exceeds the {MAX_SLICED_BITS}"
                             "-bit limit of the bit-sliced evaluator")
     constants = instance.constants
-    ordered = sorted(layout.registers, key=lambda r: r.start)
     counter = instance.counter()
     shifts = {name: at for name, at, _ in counter}
     total = 1 << bits
@@ -202,13 +201,13 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     for base in range(0, total, batch):
         rows = min(batch, total - base)
         count = np.arange(base, base + rows, dtype=np.uint64)
-        cols: list[int] = []
-        for r in ordered:
-            if r.name in shifts:
-                at = shifts[r.name]
-                cols += [_count_column(at + i, base, rows) for i in range(r.size)]
-            else:
-                cols += _pack(r.name, r.size, constants.get(r.name, 0), rows)
+        cols = [0] * n
+        for r in layout.registers:
+            at = shifts.get(r.name)
+            cols[r.start:r.stop] = (
+                _pack(r.name, r.size, constants.get(r.name, 0), rows)
+                if at is None else
+                [_count_column(at + i, base, rows) for i in range(r.size)])
         got = oracle({**constants, **{name: (count >> at) & mask
                                       for name, at, mask in counter}})
         if not isinstance(got, Mapping):
@@ -225,13 +224,10 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
             for have, want in zip(out, expected):
                 diff |= have ^ want
             if diff:
-                flags = np.frombuffer(diff.to_bytes((rows + 7) >> 3, "little"),
-                                      np.uint8)
-                bad = np.flatnonzero(np.unpackbits(flags, bitorder="little"))
                 mismatches += [(v & low, v >> n & low, v >> 2 * n) for v in
-                               _unpack(cols + expected + out, rows, bad)]
+                               _unpack(cols + expected + out, rows, diff)]
             continue
-        for v in _unpack(cols + expected, rows, range(rows)):
+        for v in _unpack(cols + expected, rows, (1 << rows) - 1):
             j, want = v & low, v >> n
             amps, k = sparse_evaluate(circ, j)
             if k or amps != {want: (1, 0, 0, 0)}:
@@ -296,21 +292,22 @@ def _pack(name: str, size: int, value: "int | np.ndarray",
             for i in range(size)]
 
 
-def _unpack(cols: list[int], n_rows: int, rows: Sequence[int]) -> list[int]:
-    """The basis indices of the given rows, read back out of bit columns:
-    the inverse of ``_pack``.  One transposition serves every row asked
-    for: the columns as bytes, the byte of each row asked for (in the
-    order given, repeats allowed), its bit, and those bits packed back
-    along the qubit axis into one little-endian byte string per row.  The
-    ``S`` type drops a string's trailing NULs, the high zero bytes of its
-    index, so no value changes."""
+def _unpack(cols: list[int], n_rows: int, rows: int) -> list[int]:
+    """The basis indices of the rows whose bits are set in the mask
+    ``rows``, in ascending order, read back out of bit columns: the
+    inverse of ``_pack``.  One transposition serves every row asked for:
+    the columns and the mask as bytes, the byte of each row in the mask,
+    its bit, and those bits packed back along the qubit axis into one
+    little-endian byte string per row.  The ``S`` type drops a string's
+    trailing NULs, the high zero bytes of its index, so no value changes."""
     import numpy as np
 
     width = (n_rows + 7) >> 3
     octets = np.frombuffer(
         b"".join(map(int.to_bytes, cols, repeat(width), repeat("little"))),
         np.uint8).reshape(len(cols), width)
-    at = np.asarray(rows, dtype=np.intp)
+    flags = np.frombuffer(rows.to_bytes(width, "little"), np.uint8)
+    at = np.flatnonzero(np.unpackbits(flags, bitorder="little"))
     bits = octets[:, at >> 3] >> (at & 7).astype(np.uint8) & 1
     packed = np.packbits(bits, axis=0, bitorder="little")
     indices = np.frombuffer(packed.T.tobytes(), f"S{len(packed)}").tolist()
@@ -501,14 +498,16 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
 def fit_exponential_decay(points: Sequence[tuple[float, float]]) -> FitResult:
     """Least-squares fit of f = A*p^m + B.
 
-    Initialization is a log-domain linear fit of f - 0.5 (the one-qubit
-    uniform-outcome floor), refined by damped Gauss-Newton.  Constant data
+    Damped Gauss-Newton refines a log-domain linear fit of f - 0.5 (the
+    one-qubit uniform-outcome floor) over the points above it, or a default
+    start if those hold fewer than two distinct m values.  Constant data
     takes the p=1 branch with B equal to the constant, so noiseless runs
     report p exactly 1.  ``points`` is read once, so an iterator will do.
     An m or f that is not a finite real number (see ``check_real``) raises
-    ``DomainError``.  Fewer than three points or fewer than two
-    distinct m values cannot determine the model and raise FitError, as
-    does a fit that numpy cannot solve or whose residual is not finite.
+    ``DomainError``.  Fewer than three points or two distinct m values
+    cannot determine the model and raise FitError, as do log-fit m values
+    whose squares sum to 0 or overflow (polyfit would divide by that), and
+    a fit numpy cannot solve or whose residual is not finite.
     """
     import numpy as np
 
@@ -530,10 +529,10 @@ def fit_exponential_decay(points: Sequence[tuple[float, float]]) -> FitResult:
             b0 = 0.5
             y = fs - b0
             mask = y > 1e-9
-            if mask.sum() >= 2:
-                coeffs = np.polyfit(ms[mask], np.log(y[mask]), 1)
-                p0 = float(np.exp(coeffs[0]))
-                a0 = float(np.exp(coeffs[1]))
+            if len(np.unique(ms[mask])) >= 2:
+                if not 0.0 < np.sum(ms[mask] ** 2) < np.inf:
+                    raise FitError("lengths overflow or underflow when squared")
+                p0, a0 = map(float, np.exp(np.polyfit(ms[mask], np.log(y[mask]), 1)))
             else:
                 p0, a0 = 0.9, max(float(fs.max() - b0), 0.1)
             p0 = min(max(p0, 1e-6), 1.0)

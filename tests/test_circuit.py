@@ -977,10 +977,11 @@ def test_bitsliced_evaluator_agrees_with_statevector(case, data):
     cols = columns(inputs)
     run_columns(c, cols, len(inputs))
     assert cols == columns(dense)
-    # drawn rows, in any order and repeated, read back out of the columns
-    rows = data.draw(st.lists(st.integers(0, len(inputs) - 1)))
-    assert _unpack(columns(inputs), len(inputs), rows) == [inputs[r] for r in rows]
-    assert _unpack(cols, len(inputs), rows) == [dense[r] for r in rows]
+    # the rows of a drawn mask, read back out of the columns in ascending order
+    mask = data.draw(st.integers(0, (1 << len(inputs)) - 1))
+    rows = [r for r in range(len(inputs)) if mask >> r & 1]
+    assert _unpack(columns(inputs), len(inputs), mask) == [inputs[r] for r in rows]
+    assert _unpack(cols, len(inputs), mask) == [dense[r] for r in rows]
 
 
 @st.composite

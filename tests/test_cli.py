@@ -73,6 +73,18 @@ def test_a_width_no_list_can_index_is_one_error_line(tmp_path, capsys, argv):
     assert not (tmp_path / "o.qc").exists()
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["gen", "adder", "2", "{tmp}/o.qc", "--f", "3"], "--f"),
+    (["verify", "adder", "2", "--c", "1"], "--c"),
+])
+def test_taylor_constants_on_another_kind_are_one_error_line(tmp_path, capsys,
+                                                             argv, flags):
+    result = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert_one_error_line(result)
+    assert result[2] == f"error: adder takes no {flags}\n"
+    assert not (tmp_path / "o.qc").exists()
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -363,6 +375,14 @@ def test_sim_permutation_shots_past_int64_is_the_same_error(tmp_path, capsys,
     assert_one_error_line(served)
     monkeypatch.setattr(cli, "is_permutation_circuit", lambda c: False)
     assert run_cli(capsys, *argv) == served
+
+
+def test_sim_permutation_checks_the_input_before_the_shots(tmp_path, capsys):
+    path = tmp_path / "chain.qc"
+    path.write_text("qubits 2\ncnot 0 1\n")
+    result = run_cli(capsys, "sim", str(path), "--input", "99", "--shots", "0")
+    assert_one_error_line(result)
+    assert "basis index 99" in result[2] and "shots" not in result[2]
 
 
 @pytest.mark.parametrize("argv", [

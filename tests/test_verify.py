@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -487,14 +488,17 @@ def test_counter_columns_match_packed_counter(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_unpack_reads_rows_bit_by_bit(data):
-    # rows in any order, repeated or left out
+    # a mask names any set of rows, none and all included; they come
+    # back in ascending order
     n_qubits = data.draw(st.integers(1, 130))
     n_rows = data.draw(st.integers(1, 80))
     cols = data.draw(st.lists(st.integers(0, (1 << n_rows) - 1),
                               min_size=n_qubits, max_size=n_qubits))
-    rows = data.draw(st.lists(st.integers(0, n_rows - 1), max_size=100))
+    mask = data.draw(st.sampled_from((0, (1 << n_rows) - 1))
+                     | st.integers(0, (1 << n_rows) - 1))
+    rows = [r for r in range(n_rows) if mask >> r & 1]
     want = [sum((col >> r & 1) << q for q, col in enumerate(cols)) for r in rows]
-    assert verify._unpack(cols, n_rows, rows) == want
+    assert verify._unpack(cols, n_rows, mask) == want
 
 
 ORACLE_INPUTS = {"adder": ("a", "b"), "sub": ("a", "b"),
@@ -944,6 +948,27 @@ def test_fit_reads_its_points_once():
 def test_fit_raises_fit_error_on_a_fit_it_cannot_make(points):
     with pytest.raises(FitError):
         fit_exponential_decay(points)
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0.9), (1e-300, 0.8), (2e-300, 0.7)],  # the m squares underflow
+    [(1e-200, 0.9), (2e-200, 0.8), (3e-200, 0.7)],
+    [(0, 0.9), (0, 0.8), (5, 0.4)],  # one length above the floor
+    [(1, 0.9), (1, 0.8), (5, 0.4), (6, 0.3)],
+    [(1e200, 0.9), (2e200, 0.8), (3e200, 0.7)],  # the m squares overflow
+])
+def test_fit_writes_nothing_to_stderr(points, capfd):
+    # capfd reads fds 1 and 2, past Python: LAPACK's error handler prints
+    # its own lines (OpenBLAS's to fd 1, other builds' to fd 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fit = fit_exponential_decay(points)
+        except FitError:
+            pass
+        else:
+            assert all(map(np.isfinite, fit))
+    assert capfd.readouterr() == ("", "")
 
 
 def test_fit_validation():
