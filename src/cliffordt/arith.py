@@ -21,6 +21,14 @@ from .errors import (DomainError, ResourceError, check_count,
 from .gates import Gate, ccx, cnot, x
 
 
+#: Most bits the free inputs of an ``ArithInstance`` may hold for
+#: ``counter`` and ``input_space``.  Each mask is a Python int as wide as
+#: its register, so this keeps them within 2 MiB in all, where a register
+#: of 10^11 qubits would need 12.5 GB; a space of 2^(2^24) inputs could
+#: never be walked past its first few anyway.
+MAX_COUNTER_BITS = 1 << 24
+
+
 @dataclass(frozen=True)
 class ArithInstance:
     """A generated arithmetic circuit plus its integer encoding.
@@ -78,21 +86,28 @@ class ArithInstance:
         """The odometer over the free inputs: ``(name, shift, mask)`` of
         each input register, in ``input_names`` order, so that counter
         value k assigns ``(k >> shift) & mask`` to each.  The last
-        register sits in the low bits and so varies fastest."""
+        register sits in the low bits and so varies fastest.  Free inputs
+        of more than ``MAX_COUNTER_BITS`` bits in all raise
+        ``ResourceError`` before any mask is built."""
+        sizes = [self.circuit.layout.register(name).size
+                 for name in self.input_names]
+        if (bits := sum(sizes)) > MAX_COUNTER_BITS:
+            raise ResourceError(f"{show(bits)} free input bits exceed the "
+                                f"counter limit of {MAX_COUNTER_BITS}")
         fields, shift = [], 0
-        for name in reversed(self.input_names):
-            size = self.circuit.layout.register(name).size
+        for name, size in zip(reversed(self.input_names), reversed(sizes)):
             fields.append((name, shift, (1 << size) - 1))
             shift += size
         return fields[::-1]
 
     def input_space(self) -> Iterator[dict[str, int]]:
         """Every assignment of the free inputs (ancillae 0, constants
-        pinned), lazily, in ``counter`` order."""
+        pinned), lazily, in ``counter`` order.  ``counter``'s limit is
+        checked at the call, before anything is yielded."""
         fields = self.counter()
         bits = sum(mask.bit_length() for _, _, mask in fields)
-        for k in range(1 << bits):
-            yield {name: (k >> at) & mask for name, at, mask in fields}
+        return ({name: (k >> at) & mask for name, at, mask in fields}
+                for k in range(1 << bits))
 
 
 def _ladder(b: list[int], a: list[int], ctrl: int | None = None,

@@ -20,7 +20,10 @@ exactly as a group index through a precomputed product table.  The tables
 are built from each element's exact action on the Pauli axes: up to
 phase, a one-qubit Clifford is the signed permutation it makes of X, Y
 and Z under conjugation, its stabilizer tableau (Aaronson and Gottesman,
-quant-ph/0406196), so no matrix, rounding or tolerance enters.
+quant-ph/0406196), so no matrix, rounding or tolerance enters.  The steps
+of the sequences are drawn a block at a time, and each block's product
+is folded as a pairwise tree through the product table, one lookup per
+level, so the numpy calls of m steps grow with log m, not m.
 """
 
 from __future__ import annotations
@@ -69,6 +72,14 @@ MAX_SLICED_BITS = 1 << 24
 #: bit-sliced path (one core of a 2.0 GHz Xeon).  Larger spaces raise
 #: ``ResourceError`` before any input is drawn.
 MAX_CHECK_INPUTS = 1 << 28
+
+#: Most (step x sequence) slots ``run_rb`` draws and folds at once.  A
+#: block's arrays are ``uint16`` group indices and the float draws that
+#: place its errors, at most 1.1 MiB at once for 2^16 slots, and every
+#: length up to 163 steps of 400 sequences fits in one block.  A block
+#: holds at least one step, so more than 2^16 sequences take one step per
+#: block.
+RB_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -389,17 +400,20 @@ class _Tables(NamedTuple):
     inv: np.ndarray
     pauli: np.ndarray
     p0: np.ndarray
+    flat: np.ndarray
 
 
 @cache
 def _clifford_tables() -> _Tables:
     """Exact tables of the 24 single-qubit Cliffords, found breadth first
-    on the first call, which the first RB step makes.
+    on the first call, which the first RB block makes.
 
     Word (g_1, ..., g_k) is the matrix g_k ... g_1; elements are ordered by
     (length, word).  ``mul[a, b]`` indexes C_a C_b, ``inv[a]`` C_a^-1,
     ``pauli`` X, Y, Z, and ``p0[a]`` is |<0|C_a|0>|^2 = (1 + z)/2, where z
-    is the sign of Z's image if that image lies on Z, else 0.
+    is the sign of Z's image if that image lies on Z, else 0.  ``flat`` is
+    ``mul`` as one ``uint16`` row, ``flat[24 * a + b] = mul[a, b]``, the
+    table ``_times`` looks products up in.
     """
     import numpy as np
 
@@ -417,36 +431,48 @@ def _clifford_tables() -> _Tables:
              for p in range(3)]
     p0 = [(1 + sign) / 2 if axis == 2 else 0.5 for _, _, (axis, sign) in elements]
     return _Tables([words[e] for e in elements], mul,
-                   np.argmax(mul == 0, axis=1), np.array(pauli), np.array(p0))
+                   np.argmax(mul == 0, axis=1), np.array(pauli), np.array(p0),
+                   mul.astype(np.uint16).ravel())
 
 
-def _rb_step(noisy: np.ndarray, ideal: np.ndarray, picks: np.ndarray,
-             errors: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Apply one Clifford per sequence, then its Pauli error, by lookup.
-
-    ``noisy`` and ``ideal`` are the group indices of each sequence's
-    product with and without errors; ``errors`` holds the group index of
-    each sequence's error, the identity 0 where none struck (None: no
-    errors at all).
-    """
-    mul = _clifford_tables().mul
-    noisy = mul[picks, noisy]
-    if errors is not None:
-        noisy = mul[errors, noisy]
-    return noisy, mul[picks, ideal]
+def _times(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """C_later C_earlier for each pair of ``uint16`` group indices, in one
+    ``take`` from the flat table; 24 * 23 + 23 fits ``uint16``, so no
+    index wraps."""
+    return _clifford_tables().flat.take(later * 24 + earlier)
 
 
-def _draw_errors(rng: np.random.Generator, d: float, n: int) -> np.ndarray | None:
-    """Each sequence's error for one step: X, Y or Z uniformly with
-    probability d, else the identity."""
-    if d == 0.0:
-        return None
+def _fold(rows: np.ndarray) -> np.ndarray:
+    """The product of each column of a stack of ``uint16`` group indices,
+    row 0 applied first, as a pairwise tree: each level replaces rows 2i
+    and 2i+1 by their product (``_times``), and an odd last row passes up
+    unpaired, so k rows take ceil(log2 k) levels."""
     import numpy as np
 
-    hit = rng.random(n) < d
-    errors = np.zeros(n, dtype=np.intp)
-    errors[hit] = _clifford_tables().pauli[rng.integers(3, size=int(hit.sum()))]
-    return errors
+    while len(rows) > 1:
+        even = len(rows) & ~1
+        pairs = _times(rows[1:even:2], rows[:even:2])
+        rows = np.concatenate((pairs, rows[even:])) if len(rows) & 1 else pairs
+    return rows[0]
+
+
+def _rb_block(noisy: np.ndarray, ideal: np.ndarray, picks: np.ndarray,
+              errors: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Each sequence's products after a block of steps, by lookup.
+
+    ``noisy`` and ``ideal`` are the group indices of each sequence's
+    product so far with and without errors.  ``picks`` holds one row of
+    Cliffords per step, first step first, and ``errors`` the Pauli error
+    that follows each pick, the identity 0 where none struck (None: no
+    errors at all).  Both products are folded by ``_fold``; the noisy
+    one's first level pairs each pick with its error.  All arrays are
+    ``uint16``.
+    """
+    import numpy as np
+
+    steps = picks if errors is None else _times(errors, picks)
+    return (_fold(np.concatenate((noisy[None], steps))),
+            _fold(np.concatenate((ideal[None], picks))))
 
 
 def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
@@ -461,9 +487,14 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
     error per gate is (1-p)/2, the one-qubit conversion of the decay
     constant; the fit does not claim p itself is a fidelity.
 
-    All sequences of one length run in lockstep as arrays of group
-    indices, so each trajectory is followed exactly, with no amplitudes,
-    in memory proportional to ``n_sequences``.
+    All sequences of one length run together as arrays of group indices,
+    so each trajectory is followed exactly, with no amplitudes.  Their
+    steps come in blocks of at most ``RB_BLOCK`` (step x sequence) slots
+    (one step when ``n_sequences`` is larger): one draw of a block's
+    picks, one of where its errors strike and one of which Pauli each is
+    (none at d = 0), then ``_rb_block``.  The closing inverse is a block of
+    one step.  Memory is proportional to the larger of ``RB_BLOCK`` and
+    ``n_sequences``, whatever the lengths.
     """
     import numpy as np
 
@@ -473,20 +504,24 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
     if any(m < 1 for m in lengths) or any(
             b <= a for a, b in zip(lengths, lengths[1:])):
         raise DomainError("lengths must be positive and strictly increasing")
-    n_sequences = check_shots(n_sequences, "n_sequences")
+    n = check_shots(n_sequences, "n_sequences")
     shots = check_shots(shots)
     d = noise.depolarizing_prob
     rng = make_rng(seed)
     tables = _clifford_tables()
+    per_block = max(RB_BLOCK // n, 1)
     mean_fidelity = []
     for m in lengths:
-        noisy = ideal = np.zeros(n_sequences, dtype=np.intp)
-        for _ in range(m):
-            picks = rng.integers(0, 24, size=n_sequences)
-            noisy, ideal = _rb_step(noisy, ideal, picks,
-                                    _draw_errors(rng, d, n_sequences))
-        noisy, _ = _rb_step(noisy, ideal, tables.inv[ideal],
-                            _draw_errors(rng, d, n_sequences))
+        noisy = ideal = np.zeros(n, np.uint16)
+        for done in [*range(0, m, per_block), m]:  # at m: the closing inverse
+            picks = (rng.integers(0, 24, (min(per_block, m - done), n), np.uint16)
+                     if done < m else tables.inv[ideal].astype(np.uint16)[None])
+            errors = None
+            if d:
+                hit = rng.random(picks.shape) < d
+                errors = np.zeros(picks.shape, np.uint16)
+                errors[hit] = tables.pauli[rng.integers(3, size=int(hit.sum()))]
+            noisy, ideal = _rb_block(noisy, ideal, picks, errors)
         zeros = rng.binomial(shots, tables.p0[noisy])
         mean_fidelity.append(float(zeros.mean() / shots))
     fit = fit_exponential_decay(list(zip(lengths, mean_fidelity)))

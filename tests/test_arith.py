@@ -346,6 +346,31 @@ def test_input_space_is_lazy():
     assert time.perf_counter() - start < 1.0
 
 
+def test_counter_refuses_a_huge_input_without_allocating():
+    # a free register of 10^11 qubits: its mask alone would be 12.5 GB.
+    # The child runs under a 1 GiB address-space limit, so building it
+    # would fail with MemoryError instead of eating the machine's memory
+    limit = 1 << 30
+    code = ("import resource\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from cliffordt.arith import ArithInstance\n"
+            "from cliffordt.circuit import Circuit\n"
+            "from cliffordt.errors import ResourceError\n"
+            "inst = ArithInstance(1, Circuit(10**11), ('q',))\n"
+            "for call in (inst.counter, inst.input_space):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ResourceError as exc:\n"
+            "        print(exc)\n")
+    src = str(Path(cliffordt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stderr == ""
+    assert proc.stdout == ("100000000000 free input bits exceed the counter "
+                           "limit of 16777216\n") * 2
+
+
 def test_self_inversion_consistency():
     for n in (1, 2, 3, 4):
         c = build_adder(n).circuit

@@ -787,6 +787,24 @@ def test_rb_result_serialization():
     assert payload["lengths"] == [1, 2, 4]
 
 
+def test_rb_memory_is_bounded_at_any_length():
+    # 1,024 sequences of 2^17 steps: their error draws alone, as float64,
+    # are 1 GiB in one piece.  The child runs under a 1 GiB address-space
+    # limit, so drawing a length at once would end in MemoryError
+    limit = 1 << 30
+    code = ("import resource\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from cliffordt.verify import NoiseModel, run_rb\n"
+            "result = run_rb(NoiseModel(0.01), (1, 2, 1 << 17), 1024, 1, 0)\n"
+            "print(result.lengths)\n")
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stderr == ""
+    assert proc.stdout == "(1, 2, 131072)\n"
+
+
 # ---------------------------------------------------------------------------
 # Clifford group tables
 # ---------------------------------------------------------------------------
@@ -834,18 +852,18 @@ RB_GOLDEN = {
     (0, 2): "fff3ed2c91cc94cbee88e261548afcfd5364010d1f9baf62116c6c90b4ff042f",
     (0, 3): "fff3ed2c91cc94cbee88e261548afcfd5364010d1f9baf62116c6c90b4ff042f",
     (0, 4): "fff3ed2c91cc94cbee88e261548afcfd5364010d1f9baf62116c6c90b4ff042f",
-    (0.02, 1): "b53fd4369f48089075795d402695655ddf0e98217ab85a4521453dc71e500b73",
-    (0.02, 2): "2454ca31e9678d84916b9a702d3c0e13ffa62df82486a209e29dd24379a365ea",
-    (0.02, 3): "e704a2c84798d8cb2bb27e9530f824076e53c03a70deddbe020bb9631b9ef81a",
-    (0.02, 4): "9e84dfd5bcb02ddf3b255b48f74be27afdd55f00998c17526a7caa34ffb46964",
-    (0.3, 1): "3861213cb8e60ea53ebeaa6ab04c442e7e17d37b9d36dfbdf3372b326abcc6bb",
-    (0.3, 2): "d541611ddac0922360063517306de7a6e4e8bfa2758ad8a9901c1c1df3448d83",
-    (0.3, 3): "b6e9b0d6789fc85aa99c272b6a4964c3b05c03fb20e0ea51c23bb3499e114fde",
-    (0.3, 4): "04a1b998914cc4d272657d5f96fae17be90177808e86e596f52f678e5f76131d",
-    (1, 1): "8d78a163ca8f0be6de78d93705cdc9c3ad04db6c477a5428635bdb349f9f8f12",
-    (1, 2): "03f60b91e84293514c0ff94e5202f6159817ea4fbaebe622330027947c4dfce1",
-    (1, 3): "db871aa31855e00684d5d490917ddaa13d8ceb48a26fdb1284dbd9ed89750ae8",
-    (1, 4): "f00c363d22b399d1950200d29830b5e43128f730512add45ce9b8d11b123a376",
+    (0.02, 1): "7688ff2c4b1ddb5f7b89f1b36705a0e8c412fbadedd7cf841bdc7558a92e90f6",
+    (0.02, 2): "a075d06ba528d5d5ce09c3c7d376178187418e02ee2d352c38f2bbb3b89c7026",
+    (0.02, 3): "1554666337654a379af4097411bce18ba9c1bd9f79fce8341815faade0de83f3",
+    (0.02, 4): "d37e6a1787b2722829db40689bc3fb64bdce9e396eb77ee9ef970f4e89a4cdc9",
+    (0.3, 1): "cc0acb4d36c32e8d75225b4c28f43f810e93832344c322a36ee62695016f9ead",
+    (0.3, 2): "094fadc53f79000c5464ac7c96f5e289ddbb5735fc69df3267d7ef2aa66c3849",
+    (0.3, 3): "9fa5e5c455a71951aa521c607eaba03fa0c4c8d943cb95755ab28595a28b7a68",
+    (0.3, 4): "7b814f0ae4b6287bd245be0968b8fb948c765924dd774416ad288a9541b5a1bc",
+    (1, 1): "3381b8ed241649fdb951d9829a8733051d8d16aae262b8fb1402f0d2c100f22b",
+    (1, 2): "88446ae8da3e9fd66ca1607d66a2ddd0744132e5d32abdae102339c25fd0b625",
+    (1, 3): "0ef49a22847e5b5f7ed5fd0e6b466bdfd51a7d08e13c0dca474fcde0ef3987fb",
+    (1, 4): "72a38f477860ae0a738c013ebf4bab29f1aca7f740bc93c1c6c12060fb6fdd62",
 }
 TABLES_GOLDEN = "0f1e010d5fc2babc3bd6a7e2ab8b193eb58cf0bfcdcb65f1f801a7036b200436"
 
@@ -870,11 +888,12 @@ def test_table_trajectories_match_matrix_products():
     picks = rng.integers(0, 24, size=(m, n))
     hits = rng.random((m + 1, n)) < 0.3
     which = rng.integers(0, 3, size=(m + 1, n))
-    errors = np.where(hits, TABLES.pauli[which], 0)
-    noisy = ideal = np.zeros(n, dtype=np.intp)
-    for step in range(m):
-        noisy, ideal = verify._rb_step(noisy, ideal, picks[step], errors[step])
-    noisy, _ = verify._rb_step(noisy, ideal, TABLES.inv[ideal], errors[m])
+    errors = np.where(hits, TABLES.pauli[which], 0).astype(np.uint16)
+    start = np.zeros(n, dtype=np.uint16)
+    noisy, ideal = verify._rb_block(start, start, picks.astype(np.uint16),
+                                    errors[:m])
+    close = TABLES.inv[ideal].astype(np.uint16)[None]
+    noisy, _ = verify._rb_block(noisy, ideal, close, errors[m:])
     # reference: each sequence as amplitudes and 2x2 matrix products
     for i in range(n):
         psi = np.array([1.0, 0.0], complex)
@@ -886,6 +905,76 @@ def test_table_trajectories_match_matrix_products():
             if hits[step, i]:
                 psi = PAULIS[which[step, i]] @ psi
         assert abs(TABLES.p0[noisy[i]] - abs(psi[0]) ** 2) < 1e-12
+
+
+def stepwise_products(picks, errors):
+    """Reference: each sequence's noisy and ideal products, one step at a
+    time through ``TABLES.mul`` in Python ints."""
+    mul = TABLES.mul.tolist()
+    noisy, ideal = [], []
+    for i in range(picks.shape[1]):
+        a = b = 0
+        for step, pick in enumerate(picks[:, i].tolist()):
+            a, b = mul[pick][a], mul[pick][b]
+            if errors is not None:
+                a = mul[int(errors[step, i])][a]
+        noisy.append(a)
+        ideal.append(b)
+    return noisy, ideal
+
+
+@pytest.mark.parametrize("with_errors", [True, False], ids=["noisy", "clean"])
+@pytest.mark.parametrize("m", [1, 7, 40])
+def test_rb_blocks_match_a_stepwise_product(m, with_errors):
+    # blocks of 16 steps, as run_rb cuts them: 40 steps take three blocks
+    rng = np.random.default_rng(m)
+    n, per_block = 33, 16
+    picks = rng.integers(0, 24, size=(m, n)).astype(np.uint16)
+    errors = None
+    if with_errors:
+        hit = rng.random((m, n)) < 0.3
+        errors = np.where(hit, TABLES.pauli[rng.integers(0, 3, size=(m, n))],
+                          0).astype(np.uint16)
+    noisy = ideal = np.zeros(n, dtype=np.uint16)
+    for at in range(0, m, per_block):
+        part = slice(at, at + per_block)
+        noisy, ideal = verify._rb_block(
+            noisy, ideal, picks[part], None if errors is None else errors[part])
+    assert noisy.dtype == ideal.dtype == np.uint16
+    assert (noisy.tolist(), ideal.tolist()) == stepwise_products(picks, errors)
+
+
+@pytest.mark.parametrize("block, sizes", [
+    (7, [1, 1, 2, 2, 1, 2, 2, 1, 1]),  # two steps of 3 sequences per block
+    (2, [1] * 13),  # fewer slots than sequences: one step per block
+])
+def test_rb_cuts_each_length_into_blocks_then_closes(monkeypatch, block,
+                                                     sizes):
+    # lengths 1, 4 and 5, each cut into blocks and closed by its inverse
+    calls = []
+    real = verify._rb_block
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(verify, "RB_BLOCK", block)
+    monkeypatch.setattr(verify, "_rb_block", spy)
+    run_rb(NoiseModel(0.3), [1, 4, 5], 3, 10, seed=2)
+    assert [len(args[2]) for args, _ in calls] == sizes
+    it = iter(calls)
+    for m in (1, 4, 5):
+        blocks, steps = [], 0
+        while steps < m:
+            blocks.append(next(it))
+            steps += len(blocks[-1][0][2])
+        assert steps == m
+        assert not blocks[0][0][0].any() and not blocks[0][0][1].any()
+        picks = np.concatenate([args[2] for args, _ in blocks])
+        errors = np.concatenate([args[3] for args, _ in blocks])
+        noisy, ideal = stepwise_products(picks, errors)
+        assert [a.tolist() for a in blocks[-1][1]] == [noisy, ideal]
+        (_, _, close, _), _ = next(it)
+        assert close.tolist() == [TABLES.inv[ideal].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +1031,8 @@ def test_fit_reads_its_points_once():
 
 
 @pytest.mark.parametrize("points", [
-    [(0, 0.9), (1e-300, 0.8), (2e-300, 0.7)],  # polyfit's SVD fails
+    # the m squares underflow, so FitError is raised before polyfit runs
+    [(0, 0.9), (1e-300, 0.8), (2e-300, 0.7)],
     [(1, 1e300), (2, 0.8), (3, 0.7)],  # the start overflows to A = inf
 ])
 def test_fit_raises_fit_error_on_a_fit_it_cannot_make(points):
