@@ -5,7 +5,8 @@ long-form.  ``--format json`` selects machine-readable output (a single
 JSON document on stdout, never mixed with human text).  Identical
 invocations with identical seeds print byte-identical output.  The only
 environment variable honored is CLIFFORDT_SEED, a default for --seed.
-Every integer, CLIFFORDT_SEED and list items included, is read by ``_int``.
+Every integer, CLIFFORDT_SEED and list items included, is read by ``_int``,
+and ``--d`` by ``_float``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .arith import ArithInstance, BUILDERS
@@ -36,6 +38,18 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
     return -value if text.startswith("-") else value
+
+
+def _float(text: str) -> float:
+    """A command-line real number: an ASCII decimal literal (digits with
+    an optional point and exponent, as in ``0.02``, ``.5`` or ``1e-3``)
+    after an optional '-'.  Any other text raises ``ArgumentTypeError``,
+    worded as argparse words a bad float, though ``float`` also takes '_'
+    separators, non-ASCII digits, spaces, 'nan' and 'inf'."""
+    if not re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?",
+                        text):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return float(text)
 
 
 def _build(args) -> ArithInstance:
@@ -175,7 +189,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("rb", help="run randomized benchmarking")
-    p.add_argument("--d", type=float, required=True,
+    p.add_argument("--d", type=_float, required=True,
                    help="depolarizing probability per gate")
     p.add_argument("--lengths", required=True,
                    help="comma-separated increasing sequence lengths")

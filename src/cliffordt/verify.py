@@ -23,15 +23,17 @@ and Z under conjugation, its stabilizer tableau (Aaronson and Gottesman,
 quant-ph/0406196), so no matrix, rounding or tolerance enters.  The steps
 of the sequences are drawn a block at a time, and each block's product
 is folded as a pairwise tree through the product table, one lookup per
-level, so the numpy calls of m steps grow with log m, not m.
+level, so the numpy calls of m steps grow with log m, not m.  The decay
+A*p^m + B is fitted by variable projection.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
-from math import isfinite
+from math import isfinite, log, sqrt
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .arith import ArithInstance
@@ -494,7 +496,9 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
     picks, one of where its errors strike and one of which Pauli each is
     (none at d = 0), then ``_rb_block``.  The closing inverse is a block of
     one step.  Memory is proportional to the larger of ``RB_BLOCK`` and
-    ``n_sequences``, whatever the lengths.
+    ``n_sequences``, whatever the lengths.  An ``n_sequences`` whose
+    float64 draw of one step numpy cannot size (8 bytes each past
+    ``sys.maxsize``) raises ``ResourceError`` before any draw.
     """
     import numpy as np
 
@@ -505,6 +509,9 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
             b <= a for a, b in zip(lengths, lengths[1:])):
         raise DomainError("lengths must be positive and strictly increasing")
     n = check_shots(n_sequences, "n_sequences")
+    if n * 8 > sys.maxsize:  # numpy could not size one step's float64 draw
+        raise ResourceError(f"n_sequences {show(n)} exceeds {sys.maxsize // 8}, "
+                            "the most whose float64 draw numpy can size")
     shots = check_shots(shots)
     d = noise.depolarizing_prob
     rng = make_rng(seed)
@@ -525,24 +532,23 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
         zeros = rng.binomial(shots, tables.p0[noisy])
         mean_fidelity.append(float(zeros.mean() / shots))
     fit = fit_exponential_decay(list(zip(lengths, mean_fidelity)))
-    p = min(max(fit.p, 0.0), 1.0)
-    return RBResult(lengths, tuple(mean_fidelity), fit.A, fit.B, p,
-                    error_per_gate=(1.0 - p) / 2.0)
+    return RBResult(lengths, tuple(mean_fidelity), fit.A, fit.B, fit.p,
+                    error_per_gate=(1.0 - fit.p) / 2.0)
 
 
 def fit_exponential_decay(points: Sequence[tuple[float, float]]) -> FitResult:
-    """Least-squares fit of f = A*p^m + B.
-
-    Damped Gauss-Newton refines a log-domain linear fit of f - 0.5 (the
-    one-qubit uniform-outcome floor) over the points above it, or a default
-    start if those hold fewer than two distinct m values.  Constant data
-    takes the p=1 branch with B equal to the constant, so noiseless runs
-    report p exactly 1.  ``points`` is read once, so an iterator will do.
-    An m or f that is not a finite real number (see ``check_real``) raises
-    ``DomainError``.  Fewer than three points or two distinct m values
-    cannot determine the model and raise FitError, as do log-fit m values
-    whose squares sum to 0 or overflow (polyfit would divide by that), and
-    a fit numpy cannot solve or whose residual is not finite.
+    """Least-squares fit of f = A*p^m + B by variable projection (Golub and
+    Pereyra, SIAM J. Numer. Anal. 10, 1973): A and B in closed form for each p,
+    and p alone searched over [1e-9, 1] on 401 points evenly spaced in
+    ln(-ln p), then eight times on 65 across the two cells around the best, by
+    squared residuals summed directly.  The fit is to p^(m - m0) - 1 (m0 the
+    least m, or 0), exact near p = 1 by ``expm1`` and in [-1, 0] however small
+    p^m is; a p whose A is not finite is skipped.  Constant data takes the p=1
+    branch with B equal to the constant, so noiseless runs report p exactly 1.
+    ``points`` is read once, so an iterator will do.  An m or f that is not a
+    finite real number (see ``check_real``) raises ``DomainError``.  FitError
+    is raised for fewer than three points or two distinct m values, or when no
+    p separates A from B with a finite residual.
     """
     import numpy as np
 
@@ -559,47 +565,27 @@ def fit_exponential_decay(points: Sequence[tuple[float, float]]) -> FitResult:
         raise FitError("need at least 2 distinct sequence lengths")
     if np.allclose(fs, fs[0], atol=1e-12):
         return FitResult(A=0.0, B=float(fs[0]), p=1.0, residual=0.0)
+    n = len(pairs)
+    m0, mean = max(ms.min(), 0.0), fs.sum() / n
+    dev, steps = (fs - mean)[:, None], (ms - m0)[:, None]  # a row per m
+    lo, hi = -37.0, log(-log(1e-9))  # p from 1 - 2^-53 (below 1) to 1e-9
     with np.errstate(all="ignore"):  # an overflow shows in the residual
-        try:
-            b0 = 0.5
-            y = fs - b0
-            mask = y > 1e-9
-            if len(np.unique(ms[mask])) >= 2:
-                if not 0.0 < np.sum(ms[mask] ** 2) < np.inf:
-                    raise FitError("lengths overflow or underflow when squared")
-                p0, a0 = map(float, np.exp(np.polyfit(ms[mask], np.log(y[mask]), 1)))
-            else:
-                p0, a0 = 0.9, max(float(fs.max() - b0), 0.1)
-            p0 = min(max(p0, 1e-6), 1.0)
-
-            params = np.array([a0, b0, p0])
-            lam = 1e-3
-            for _ in range(200):
-                a, b, p = params
-                r = a * p ** ms + b - fs
-                jac = np.column_stack([p ** ms,
-                                       np.ones_like(ms),
-                                       a * ms * p ** np.maximum(ms - 1, 0.0)])
-                grad = jac.T @ r
-                hess = jac.T @ jac + lam * np.eye(3)
-                step = np.linalg.solve(hess, grad)
-                trial = params - step
-                trial[2] = min(max(trial[2], 1e-9), 1.0)
-                trial_r = trial[0] * trial[2] ** ms + trial[1] - fs
-                if np.linalg.norm(trial_r) < np.linalg.norm(r):
-                    params = trial
-                    lam = max(lam / 3.0, 1e-12)
-                else:
-                    lam *= 10.0
-                if np.linalg.norm(step) < 1e-12:
-                    break
-            a, b, p = params
-            residual = float(np.linalg.norm(a * p ** ms + b - fs))
-        except np.linalg.LinAlgError as exc:
-            raise FitError(f"singular system: {exc}") from None
-    if not isfinite(residual):
-        raise FitError("the fit diverged: its residual is not finite")
-    return FitResult(float(a), float(b), float(p), residual)
+        for size in (401,) + (65,) * 8:
+            t = np.linspace(lo, hi, size)
+            p = np.exp(-np.exp(t))
+            w = np.expm1(steps * np.log(p))  # a column per p
+            wc = w - w.sum(axis=0) / n
+            slope = (wc * dev).sum(axis=0) / (wc * wc).sum(axis=0)
+            a = slope / p ** m0
+            sse = ((dev - slope * wc) ** 2).sum(axis=0)
+            i = int(np.lexsort((sse, ~np.isfinite(a)))[0])  # finite A first
+            lo, hi = t[max(i - 1, 0)], t[min(i + 1, size - 1)]
+    residual = sqrt(sse[i])
+    if not (isfinite(a[i]) and isfinite(residual)):
+        raise FitError("no p in [1e-9, 1] separates A from B with a finite "
+                       "residual")
+    b = mean - slope[i] * (1.0 + w[:, i].sum() / n)
+    return FitResult(float(a[i]), float(b), float(p[i]), residual)
 
 
 def oracle_adder(n: int) -> Oracle:

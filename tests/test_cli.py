@@ -472,6 +472,14 @@ def test_rb_json_schema(capsys):
                             "fit_p", "error_per_gate"}
 
 
+def test_rb_sequences_numpy_cannot_size_are_one_error_line(capsys):
+    result = run_cli(capsys, "rb", "--d", "0.1", "--lengths", "1,2,3",
+                     "--sequences", str(2**62))
+    assert_one_error_line(result)
+    assert "n_sequences 4611686018427387904 exceeds" in result[2]
+    assert "array is too big" not in result[2]
+
+
 def test_rb_too_few_lengths_is_an_error(capsys):
     code, out, err = run_cli(capsys, "rb", "--d", "0.1", "--lengths", "1,5")
     assert code == 1
@@ -643,6 +651,26 @@ def test_an_integer_flag_takes_only_ascii_digits(tmp_path, capsys, argv,
     assert_usage_error(capsys, [a.format(tmp=tmp_path, v=token)
                                 for a in argv], "invalid int value")
     assert [p.name for p in tmp_path.iterdir()] == ["x.qc"]
+
+
+# no ASCII decimal literals, though float() takes all but the last three
+NOT_DECIMALS = ["0_0", "٠.٥", " 0.5 ", "0.5\n", "+0.5", "１", "nan", "inf",
+                "1e", ".", "0x1p-3"]
+
+
+@pytest.mark.parametrize("token", NOT_DECIMALS)
+def test_the_d_flag_takes_only_an_ascii_decimal_literal(capsys, token):
+    assert_usage_error(capsys, ["rb", "--d", token, "--lengths", "1,2,3"],
+                       "invalid float value")
+
+
+@pytest.mark.parametrize("token", ["0.02", ".5", "1", "1e-3", "2.5E-1"])
+def test_the_d_flag_reads_a_decimal_literal_as_float_does(capsys, token):
+    argv = ["--lengths", "1,2,3", "--sequences", "4", "--shots", "5",
+            "--format", "json"]
+    code, out, _ = run_cli(capsys, "rb", "--d", token, *argv)
+    assert code == 0
+    assert out == run_cli(capsys, "rb", "--d", repr(float(token)), *argv)[1]
 
 
 @pytest.mark.parametrize("token", NOT_DIGITS)

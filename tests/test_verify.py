@@ -852,18 +852,18 @@ RB_GOLDEN = {
     (0, 2): "fff3ed2c91cc94cbee88e261548afcfd5364010d1f9baf62116c6c90b4ff042f",
     (0, 3): "fff3ed2c91cc94cbee88e261548afcfd5364010d1f9baf62116c6c90b4ff042f",
     (0, 4): "fff3ed2c91cc94cbee88e261548afcfd5364010d1f9baf62116c6c90b4ff042f",
-    (0.02, 1): "7688ff2c4b1ddb5f7b89f1b36705a0e8c412fbadedd7cf841bdc7558a92e90f6",
-    (0.02, 2): "a075d06ba528d5d5ce09c3c7d376178187418e02ee2d352c38f2bbb3b89c7026",
-    (0.02, 3): "1554666337654a379af4097411bce18ba9c1bd9f79fce8341815faade0de83f3",
-    (0.02, 4): "d37e6a1787b2722829db40689bc3fb64bdce9e396eb77ee9ef970f4e89a4cdc9",
-    (0.3, 1): "cc0acb4d36c32e8d75225b4c28f43f810e93832344c322a36ee62695016f9ead",
-    (0.3, 2): "094fadc53f79000c5464ac7c96f5e289ddbb5735fc69df3267d7ef2aa66c3849",
-    (0.3, 3): "9fa5e5c455a71951aa521c607eaba03fa0c4c8d943cb95755ab28595a28b7a68",
-    (0.3, 4): "7b814f0ae4b6287bd245be0968b8fb948c765924dd774416ad288a9541b5a1bc",
-    (1, 1): "3381b8ed241649fdb951d9829a8733051d8d16aae262b8fb1402f0d2c100f22b",
-    (1, 2): "88446ae8da3e9fd66ca1607d66a2ddd0744132e5d32abdae102339c25fd0b625",
-    (1, 3): "0ef49a22847e5b5f7ed5fd0e6b466bdfd51a7d08e13c0dca474fcde0ef3987fb",
-    (1, 4): "72a38f477860ae0a738c013ebf4bab29f1aca7f740bc93c1c6c12060fb6fdd62",
+    (0.02, 1): "0285c143c890e5a296e783ea54346d57f3f21e0f41bfc3550507773535b8960b",
+    (0.02, 2): "b96c310583f171c5a63da47d920bf4deda808032f7667e7b517af7de0a38ff62",
+    (0.02, 3): "6f35eee65bb29af78939e3825083d963b3e39541ec91e7e808560950e4d27edc",
+    (0.02, 4): "e904c5077948006ee495570688506ada4de757028e4b549eb2798b791d913bd5",
+    (0.3, 1): "121156797e87515d7d59c21f82b2e90c3f65fbf3ef548c24db4a8746a4107ec6",
+    (0.3, 2): "f2f71537db4604b76e5a568de7a3cc24a3db3bb9ba69ead7d4c064e2903a6d24",
+    (0.3, 3): "6bf29f5c9d2afc5c6ac5639b37a77a8cd2b3f5aa05d6908cdee2a9309623269d",
+    (0.3, 4): "2a5e9c7bca97bc5d042bf743327030a485fbedf47b7a51dfe77d2143710a1f62",
+    (1, 1): "1df0ded369fe5b1507fc2c342c7b574cf261b7fd3b5929c9a57b1b77b98d09e6",
+    (1, 2): "f41ee3c06d6f6ed6209fb609060755371e319d2c7d3c9da21ab54119e564ff1e",
+    (1, 3): "ff3c8fa41dc4b335f6d70af17f72bde02fdaae5d90009b10f41278f3d4eb418e",
+    (1, 4): "2f261ac71514ec9dabae0573c06e5a5393328b345b8dd7bd044df20eafb3c59e",
 }
 TABLES_GOLDEN = "0f1e010d5fc2babc3bd6a7e2ab8b193eb58cf0bfcdcb65f1f801a7036b200436"
 
@@ -1031,9 +1031,10 @@ def test_fit_reads_its_points_once():
 
 
 @pytest.mark.parametrize("points", [
-    # the m squares underflow, so FitError is raised before polyfit runs
+    # p^m barely varies over these m, and its squared deviations underflow
+    # to 0, so no p in [1e-9, 1] separates A from B
     [(0, 0.9), (1e-300, 0.8), (2e-300, 0.7)],
-    [(1, 1e300), (2, 0.8), (3, 0.7)],  # the start overflows to A = inf
+    [(1, 1e300), (2, 0.8), (3, 0.7)],  # f overflows when squared
 ])
 def test_fit_raises_fit_error_on_a_fit_it_cannot_make(points):
     with pytest.raises(FitError):
@@ -1041,15 +1042,17 @@ def test_fit_raises_fit_error_on_a_fit_it_cannot_make(points):
 
 
 @pytest.mark.parametrize("points", [
-    [(0, 0.9), (1e-300, 0.8), (2e-300, 0.7)],  # the m squares underflow
+    # p^m barely varies over the first two sets of m and underflows to 0 at
+    # every m of the last, so no p in [1e-9, 1] separates A from B there
+    [(0, 0.9), (1e-300, 0.8), (2e-300, 0.7)],
     [(1e-200, 0.9), (2e-200, 0.8), (3e-200, 0.7)],
-    [(0, 0.9), (0, 0.8), (5, 0.4)],  # one length above the floor
+    [(0, 0.9), (0, 0.8), (5, 0.4)],  # two lengths: every p fits as well
     [(1, 0.9), (1, 0.8), (5, 0.4), (6, 0.3)],
-    [(1e200, 0.9), (2e200, 0.8), (3e200, 0.7)],  # the m squares overflow
+    [(1e200, 0.9), (2e200, 0.8), (3e200, 0.7)],
 ])
 def test_fit_writes_nothing_to_stderr(points, capfd):
-    # capfd reads fds 1 and 2, past Python: LAPACK's error handler prints
-    # its own lines (OpenBLAS's to fd 1, other builds' to fd 2)
+    # capfd reads fds 1 and 2, past Python, where a native library would
+    # print its own lines
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -1068,6 +1071,66 @@ def test_fit_validation():
         fit_exponential_decay([(3, 0.9), (3, 0.8), (3, 0.7)])
 
 
+# survivals of run_rb(NoiseModel(0.1), RB_GOLDEN_LENGTHS, 50, 100, 27),
+# on which damped Gauss-Newton stopped at p = 0.99997 with residual 0.2878;
+# the depolarizing prediction is p = 1 - 4d/3 = 0.867
+SEED_27_POINTS = [(1, 0.76), (5, 0.74), (10, 0.5), (20, 0.5), (40, 0.64),
+                  (70, 0.64), (100, 0.34)]
+
+#: Brute-force p for the decay fit: [1e-9, 1], log-spaced from 1e-9 to 0.1
+#: and from 0.9 to 1 - 1e-16, even between.
+FIT_GRID = np.concatenate((np.logspace(-9, -1, 4001),
+                           np.linspace(0.1, 0.9, 40001),
+                           1 - np.logspace(-1, -16, 6001)))
+
+
+def grid_optimum(points):
+    """The least residual of A*p^m + B over ``FIT_GRID``, with A and B in
+    closed form at each p.  The model is fitted to p^(m - m0) - 1 (m0 the
+    least m), which keeps its digits near p = 1 and does not underflow; a
+    p where A = slope / p^m0 is not finite is skipped."""
+    ms, fs = (np.array(v, dtype=float) for v in zip(*points))
+    log_p = np.log(FIT_GRID)[:, None]
+    with np.errstate(all="ignore"):
+        w = np.expm1((ms - ms.min()) * log_p)
+        wc = w - w.mean(axis=1, keepdims=True)
+        dev = fs - fs.mean()
+        slope = (wc * dev).sum(axis=1) / (wc * wc).sum(axis=1)
+        kept = np.isfinite(slope / np.exp(ms.min() * log_p[:, 0]))
+        sse = ((dev - slope[:, None] * wc) ** 2).sum(axis=1)
+    return float(np.sqrt(sse[kept].min()))
+
+
+def test_fit_reaches_the_least_squares_optimum():
+    best = grid_optimum(SEED_27_POINTS)
+    assert best == pytest.approx(0.27564509790836983, rel=1e-9)
+    fit = fit_exponential_decay(SEED_27_POINTS)
+    assert fit.residual <= best * (1 + 1e-9)
+    assert fit.p == pytest.approx(0.8431148, abs=1e-6)
+    assert abs(fit.p - (1 - 4 * 0.1 / 3)) / (1 - 4 * 0.1 / 3) < 0.10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 200), st.floats(0, 1)),
+                min_size=3, max_size=10)
+       .filter(lambda points: len({m for m, _ in points}) >= 2))
+def test_fit_reaches_the_grid_optimum_on_any_points(points):
+    # the floor allows for rounding where the model fits exactly
+    fit = fit_exponential_decay(points)
+    assert 1e-9 <= fit.p <= 1.0
+    assert fit.residual <= grid_optimum(points) * (1 + 1e-9) + 1e-14
+
+
 def test_rb_refuses_more_sequences_than_numpy_can_size():
     with pytest.raises(DomainError, match=r"n_sequences must be at most 2\^63 - 1"):
         run_rb(NoiseModel(0.0), [1, 2, 3], 2**64, 1, 0)
+
+
+def test_rb_refuses_sequences_whose_draw_numpy_cannot_size():
+    # a float64 draw of 2^62 values is 2^65 bytes, past sys.maxsize, where
+    # numpy raises its own bare ValueError
+    with pytest.raises(ResourceError, match="n_sequences 4611686018427387904 "
+                                            "exceeds 1152921504606846975"):
+        run_rb(NoiseModel(0.0), [1, 2, 3], 2**62, 1, 0)
+    with pytest.raises(ResourceError):
+        run_rb(NoiseModel(0.5), [1, 2, 3], sys.maxsize // 8 + 1, 1, 0)
