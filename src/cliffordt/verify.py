@@ -83,6 +83,13 @@ MAX_CHECK_INPUTS = 1 << 28
 #: block.
 RB_BLOCK = 1 << 16
 
+#: Most Clifford slots one ``run_rb`` may follow: ``n_sequences`` times
+#: the sum of m + 1 over the lengths (each sequence closes with its
+#: inverse).  2^32 slots are about a minute at the 10-25 ns each a slot
+#: takes (one core of a 2-vCPU Xeon).  More raise ``ResourceError``
+#: before any draw.
+MAX_RB_CLIFFORDS = 1 << 32
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -498,7 +505,8 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
     one step.  Memory is proportional to the larger of ``RB_BLOCK`` and
     ``n_sequences``, whatever the lengths.  An ``n_sequences`` whose
     float64 draw of one step numpy cannot size (8 bytes each past
-    ``sys.maxsize``) raises ``ResourceError`` before any draw.
+    ``sys.maxsize``) raises ``ResourceError`` before any draw, and so do
+    more than ``MAX_RB_CLIFFORDS`` slots in all.
     """
     import numpy as np
 
@@ -512,6 +520,10 @@ def run_rb(noise: NoiseModel, lengths: Sequence[int], n_sequences: int,
     if n * 8 > sys.maxsize:  # numpy could not size one step's float64 draw
         raise ResourceError(f"n_sequences {show(n)} exceeds {sys.maxsize // 8}, "
                             "the most whose float64 draw numpy can size")
+    cliffords = n * sum(m + 1 for m in lengths)
+    if cliffords > MAX_RB_CLIFFORDS:
+        raise ResourceError(f"{show(cliffords)} Clifford slots exceed the RB "
+                            f"limit of {MAX_RB_CLIFFORDS}")
     shots = check_shots(shots)
     d = noise.depolarizing_prob
     rng = make_rng(seed)

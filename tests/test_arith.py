@@ -2,17 +2,12 @@
 
 import copy
 import hashlib
-import os
 import pickle
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cliffordt
 from cliffordt.arith import (BUILDERS, TAYLOR_REGISTERS, ArithInstance,
                              _ladder, _mod_mul_ops, _sub_core, build_adder,
                              build_ctrl_add, build_multiplier,
@@ -21,6 +16,7 @@ from cliffordt.circuit import (Circuit, inverse_circuit, is_permutation_circuit,
                                permutation_output, serialize, simulate)
 from cliffordt.errors import DomainError, ResourceError
 from cliffordt.gates import cnot
+from helpers import run_child
 
 
 def run(inst, **values):
@@ -350,10 +346,7 @@ def test_counter_refuses_a_huge_input_without_allocating():
     # a free register of 10^11 qubits: its mask alone would be 12.5 GB.
     # The child runs under a 1 GiB address-space limit, so building it
     # would fail with MemoryError instead of eating the machine's memory
-    limit = 1 << 30
-    code = ("import resource\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-            "from cliffordt.arith import ArithInstance\n"
+    code = ("from cliffordt.arith import ArithInstance\n"
             "from cliffordt.circuit import Circuit\n"
             "from cliffordt.errors import ResourceError\n"
             "inst = ArithInstance(1, Circuit(10**11), ('q',))\n"
@@ -362,10 +355,7 @@ def test_counter_refuses_a_huge_input_without_allocating():
             "        call()\n"
             "    except ResourceError as exc:\n"
             "        print(exc)\n")
-    src = str(Path(cliffordt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = run_child(code=code, limit=1 << 30)
     assert proc.stderr == ""
     assert proc.stdout == ("100000000000 free input bits exceed the counter "
                            "limit of 16777216\n") * 2
@@ -575,9 +565,7 @@ def test_taylor_refuses_a_bad_constant_before_building():
     # at 10^6 bits the circuit would hold about 10^12 gates, so the check
     # must come first.  The child runs under a 1 GiB address-space limit
     # and a timeout, so a regression fails instead of eating the memory
-    limit = 1 << 30
-    code = ("import resource, time\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+    code = ("import time\n"
             "from cliffordt.arith import build_taylor\n"
             "from cliffordt.errors import DomainError\n"
             "start = time.perf_counter()\n"
@@ -585,10 +573,7 @@ def test_taylor_refuses_a_bad_constant_before_building():
             "    build_taylor(10**6, -1, 0, 0, 0)\n"
             "except DomainError as exc:\n"
             "    print(exc, time.perf_counter() - start < 1)\n")
-    src = str(Path(cliffordt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=30)
+    proc = run_child(code=code, limit=1 << 30, timeout=30)
     assert proc.stderr == ""
     assert proc.stdout == ("value -1 does not fit register fc "
                            "(1000000 bits) True\n")

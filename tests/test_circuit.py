@@ -3,19 +3,15 @@
 import hashlib
 import itertools
 import json
-import os
 import random
-import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import cliffordt
 from cliffordt.arith import (BUILDERS, build_adder, build_ctrl_add,
                              build_multiplier, build_subtractor, build_taylor)
 from cliffordt.circuit import (MAX_DIGITS, OFFSETS, ROLES, TEMPLATES, Circuit,
@@ -36,6 +32,7 @@ from cliffordt.gates import (GATE_ARITY, PERMUTATION_KINDS, Gate, ccx, cnot,
 from cliffordt.state import new_basis_state
 from cliffordt.uncompute import BennettSpec, bennett_wrap
 from cliffordt.verify import _pack, _unpack
+from helpers import run_child
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -924,19 +921,13 @@ def test_permutation_output_runs_at_any_width():
     # grows with the width.  The child runs under a 1 GiB address-space
     # limit, so a regression that allocated a 10^11-bit integer would
     # fail at once instead of eating the machine's memory
-    limit = 1 << 30
-    code = ("import resource\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-            "from cliffordt.circuit import parse, permutation_output\n"
+    code = ("from cliffordt.circuit import parse, permutation_output\n"
             "c = parse('qubits 100000000000\\nx 0\\ncnot 0 2\\n"
             "ccx 0 2 5\\nswap 5 1\\ncswap 1 3 4\\n')\n"
             "for j in (0, 16):\n"
             "    out = permutation_output(c, j)\n"
             "    print(out, c.layout.decode(out))\n")
-    src = str(Path(cliffordt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = run_child(code=code, limit=1 << 30)
     assert proc.stderr == ""
     assert proc.stdout == "7 {'q': 7}\n15 {'q': 15}\n"
 
@@ -1063,16 +1054,10 @@ def test_sparse_evaluator_checks_index_without_building_two_to_the_n():
     # 2^35 qubits: a range check through 1 << n_qubits would build a 4 GiB
     # integer; the child runs under a 1 GiB address-space limit, so it
     # would fail at once instead of eating the machine's memory
-    limit = 1 << 30
-    code = ("import resource\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-            "from cliffordt.circuit import parse, sparse_evaluate\n"
+    code = ("from cliffordt.circuit import parse, sparse_evaluate\n"
             "c = parse('qubits 34359738368\\nh 0\\n')\n"
             "print(sparse_evaluate(c, 0))\n")
-    src = str(Path(cliffordt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = run_child(code=code, limit=1 << 30)
     assert proc.stderr == ""
     assert proc.stdout == "({0: (1, 0, 0, 0), 1: (1, 0, 0, 0)}, 1)\n"
 

@@ -1,18 +1,16 @@
 """Command-line behavior: every subcommand, exit codes, determinism."""
 
 import json
-import os
-import subprocess
-import sys
 import time
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
 
-import cliffordt
 from cliffordt import cli
 from cliffordt.circuit import parse
 from cliffordt.cli import main
+from helpers import CLI_MAIN, run_child
 
 
 def run_cli(capsys, *argv):
@@ -138,25 +136,33 @@ def test_metrics_refuses_a_number_past_max_digits(tmp_path, capsys, text,
 def test_metrics_of_a_huge_ancilla_register_sums_register_sizes(tmp_path):
     # the ancilla count is a sum of register sizes, so a file of 10^30
     # qubits costs at once; a child that listed the qubits would run out
-    # of its 2 GiB address space or its time limit, and fail here instead
-    # of hanging or eating the machine's memory
+    # of its 2 GiB address space or its 10 s time limit, and fail here
+    # instead of hanging or eating the machine's memory
     n = 10**30
     path = tmp_path / "wide.qc"
     path.write_text(f"qubits {n}\nregister a 0..{n - 1} ancilla\n")
-    limit = 1 << 31
-    code = ("import resource, sys\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-            "from cliffordt.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
-    src = str(Path(cliffordt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "metrics", str(path), "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=30)
+    proc = run_child("metrics", str(path), "--format", "json", limit=1 << 31,
+                     timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     payload = json.loads(proc.stdout)
     assert payload["ancilla_count"] == payload["qubit_cost"] == n
     assert payload["garbage_count"] == payload["t_count"] == 0
+
+
+def test_metrics_text_lines_are_the_json_fields(tmp_path, capsys):
+    # one "name: value" line per JSON field, each histogram entry read as
+    # gate.<kind>, with none missing and none extra
+    path = tmp_path / "c.qc"
+    run_cli(capsys, "gen", "ctrladd", "16", str(path))
+    code, text, _ = run_cli(capsys, "metrics", str(path))
+    fields = json.loads(run_cli(capsys, "metrics", str(path), "--format",
+                                "json")[1])
+    fields.update((f"gate.{kind}", count)
+                  for kind, count in fields.pop("gate_histogram").items())
+    lines = text.splitlines()
+    got = dict(line.split(": ", 1) for line in lines)
+    assert code == 0 and len(got) == len(lines)
+    assert got == {name: str(value) for name, value in fields.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -216,27 +222,14 @@ def test_sim_huge_permutation_reports_out_of_memory(tmp_path):
     # instead of eating the machine's memory
     path = tmp_path / "huge.qc"
     path.write_text("qubits 99999999999\nx 0\n")
-    limit = 1 << 31
-    code = ("import resource, sys\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-            "from cliffordt.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
-    src = str(Path(cliffordt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "sim", str(path), "--input", "0"],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = run_child("sim", str(path), "--input", "0", limit=1 << 31)
     assert proc.returncode == 0
     assert proc.stdout == "q: 1\n"
     assert proc.stderr == ""
 
 
 # Runs the CLI in a fresh interpreter where ``import numpy`` fails.
-NO_NUMPY = ("import sys\n"
-            "sys.modules['numpy'] = None\n"
-            "import cliffordt\n"
-            "from cliffordt.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
+NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n" + CLI_MAIN
 
 #: Commands that compute no amplitude, each with the files it writes.
 NO_AMPLITUDE_COMMANDS = [
@@ -249,13 +242,6 @@ NO_AMPLITUDE_COMMANDS = [
 ]
 
 
-def run_without_numpy(cwd, *argv):
-    src = str(Path(cliffordt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-c", NO_NUMPY, *argv], cwd=cwd,
-                          capture_output=True, text=True, env=env, timeout=60)
-
-
 def test_commands_that_compute_no_amplitude_run_without_numpy(tmp_path,
                                                               capsys,
                                                               monkeypatch):
@@ -263,15 +249,27 @@ def test_commands_that_compute_no_amplitude_run_without_numpy(tmp_path,
     blocked.mkdir()
     free.mkdir()
     for argv, written in NO_AMPLITUDE_COMMANDS:
-        proc = run_without_numpy(blocked, *argv)
+        proc = run_child(*argv, code=NO_NUMPY, cwd=blocked)
         monkeypatch.chdir(free)
         assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv)[:2]
         assert proc.stderr == ""
         for name in written:
             assert (blocked / name).read_bytes() == (free / name).read_bytes()
     # the block holds: a command that needs amplitudes cannot run
-    proc = run_without_numpy(blocked, "verify", "adder", "2")
+    proc = run_child("verify", "adder", "2", code=NO_NUMPY, cwd=blocked)
     assert proc.returncode != 0 and "numpy" in proc.stderr
+
+
+def test_the_console_script_is_cli_main():
+    # pip's cliffordt script is a generated wrapper around this entry
+    # point, so the children above, which call cliffordt.cli.main, run
+    # what the installed script runs.  Read by line: 3.10 has no tomllib
+    lines = (Path(__file__).resolve().parents[1]
+             / "pyproject.toml").read_text().splitlines()
+    section = takewhile(lambda line: not line.startswith("["),
+                        lines[lines.index("[project.scripts]") + 1:])
+    assert [line for line in section if line] == [
+        'cliffordt = "cliffordt.cli:main"']
 
 
 def test_memory_error_reported_without_traceback(tmp_path, capsys, monkeypatch):
@@ -480,6 +478,26 @@ def test_rb_sequences_numpy_cannot_size_are_one_error_line(capsys):
     assert "array is too big" not in result[2]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "taylor", "1000000", "t.qc", "--f", "-1", "--fp", "0", "--fpp",
+      "0", "--c", "0"], "value -1 does not fit register fc (1000000 bits)"),
+    (["rb", "--d", "0", "--lengths", "1,2,1000000000000", "--sequences", "1"],
+     "1000000000006 Clifford slots exceed the RB limit of 4294967296"),
+    (["rb", "--d", "0", "--lengths", "1,2,1" + "0" * 21, "--sequences", "1"],
+     "1000000000000000000006 Clifford slots exceed the RB limit"),
+], ids=["taylor", "rb-10^12", "rb-10^21"])
+def test_work_no_run_could_finish_is_one_error_line_at_once(tmp_path, argv,
+                                                            message):
+    # taylor at 10^6 bits would build about 10^12 gates, and rb of 10^12
+    # steps would run for hours; at 10^21 steps rb's block starts alone
+    # would not fit in memory.  Each is refused before the work starts, in
+    # a child under a 1 GiB address-space limit and a 10 s timeout
+    proc = run_child(*argv, limit=1 << 30, cwd=tmp_path, timeout=10)
+    assert_one_error_line((proc.returncode, proc.stdout, proc.stderr))
+    assert message in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_rb_too_few_lengths_is_an_error(capsys):
     code, out, err = run_cli(capsys, "rb", "--d", "0.1", "--lengths", "1,5")
     assert code == 1
@@ -498,6 +516,23 @@ def test_identical_invocations_are_byte_identical(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize("d, sequences, seed", [(0.02, 400, 7), (0.1, 50, 27)])
+def test_rb_prints_the_same_bytes_in_any_process(d, sequences, seed):
+    # two interpreters with different hash seeds print the same JSON, and
+    # its fit_p lies within 10% of the depolarizing prediction 1 - 4d/3
+    # (a fit that stops short of the optimum reads seed 27's as 0.99997)
+    argv = ["rb", "--d", str(d), "--lengths", "1,5,10,20,40,70,100",
+            "--sequences", str(sequences), "--shots", "100", "--seed",
+            str(seed), "--format", "json"]
+    first, second = (run_child(*argv, env={"PYTHONHASHSEED": hash_seed})
+                     for hash_seed in ("1", "2"))
+    assert (first.returncode, first.stderr) == (0, "")
+    assert (second.returncode, second.stdout, second.stderr) == (
+        0, first.stdout, "")
+    want = 1 - 4 * d / 3
+    assert abs(json.loads(first.stdout)["fit_p"] - want) / want < 0.10
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):

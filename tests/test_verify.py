@@ -3,14 +3,11 @@
 import decimal
 import hashlib
 import json
-import os
-import subprocess
 import sys
 import time
 import warnings
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +28,7 @@ from cliffordt.verify import (ORACLES, EquivalenceReport, NoiseModel,
                               oracle_adder, oracle_multiplier,
                               oracle_subtractor, oracle_taylor, run_rb,
                               tomography_1q)
-from helpers import phase_aligned_distance
+from helpers import phase_aligned_distance, run_child
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -120,10 +117,7 @@ def test_input_ceiling_refuses_without_allocating():
     # 2^bits is never built.  The child runs under a 1 GiB address-space
     # limit, so building it (12.5 GB) would fail with MemoryError instead
     # of eating the machine's memory
-    limit = 1 << 30
-    code = ("import resource\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-            "from cliffordt.arith import ArithInstance\n"
+    code = ("from cliffordt.arith import ArithInstance\n"
             "from cliffordt.circuit import Circuit\n"
             "from cliffordt.errors import ResourceError\n"
             "from cliffordt.verify import exhaustive_check\n"
@@ -131,10 +125,7 @@ def test_input_ceiling_refuses_without_allocating():
             "    exhaustive_check(ArithInstance(1, Circuit(10**11), ('q',)), dict)\n"
             "except ResourceError as exc:\n"
             "    print(exc)\n")
-    src = str(Path(verify.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = run_child(code=code, limit=1 << 30)
     assert proc.stderr == ""
     assert proc.stdout == ("2^100000000000 inputs exceeds the exhaustive-check "
                            "limit of 268435456\n")
@@ -791,16 +782,10 @@ def test_rb_memory_is_bounded_at_any_length():
     # 1,024 sequences of 2^17 steps: their error draws alone, as float64,
     # are 1 GiB in one piece.  The child runs under a 1 GiB address-space
     # limit, so drawing a length at once would end in MemoryError
-    limit = 1 << 30
-    code = ("import resource\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-            "from cliffordt.verify import NoiseModel, run_rb\n"
+    code = ("from cliffordt.verify import NoiseModel, run_rb\n"
             "result = run_rb(NoiseModel(0.01), (1, 2, 1 << 17), 1024, 1, 0)\n"
             "print(result.lengths)\n")
-    src = str(Path(verify.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = run_child(code=code, limit=1 << 30)
     assert proc.stderr == ""
     assert proc.stdout == "(1, 2, 131072)\n"
 
@@ -1134,3 +1119,24 @@ def test_rb_refuses_sequences_whose_draw_numpy_cannot_size():
         run_rb(NoiseModel(0.0), [1, 2, 3], 2**62, 1, 0)
     with pytest.raises(ResourceError):
         run_rb(NoiseModel(0.5), [1, 2, 3], sys.maxsize // 8 + 1, 1, 0)
+
+
+def test_rb_refuses_more_clifford_slots_than_its_limit(monkeypatch):
+    # slots are n_sequences x the sum of m + 1: 10^12 would run for hours,
+    # and at 10^21 the block starts alone would not fit in memory.  No
+    # draw may come first, so a missing check fails here at once
+    def no_draw(seed):
+        raise AssertionError("sequences were drawn")
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "make_rng", no_draw)
+        for lengths, n, slots in (((1, 2, 10**12), 1, 10**12 + 6),
+                                  ((1, 2, 10**21), 1, 10**21 + 6),
+                                  ((1, 2, 3), 2**30, 9 * 2**30)):
+            with pytest.raises(ResourceError, match=f"^{slots} Clifford slots "
+                               "exceed the RB limit of 4294967296$"):
+                run_rb(NoiseModel(0.1), lengths, n, 1, 0)
+    monkeypatch.setattr(verify, "MAX_RB_CLIFFORDS", 18)
+    assert run_rb(NoiseModel(0.1), (1, 2, 3), 2, 1, 0).lengths == (1, 2, 3)
+    with pytest.raises(ResourceError, match="^27 Clifford slots exceed the RB "
+                                            "limit of 18$"):
+        run_rb(NoiseModel(0.1), (1, 2, 3), 3, 1, 0)
