@@ -70,8 +70,11 @@ def _read(path: str) -> Circuit:
 
 
 def _write(path: str, circ: Circuit) -> None:
+    """Write the circuit's text to ``path``, serialized before the file is
+    opened, so a serialization that fails leaves the file as it was."""
+    text = serialize(circ)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(circ))
+        fh.write(text)
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -1,13 +1,16 @@
 """The benchmark's contract with the package.
 
-``bench/spans.py`` traces package functions by name and ``bench/run.py``
-counts a run's failed checks into ``pass_rate``, so a package change that
-drops a traced name or breaks a workload check would only show when the
-benchmark runs.  These tests run the benchmark's own modules, unchanged.
+``bench/spans.py`` traces package functions by name, and ``bench/run.py``
+counts a run's failed checks into ``pass_rate`` and sums the cost counts of
+the workloads' circuits, so a package change that drops a traced name,
+breaks a workload check or its command-line counterpart, or moves a cost
+count would only show when the benchmark runs.  These tests run the
+benchmark's own modules, unchanged: every check a run counts, and the five
+cost counts of each workload at seed 1, pinned.
 """
 
-import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -18,15 +21,25 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _load(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}",
-                                                  BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    """``bench/<name>.py`` run as a module, with no bytecode cache written
+    under ``bench/``."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_bytes(), path, "exec"), vars(module))
     return module
 
 
+run = _load("run")
 spans = _load("spans")
 workloads = _load("workloads")
+
+# The five cost counts of each workload at seed 1, as bench/run.py sums them
+# over ``cost_reports``: t_count, t_depth, depth, qubit_cost and
+# clifford_t_gates.  BENCHMARK.json lets none of them grow by more than
+# 0.01%, so a change that moves one says so and updates it here.
+PINNED_COSTS = {"verify": (5670, 2665, 4175, 155, 13972),
+                "compile": (57771, 33201, 56720, 1671, 144188)}
 
 
 def _package_attributes():
@@ -59,3 +72,28 @@ def test_traced_pass_passes_every_check_and_untraces_cleanly(name):
     assert [key for key in before if after[key] is not before[key]] == []
     assert len(tracer.name) > 0  # the pass ran through the wrappers
     assert [check for check, ok in out["checks"] if not ok] == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_a_run_passes_every_check_it_counts_at_the_pinned_costs(
+        name, tmp_path, monkeypatch):
+    """The checks of one ``bench/run.py`` run, in its order: the work counts
+    of its passes agree, the checked pass's checks, then the command-line
+    counterpart's, run by the harness's own ``CliRunner`` with its files
+    under ``tmp_path``."""
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    bench_files = sorted(BENCH.rglob("*"))
+    workload = workloads.WORKLOADS[name](1)
+    passes = [run.timed_pass(workload) for _ in range(2)]
+    out = workload.run_pass(lambda label, fn, *args: fn(*args), True)
+    checks = [("work-identical-across-passes",
+               all(p["work"] == out["work"] for p in passes))]
+    checks += out["checks"]
+    checks += workload.cli(out, run.CliRunner(1))
+    assert [check for check, ok in checks if not ok] == []
+    reports = workload.cost_reports(out)
+    assert (sum(r.t_count for r in reports), sum(r.t_depth for r in reports),
+            sum(r.depth for r in reports), sum(r.qubit_cost for r in reports),
+            sum(sum(r.gate_histogram.values()) for r in reports)
+            ) == PINNED_COSTS[name]
+    assert sorted(BENCH.rglob("*")) == bench_files

@@ -281,6 +281,23 @@ def test_memory_error_reported_without_traceback(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, "metrics", str(path)) == (1, "", "error: out of memory\n")
 
 
+
+def test_a_failed_write_leaves_the_target_as_it_was(tmp_path, capsys,
+                                                    monkeypatch):
+    def exhausted(circ):
+        raise MemoryError
+    monkeypatch.setattr(cli, "serialize", exhausted)
+    src = tmp_path / "inner.qc"
+    src.write_text("qubits 3\nccx 0 1 2\n")
+    keep = tmp_path / "keep.qc"
+    keep.write_bytes(b"qubits 1\nx 0\n")
+    for out in (keep, tmp_path / "new.qc"):
+        for argv in (["gen", "adder", "2", str(out)],
+                     ["uncompute", str(src), "--wires", "2", "--out", str(out)]):
+            assert run_cli(capsys, *argv) == (1, "", "error: out of memory\n")
+    assert keep.read_bytes() == b"qubits 1\nx 0\n"
+    assert not (tmp_path / "new.qc").exists()
+
 def test_sim_bell_counts_only_00_and_11(tmp_path, capsys):
     path = tmp_path / "bell.qc"
     path.write_text("qubits 2\nh 0\ncnot 0 1\n")

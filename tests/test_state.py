@@ -1,5 +1,8 @@
 """Statevector kernel: construction, gates, sampling."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -194,6 +197,34 @@ def test_sample_seed_reproducible():
     assert sample(st, 1, seed=9).counts == sample(st, 1, seed=9).counts
     assert sample(st, 500, seed=17).counts == sample(st, 500, seed=17).counts
 
+
+
+# sha256 of the JSON of [shots, sorted counts] of sample(state, shots,
+# seed) on states from these gates; any change to the draw shows here
+SAMPLE_STATES = {
+    "bell": (2, 0, (h(0), cnot(0, 1))),
+    "t-phase": (3, 5, (h(0), t(0), h(0), cnot(0, 2), h(1))),
+    "uniform4": (4, 0, (h(0), h(1), h(2), h(3))),
+}
+SAMPLE_GOLDEN = {
+    ("bell", 10000, 123): "07bb75032524ffa3b0a6e6b50c913673a87e6e60d3bf3922606d4d6ccef1ee03",
+    ("bell", 1000000, 7): "cd04b976dbe8b8b0687b2187e5196a71d40aef8f9537ade831127f0edffe84da",
+    ("t-phase", 10000, 123): "95418ff122fc4685893127ab9074417ec5200023de7ae9a07beb8b45911631e5",
+    ("t-phase", 1000000, 7): "f468d7fc632d1f5cb8e18cc3534d23e904e082d7a77e162826d8da5dd3e84472",
+    ("uniform4", 10000, 123): "950dd30b55f3862b512af86b9ad437c5111e2669bc6595e5c6c2187b2791292d",
+    ("uniform4", 1000000, 7): "14a4e20514587de990d6dec0f3219cb0447b6ab34c29db84f3e5464c1b5508e0",
+}
+
+
+@pytest.mark.parametrize("name, shots, seed", sorted(SAMPLE_GOLDEN))
+def test_sample_golden_digest(name, shots, seed):
+    n, index, gates = SAMPLE_STATES[name]
+    st = new_basis_state(n, index)
+    for g in gates:
+        st = apply_gate(st, g)
+    counts = sample(st, shots, seed)
+    payload = json.dumps([counts.shots, sorted(counts.counts.items())]).encode()
+    assert hashlib.sha256(payload).hexdigest() == SAMPLE_GOLDEN[name, shots, seed]
 
 def test_sample_validates_shots():
     with pytest.raises(DomainError):

@@ -633,6 +633,31 @@ def test_tomography_estimate_stays_near_unit_ball():
     assert np.linalg.norm(est) <= 1 + 3 * sigma
 
 
+
+# sha256 of the JSON of tomography_1q(Circuit(1, gates), 10000, seed): the
+# benchmark's three preparations and two off-axis states
+TOMOGRAPHY_PREPS = {"zero": (), "one": (x(0),), "plus": (h(0),),
+                    "t-state": (h(0), t(0)), "plus-i": (h(0), s(0))}
+TOMOGRAPHY_GOLDEN = {
+    ("zero", 1): "2f4c6bde053f4e31f9cb7151c0365dfd50461fa4d080edad2516be930edda63c",
+    ("zero", 2): "0853197b366c6e9f23e835892dc9ea00f208880d39c8e81d1b1aa84648d4e525",
+    ("one", 1): "601a17d97bee0da92cf5697e2416004056da3208859ea9c58f1423ae73363ccb",
+    ("one", 2): "09e20d24482ccae5765a34e2bae75580566322c4c9b02257c6fbd6e33cacdffb",
+    ("plus", 1): "0d3f97775167a85c9312ccbd217fd7ec50c352be2445b2c01eb6b1623758c494",
+    ("plus", 2): "7dcb557ec9c14ce2717d033f390b689aebbdd885d8c1ff78e5fa711b87f0fc09",
+    ("t-state", 1): "ad9d4170e15519da2d1e9fde99f3b5eaf5943e53727ca52910b14973605112a1",
+    ("t-state", 2): "64d914d3fc8982e351a45c37bd18d0ff1070c718773e576ca1f4cd5faf52a38e",
+    ("plus-i", 1): "f28f5215eb369a17e4655b5d0310db708df5759dceabad5e6b505141dee27254",
+    ("plus-i", 2): "9b189965159d906eb9491665d7e75695aa3d333b3a9046ddcfd8b58b7dc2b1b0",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(TOMOGRAPHY_GOLDEN))
+def test_tomography_golden_digest(name, seed):
+    est = tomography_1q(Circuit(1, TOMOGRAPHY_PREPS[name]), 10000, seed)
+    payload = json.dumps(est).encode()
+    assert hashlib.sha256(payload).hexdigest() == TOMOGRAPHY_GOLDEN[name, seed]
+
 def test_tomography_validation():
     with pytest.raises(DomainError):
         tomography_1q(Circuit(2), 100, seed=1)
