@@ -9,12 +9,14 @@ benchmark's own modules, unchanged: every check a run counts, and the five
 cost counts of each workload at seed 1, pinned.
 """
 
+import hashlib
 import sys
 import types
 from pathlib import Path
 
 import pytest
 
+from cliffordt import circuit
 from cliffordt.arith import ArithInstance
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -97,3 +99,24 @@ def test_a_run_passes_every_check_it_counts_at_the_pinned_costs(
             sum(sum(r.gate_histogram.values()) for r in reports)
             ) == PINNED_COSTS[name]
     assert sorted(BENCH.rglob("*")) == bench_files
+
+
+# sha256 of simulate(lowered, j).amps.tobytes() over the verify workload's
+# lowered adder n=6 and mul n=3 inputs at seeds 1 and 2, in its order; a
+# lowered circuit never leaves the sparse evaluator at 13 qubits
+DENSE_GOLDEN = {
+    (1, "adder6"): "7f7a614081ee23385fdbc3c8b5701ebb6c55344177acde4d80218308669de096",
+    (1, "mul3"): "84ae7a9f284d6b8f57f91be7e1ae142c4097a8efd0e5390485e19f36b3249582",
+    (2, "adder6"): "01261acca490441013a0d149b7aa6852a2eea81dedf4239422ca204168feb657",
+    (2, "mul3"): "09e14dc08d7a655dce4fff5e87de9dc34d820ead0edbf5ce9a8c90ba62adefbc",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_verify_workload_simulations_golden_digest(seed):
+    for label, kind, n, inst, lowered, inputs in workloads.Verify(seed).dense:
+        digest = hashlib.sha256()
+        for v in inputs:
+            index = workloads.pack(lowered.layout, v)
+            digest.update(circuit.simulate(lowered, index).amps.tobytes())
+        assert digest.hexdigest() == DENSE_GOLDEN[seed, label]

@@ -23,7 +23,7 @@ from cliffordt.circuit import (MAX_DIGITS, OFFSETS, ROLES, TEMPLATES, Circuit,
                                parse, permutation_output, resources,
                                run_columns, schedule_layers, serialize,
                                simulate, sparse_evaluate)
-from cliffordt.circuit import _offsets, _place, _spill_support
+from cliffordt.circuit import _offsets, _place, _run_sparse, _spill_support
 from cliffordt.errors import DomainError, ParseError, ResourceError
 from cliffordt.gates import (GATE_ARITY, PERMUTATION_KINDS, Gate, ccx, cnot,
                              compose_matrices, cswap, decompose_fredkin,
@@ -1000,9 +1000,12 @@ def sparse_column(c, j):
     return col
 
 
-@settings(max_examples=40, deadline=None)
-@given(clifford_t_circuits())
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(clifford_t_circuits(), random_circuits()))
 def test_sparse_evaluator_matches_matrix_columns(c):
+    # random_circuits() draws ccx, swap and cswap too, so they act on a
+    # superposition here: simulate spills to the dense kernel at the first
+    # H below 8 qubits and never runs them sparse there
     u = compose_matrices(c.ops, c.n_qubits)
     for j in range(1 << c.n_qubits):
         amps, k = sparse_evaluate(c, j)
@@ -1029,6 +1032,85 @@ def test_sparse_form_is_canonical():
     c = Circuit(2, (h(0), Gate("s", (0,))) * 3 + (tdg(1),))
     assert sparse_evaluate(c, 2) == ({2: (1, 0, 0, 0)}, 0)
     assert sparse_evaluate(Circuit(1, (h(0), h(0))), 1) == ({1: (1, 0, 0, 0)}, 0)
+
+
+def seeded_circuits(seed, count=200, max_qubits=8, max_gates=40):
+    """``count`` circuits over all ten gate kinds, each with three basis
+    inputs, drawn by ``random.Random(seed)`` so that the draw does not
+    depend on the hypothesis version."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_qubits)
+        kinds = sorted(k for k in GATE_ARITY if GATE_ARITY[k] <= n)
+        ops = []
+        for _ in range(rng.randint(0, max_gates)):
+            kind = rng.choice(kinds)
+            ops.append(Gate(kind, tuple(rng.sample(range(n), GATE_ARITY[kind]))))
+        out.append((Circuit(n, tuple(ops)), [rng.randrange(1 << n) for _ in range(3)]))
+    return out
+
+
+# sha256 of the JSON of the sparse evaluator's exact output on
+# seeded_circuits(seed), in the order returned: [list(amps.items()), k] of
+# sparse_evaluate, and (items, k, applied) of _run_sparse stopped at a
+# support limit, so that the entry order and a run cut short are pinned.
+# In these draws no H takes a support past 2 to exactly 3, so limits 2
+# and 3 stop the same runs.
+SPARSE_GOLDEN = {
+    1: "561427db8a34e72aeac1333b0b56a60685e3b72d8d0ddf0a1bb3112c7bb55dac",
+    2: "8d2649c7df7e96ef7ade0a7dcc369392ab3fe1f9561120c2a468e4ca5b1a2224",
+    3: "c2a1bfd4b5aac061f697feac94b90ff42d0bdcc43f5b9fc372320af5a9f9b4a9",
+}
+RUN_SPARSE_GOLDEN = {
+    (1, 1): "a343edb6dc4e960de09933bd1f55f50454a6272e32e989cfaabe731490208ae1",
+    (1, 2): "86f22e6edf12e44309451b1dcdc57297dd7c0a51df6a1ebe273db3a0ca0ad3a1",
+    (1, 3): "86f22e6edf12e44309451b1dcdc57297dd7c0a51df6a1ebe273db3a0ca0ad3a1",
+    (2, 1): "9130a62167996f014401d064355ace6315708c2da9d15abf66bb6125e947652b",
+    (2, 2): "604730a791c78a0752ffa0960023761fb2f85c61b5591a3c4d8b7c126e7a6a0c",
+    (2, 3): "604730a791c78a0752ffa0960023761fb2f85c61b5591a3c4d8b7c126e7a6a0c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SPARSE_GOLDEN))
+def test_sparse_evaluate_golden_digest(seed):
+    results = []
+    for c, inputs in seeded_circuits(seed):
+        for j in inputs:
+            amps, k = sparse_evaluate(c, j)
+            results.append([list(amps.items()), k])
+    payload = json.dumps(results).encode()
+    assert hashlib.sha256(payload).hexdigest() == SPARSE_GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed, limit", sorted(RUN_SPARSE_GOLDEN))
+def test_run_sparse_stopped_at_a_limit_golden_digest(seed, limit):
+    results = []
+    for c, inputs in seeded_circuits(seed):
+        for j in inputs:
+            amps, k, applied = _run_sparse(c.ops, j, limit)
+            results.append((list(amps.items()), k, applied))
+    payload = json.dumps(results).encode()
+    assert hashlib.sha256(payload).hexdigest() == RUN_SPARSE_GOLDEN[seed, limit]
+
+
+# sha256 of simulate(c, j).amps.tobytes() over seeded_circuits(seed) of up
+# to 12 qubits: below 8 qubits the first H spills to the dense kernel, and
+# from 10 qubits on a run spills after an H that leaves more than
+# 2^n / 128 basis states, so sparse H output is scattered mid-run
+SIMULATE_GOLDEN = {
+    1: "cfe4f38c3c0c279f9835cd969a114324f2f152f8fc809933f2038f84f75d7a3c",
+    2: "f3f5b818acb9d62180573fdcc3efdc6412eeee9ec45642237ade2afd1d4f3983",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SIMULATE_GOLDEN))
+def test_simulate_golden_digest(seed):
+    digest = hashlib.sha256()
+    for c, inputs in seeded_circuits(seed, count=60, max_qubits=12, max_gates=60):
+        for j in inputs:
+            digest.update(simulate(c, j).amps.tobytes())
+    assert digest.hexdigest() == SIMULATE_GOLDEN[seed]
 
 
 def test_lowered_circuits_stay_exact_on_the_sparse_path():
