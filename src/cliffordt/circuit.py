@@ -485,11 +485,13 @@ def parse(text: str) -> Circuit:
 # Exact amplitudes for basis-input runs.  A coefficient is a 4-tuple of
 # integers (a, b, c, d) standing for a + b*w + c*w^2 + d*w^3 with
 # w = e^{i pi/4}: an element of Z[w], the ring of Giles and Selinger
-# (arXiv:1212.0822).  A sparse state maps basis index -> coefficient and
-# shares one exponent k, so the amplitude at j is amps[j] / sqrt(2)^k.
-# T, S and their daggers multiply by a power of w, which only rotates the
-# tuple; every permutation gate only moves indices; H adds and subtracts
-# coefficients and raises k by one.
+# (arXiv:1212.0822).  A sparse state is two parallel lists, basis indices
+# and their coefficients, sharing one exponent k, so the amplitude at
+# idx[e] is coef[e] / sqrt(2)^k.  T, S and their daggers multiply by a
+# power of w, which only rotates a tuple; every permutation gate only moves
+# indices, distinct to distinct.  Neither can merge or cancel entries, so
+# both update the lists where they sit.  H adds and subtracts coefficients
+# and raises k by one, and is the one gate that builds a new state.
 _ONE = (1, 0, 0, 0)
 _ROTATE = {
     "t": lambda v: (-v[3], v[0], v[1], v[2]),     # * w
@@ -499,60 +501,91 @@ _ROTATE = {
 }
 
 
-def _hadamard(amps: dict[int, tuple], k: int, m: int) -> tuple[dict, int]:
+def _hadamard(idx: list[int], coef: list[tuple], k: int,
+              m: int) -> tuple[list[int], list[tuple], int]:
     """H on the qubit of mask ``m``: |0> -> |0>+|1>, |1> -> |0>-|1>, with
-    the 1/sqrt(2) in the exponent.  Entries that cancel exactly are
-    dropped, then every coefficient is divided by sqrt(2) for as long as
-    all of them allow it (a + b w + c w^2 + d w^3 is a multiple of
-    sqrt(2) = w - w^3 exactly when a = c and b = d mod 2), so k is the
-    least exponent that holds the state and each state has one form."""
-    out: dict[int, tuple] = {}
-    for j, v in amps.items():
-        for dst, sign in ((j & ~m, 1), (j | m, -1 if j & m else 1)):
-            old = out.get(dst, (0, 0, 0, 0))
-            out[dst] = (old[0] + sign * v[0], old[1] + sign * v[1],
-                        old[2] + sign * v[2], old[3] + sign * v[3])
-    out = {j: v for j, v in out.items() if any(v)}
+    the 1/sqrt(2) in the exponent.  Each pair j, j ^ m is combined where
+    its first entry stands, its |0> output before its |1> output.  Entries
+    that cancel exactly are dropped, then every coefficient is divided by
+    sqrt(2) for as long as all of them allow it (a + b w + c w^2 + d w^3 is
+    a multiple of sqrt(2) = w - w^3 exactly when a = c and b = d mod 2), so
+    k is the least exponent that holds the state and each state has one
+    form."""
+    where = dict(zip(idx, range(len(idx))))
+    out_idx: list[int] = []
+    out_coef: list[tuple] = []
+    for e, j in enumerate(idx):
+        p = where.get(j ^ m, -1)
+        if p < 0:  # the partner holds 0, so nothing cancels
+            v = coef[e]
+            out_idx.append(j & ~m)
+            out_coef.append(v)
+            out_idx.append(j | m)
+            out_coef.append((-v[0], -v[1], -v[2], -v[3]) if j & m else v)
+            continue
+        if p < e:  # combined at the partner's place
+            continue
+        v, w = (coef[p], coef[e]) if j & m else (coef[e], coef[p])
+        lo = (v[0] + w[0], v[1] + w[1], v[2] + w[2], v[3] + w[3])
+        hi = (v[0] - w[0], v[1] - w[1], v[2] - w[2], v[3] - w[3])
+        if any(lo):
+            out_idx.append(j & ~m)
+            out_coef.append(lo)
+        if any(hi):
+            out_idx.append(j | m)
+            out_coef.append(hi)
     k += 1
-    while k and not any((a ^ c | b ^ d) & 1 for a, b, c, d in out.values()):
-        out = {j: ((b - d) >> 1, (a + c) >> 1, (b + d) >> 1, (c - a) >> 1)
-               for j, (a, b, c, d) in out.items()}
+    while k:
+        for a, b, c, d in out_coef:
+            if (a ^ c | b ^ d) & 1:
+                return out_idx, out_coef, k
+        out_coef = [((b - d) >> 1, (a + c) >> 1, (b + d) >> 1, (c - a) >> 1)
+                    for a, b, c, d in out_coef]
         k -= 1
-    return out, k
+    return out_idx, out_coef, k
 
 
 def _run_sparse(ops: Sequence[Gate], input_basis: int,
                 limit: int) -> tuple[dict[int, tuple], int, int]:
     """Apply ``ops`` to the basis state ``input_basis`` until done or until
-    an H leaves more than ``limit`` entries.  Returns the state, its
-    exponent and the number of gates applied.  Only H can grow the
-    support, and no amplitude is ever rounded."""
-    amps, k = {input_basis: _ONE}, 0
+    an H leaves more than ``limit`` entries.  Returns the state as a map
+    from basis index to coefficient, its exponent and the number of gates
+    applied.  Only H can grow the support, and no amplitude is ever
+    rounded."""
+    idx, coef, k = [input_basis], [_ONE], 0
     for i, g in enumerate(ops):
         kind = g.kind
         q = g.qubits
         if kind == "cnot":
             c, t = 1 << q[0], 1 << q[1]
-            amps = {j ^ t if j & c else j: v for j, v in amps.items()}
+            for e, j in enumerate(idx):
+                if j & c:
+                    idx[e] = j ^ t
         elif kind in _ROTATE:
             m, rot = 1 << q[0], _ROTATE[kind]
-            amps = {j: rot(v) if j & m else v for j, v in amps.items()}
+            for e, j in enumerate(idx):
+                if j & m:
+                    coef[e] = rot(coef[e])
         elif kind == "h":
-            amps, k = _hadamard(amps, k, 1 << q[0])
-            if len(amps) > limit:
-                return amps, k, i + 1
+            idx, coef, k = _hadamard(idx, coef, k, 1 << q[0])
+            if len(idx) > limit:
+                return dict(zip(idx, coef)), k, i + 1
         elif kind == "x":
             t = 1 << q[0]
-            amps = {j ^ t: v for j, v in amps.items()}
+            for e, j in enumerate(idx):
+                idx[e] = j ^ t
         elif kind == "ccx":
             c, t = 1 << q[0] | 1 << q[1], 1 << q[2]
-            amps = {j ^ t if j & c == c else j: v for j, v in amps.items()}
+            for e, j in enumerate(idx):
+                if j & c == c:
+                    idx[e] = j ^ t
         else:  # swap, cswap: exchange the last two bits where they differ
             *controls, p, r = q
-            c, pr = sum(1 << x for x in controls), 1 << p | 1 << r
-            amps = {j ^ pr if j & c == c and (j >> p ^ j >> r) & 1 else j: v
-                    for j, v in amps.items()}
-    return amps, k, len(ops)
+            c, pr = 1 << controls[0] if controls else 0, 1 << p | 1 << r
+            for e, j in enumerate(idx):
+                if j & c == c and (j >> p ^ j >> r) & 1:
+                    idx[e] = j ^ pr
+    return dict(zip(idx, coef)), k, len(ops)
 
 
 def _to_complex(v: tuple, k: int) -> complex:
