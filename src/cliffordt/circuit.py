@@ -631,10 +631,16 @@ def sparse_evaluate(c: Circuit, input_basis: int) -> tuple[dict[int, tuple], int
 def _spill_support(n_qubits: int) -> int:
     """Support past which ``simulate`` switches to the dense kernel.
 
-    A sparse gate costs about 0.2 us per basis state held, a dense one
-    about 1.6 ns per amplitude plus 5 us of numpy calls; on lowered
-    adders in superposition the two met near 1/128 of 2^n basis states
-    from 13 to 17 qubits.  Below 2^8 amplitudes the first H spills.
+    On one core of a 2.1 GHz Xeon (Python 3.11), a sparse gate costs
+    about 0.1 to 0.2 us per basis state held, a dense one about 1.3 to
+    1.8 ns per amplitude plus 5 us of numpy calls.  On lowered adder n=6
+    (13 qubits) with 2^6 = 2^13 / 128 basis states in superposition, the
+    rest of the run takes 1.5 ms sparse and 2.9 ms dense, so at this
+    point the sparse side is the faster one.
+    The point stays where the two met before permutation and phase gates
+    updated entries in place: moving it changes which kernel rounds the
+    amplitudes, so ``sim`` output could change.  Below 2^8 amplitudes the
+    first H spills.
     """
     return (1 << n_qubits) >> 7
 
