@@ -1003,9 +1003,9 @@ def sparse_column(c, j):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(clifford_t_circuits(), random_circuits()))
 def test_sparse_evaluator_matches_matrix_columns(c):
-    # random_circuits() draws ccx, swap and cswap too, so they act on a
-    # superposition here: simulate spills to the dense kernel at the first
-    # H below 8 qubits and never runs them sparse there
+    # random_circuits() adds ccx, swap and cswap acting on a superposition:
+    # below 8 qubits simulate spills at the first H, so its own matrix
+    # check never runs them on the sparse evaluator
     u = compose_matrices(c.ops, c.n_qubits)
     for j in range(1 << c.n_qubits):
         amps, k = sparse_evaluate(c, j)
@@ -1096,7 +1096,7 @@ def test_run_sparse_stopped_at_a_limit_golden_digest(seed, limit):
 
 # sha256 of simulate(c, j).amps.tobytes() over seeded_circuits(seed) of up
 # to 12 qubits: below 8 qubits the first H spills to the dense kernel, and
-# from 10 qubits on a run spills after an H that leaves more than
+# from 8 qubits on a run spills after an H that leaves more than
 # 2^n / 128 basis states, so sparse H output is scattered mid-run
 SIMULATE_GOLDEN = {
     1: "cfe4f38c3c0c279f9835cd969a114324f2f152f8fc809933f2038f84f75d7a3c",
