@@ -351,6 +351,34 @@ def test_check_reports_golden_digest(monkeypatch, kind, n, variant, batch):
     assert hashlib.sha256(payload).hexdigest() == CHECK_GOLDEN[kind, n, variant]
 
 
+# sha256 of the same JSON for each "lowered" case of CHECK_GOLDEN with
+# "method" taken out of every report, recorded when every lowering ran on
+# the sparse route: a lowering's report may name another route, and must
+# say the same about every input.
+LOWERED_SANS_METHOD_GOLDEN = {
+    ("adder", 1): "4bf412afd8e470ce4ef72063f9c76a4fe0d763ddb5a93c61588d04eeea40061a",
+    ("adder", 2): "00d544cf3fb35cd433541f26341d57b773f23d2a4c25d2dbe7c414b16f180fee",
+    ("sub", 1): "4bf412afd8e470ce4ef72063f9c76a4fe0d763ddb5a93c61588d04eeea40061a",
+    ("sub", 2): "00d544cf3fb35cd433541f26341d57b773f23d2a4c25d2dbe7c414b16f180fee",
+    ("ctrladd", 1): "01a52e955e9f47df1f08fefd3e5910e458240a6f681f182bbe54cedde920ec34",
+    ("mul", 1): "4bf412afd8e470ce4ef72063f9c76a4fe0d763ddb5a93c61588d04eeea40061a",
+    ("mul", 2): "00d544cf3fb35cd433541f26341d57b773f23d2a4c25d2dbe7c414b16f180fee",
+    ("taylor", 1): "6ef2bab4c52e0fd4d01209e20e4f64ac2a9881ed2d6e9ee8ea981a2bad0db9cf",
+    ("taylor", 2): "4bf412afd8e470ce4ef72063f9c76a4fe0d763ddb5a93c61588d04eeea40061a",
+}
+
+
+@pytest.mark.parametrize("kind, n", list(LOWERED_SANS_METHOD_GOLDEN))
+def test_lowered_reports_sans_method_golden_digest(kind, n):
+    reports = [exhaustive_check(inst, ORACLES[kind](n)).to_dict()
+               for inst in check_instances(kind, n, "lowered")]
+    for report in reports:
+        del report["method"]
+    payload = json.dumps(reports, sort_keys=True).encode()
+    assert (hashlib.sha256(payload).hexdigest()
+            == LOWERED_SANS_METHOD_GOLDEN[kind, n])
+
+
 def test_exhaustive_check_refuses_registers_wider_than_64_bits():
     def layout(width):
         return RegisterLayout((Register("a", 0, 2, "input"),
@@ -582,6 +610,21 @@ def test_sparse_mutant_reports_match_matrix_reference(drop):
     assert report.method == "sparse"
     assert report.mismatches == matrix_reference(mutant, oracle_adder(2))
     assert not report.passed
+
+
+def test_lowered_adder_without_its_first_t_keeps_its_sparse_report():
+    # one Toffoli template of lowered adder n=2 loses a T, so the circuit is
+    # no permutation circuit and runs on the sparse route; the whole report,
+    # each observed index included, is pinned as the sparse route gave it
+    ops = _LOWERED_ADDER2.ops
+    drop = next(i for i, g in enumerate(ops) if g.kind == "t")
+    mutant = ArithInstance(2, Circuit(_LOWERED_ADDER2.n_qubits,
+                                      ops[:drop] + ops[drop + 1:],
+                                      _LOWERED_ADDER2.layout), ("b", "a"))
+    assert exhaustive_check(mutant, oracle_adder(2)).to_dict() == {
+        "method": "sparse", "passed": False, "total_inputs": 16,
+        "mismatches": [[1, 1, 1], [5, 6, 6], [9, 11, 11], [13, 28, 28],
+                       [3, 3, 3], [7, 20, 20], [11, 25, 25], [15, 30, 30]]}
 
 
 
