@@ -19,7 +19,10 @@ every layout the format carries parses back as written.
 Evaluators: ``sparse_evaluate`` runs any circuit exactly on one basis
 input at any width (``permutation_output`` reads its one output);
 ``run_columns`` runs a permutation circuit on a batch of bit columns;
-``simulate`` builds a statevector of at most 24 qubits.
+``simulate`` builds a statevector of at most 24 qubits.  ``lift`` folds
+each lowered SWAP, Toffoli and Fredkin window of a gate list back into its
+gate, exactly, so that ``simulate`` and ``verify.exhaustive_check`` run a
+lowered circuit at the speed of the circuit it lowers.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from . import gates as G
-from .errors import (MAX_DIGITS, DomainError, ParseError, ResourceError,
-                     check_count, check_index, check_int, parse_int, show)
+from .errors import (MAX_DIGITS, CliffordTError, DomainError, ParseError,
+                     ResourceError, check_count, check_index, check_int,
+                     parse_int, show)
 from .gates import H_SCALE, Gate
 from .state import StateVector, apply_gate_inplace, check_width
 
@@ -198,7 +202,9 @@ def inverse_circuit(c: Circuit) -> Circuit:
 # (kind, operand positions) pair: swap is three ("cnot", ...) steps on
 # positions (0, 1), (1, 0), (0, 1) of the swapped qubits.  Read off the
 # ``decompose_*`` functions on wires 0, 1, 2, so the lowering has one
-# source; a Clifford+T kind is its own one step.
+# source; a Clifford+T kind is its own one step.  ``_prove_templates``,
+# once the exact evaluator below is defined, checks at import that each
+# equals its gate.
 _DECOMPOSE = {"swap": G.decompose_swap, "ccx": G.decompose_toffoli,
               "cswap": G.decompose_fredkin}
 TEMPLATES = {
@@ -249,6 +255,75 @@ def lower_to_clifford_t(c: Circuit) -> Circuit:
                 steps.append(step)
         out.extend(steps)
     return _derived_circuit(c.n_qubits, tuple(out), c.layout)
+
+
+# One character per kind, so that a gate list's kinds read as a string in
+# which each template's kinds are found by ``str.find``.
+_CODE = {kind: chr(ord("a") + i) for i, kind in enumerate(G.GATE_ARITY)}
+
+
+def _window(kind: str) -> tuple:
+    """What ``lift`` matches a window against for ``kind``: the gate kind,
+    its template's kind codes and length, a getter that reads the binding
+    of operand positions to qubits off a window's qubits laid end to end
+    (each position where the template first names it), and a getter that
+    lays out the qubits a binding gives the template's steps.  ``lift``
+    passes over a window whose first and last gates differ in qubits, so a
+    template that does not end with the step it starts with raises
+    ``CliffordTError``."""
+    template = TEMPLATES[kind]
+    if template[0] != template[-1]:
+        raise CliffordTError(f"the {kind} template does not end with the "
+                             "step it starts with")
+    shape = [p for _, where in template for p in where]
+    return (kind, "".join(_CODE[step] for step, _ in template), len(template),
+            itemgetter(*map(shape.index, range(G.GATE_ARITY[kind]))),
+            itemgetter(*shape))
+
+
+#: The kinds ``lift`` folds back, in the order it tries them at a position.
+_LIFTS = tuple(map(_window, ("cswap", "ccx", "swap")))
+
+
+def lift(ops: Sequence[Gate]) -> tuple[Gate, ...]:
+    """The gate list with each lowered SWAP, Toffoli and Fredkin window
+    replaced by its gate: the inverse of ``lower_to_clifford_t``.
+
+    One pass left to right: at each position the Fredkin, then the
+    Toffoli, then the SWAP template is tried, and a window becomes its
+    gate only when every step has the template's kind and the template's
+    qubits under one binding of distinct qubits to its operand positions.
+    Every gate no window takes stays as it was.  Each template equals its
+    gate exactly (``_prove_templates``), so the lifted list has the same
+    exact map, and ``lower_to_clifford_t`` of it gives ``ops`` back.  The
+    converse does not hold: cnot(0, 1), cnot(1, 0), cnot(0, 1) lifts to
+    swap(0, 1).  The positions where a template's kinds start are found by
+    ``str.find`` on one character per gate, and a window there is read
+    only if its first and last gates share their qubits, as each
+    template's do (see ``_window``).
+    """
+    codes = "".join([_CODE[g.kind] for g in ops])
+    starts = []  # (position, rank, window), sorted: the order a scan meets them
+    for rank, window in enumerate(_LIFTS):
+        at = codes.find(window[1])
+        while at >= 0:
+            starts.append((at, rank, window))
+            at = codes.find(window[1], at + 1)
+    starts.sort()
+    out: list[Gate] = []
+    done = 0
+    qubits = attrgetter("qubits")
+    for at, _, (kind, _, size, binding, shape) in starts:
+        if at < done or ops[at].qubits != ops[at + size - 1].qubits:
+            continue  # inside a window already lifted, or no match
+        flat = tuple(chain.from_iterable(map(qubits, ops[at:at + size])))
+        bound = binding(flat)
+        if shape(bound) == flat and len(set(bound)) == len(bound):
+            out.extend(ops[done:at])
+            out.append(G._derived_gate(kind, bound))
+            done = at + size
+    out.extend(ops[done:])
+    return tuple(out)
 
 
 def _place(frontier: dict[int, int], qubits: Sequence[int]) -> int:
@@ -588,6 +663,25 @@ def _run_sparse(ops: Sequence[Gate], input_basis: int,
     return dict(zip(idx, coef)), k, len(ops)
 
 
+def _prove_templates() -> None:
+    """Run each permutation kind's template on every basis input of its
+    wires with the exact evaluator, and raise ``CliffordTError`` unless
+    each lands where the gate itself does with coefficient (1, 0, 0, 0) at
+    exponent 0: amplitude exactly 1, global phase included.  The exact
+    lowering and ``lift`` rest on this, so it runs at import."""
+    for kind in sorted(G.PERMUTATION_KINDS):
+        wires = range(G.GATE_ARITY[kind])
+        steps = [Gate(*step) for step in TEMPLATES[kind]]
+        for j in range(1 << len(wires)):
+            want = _run_sparse([Gate(kind, wires)], j, 1)[0]
+            if _run_sparse(steps, j, 1 << len(wires))[:2] != (want, 0):
+                raise CliffordTError(f"the {kind} template differs from "
+                                     f"its gate on basis input {j}")
+
+
+_prove_templates()
+
+
 def _to_complex(v: tuple, k: int) -> complex:
     """The amplitude (a + b w + c w^2 + d w^3) / sqrt(2)^k as a complex.
 
@@ -648,27 +742,29 @@ def _spill_support(n_qubits: int) -> int:
 def simulate(c: Circuit, input_basis: int) -> StateVector:
     """Full statevector of the circuit run on one basis input.
 
-    The run starts on the exact sparse evaluator (see ``sparse_evaluate``)
-    and converts its map to a ``StateVector`` once, at the end.  When an H
-    gate leaves more basis states in superposition than
-    ``_spill_support`` allows for the width, the map is scattered into one
-    (2,)*n buffer and the remaining gates are applied to it in place by
-    the dense kernel.  Capped at 24 qubits, checked after the input index.
-    Pure and reentrant, so distinct basis inputs may be evaluated
-    concurrently.
+    The gates are lifted first (``lift``), so a lowered Toffoli runs as
+    one bit flip, not 16 gates.  The run starts on the exact sparse
+    evaluator (see ``sparse_evaluate``) and converts its map to a
+    ``StateVector`` once, at the end.  When an H gate leaves more basis
+    states in superposition than ``_spill_support`` allows for the width,
+    the map is scattered into one (2,)*n buffer and the remaining lifted
+    gates are applied to it in place by the dense kernel.  Capped at 24
+    qubits, checked after the input index.  Pure and reentrant, so
+    distinct basis inputs may be evaluated concurrently.
     """
     import numpy as np
 
     n = c.n_qubits
     input_basis = check_index(n, input_basis)
     check_width(n)
-    amps, k, applied = _run_sparse(c.ops, input_basis, _spill_support(n))
+    ops = lift(c.ops)
+    amps, k, applied = _run_sparse(ops, input_basis, _spill_support(n))
     vec = np.zeros(1 << n, dtype=complex)
     for j, v in amps.items():
         vec[j] = _to_complex(v, k)
-    if applied < len(c.ops):
+    if applied < len(ops):
         psi = vec.reshape((2,) * n)
-        for g in c.ops[applied:]:
+        for g in ops[applied:]:
             apply_gate_inplace(psi, g)
     return StateVector(n, vec)
 

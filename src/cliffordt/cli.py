@@ -16,10 +16,12 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 
 from .arith import ArithInstance, BUILDERS
-from .circuit import (Circuit, is_permutation_circuit, parse,
-                      permutation_output, resources, serialize, simulate)
+from .circuit import (Circuit, is_permutation_circuit, lower_to_clifford_t,
+                      parse, permutation_output, resources, serialize,
+                      simulate)
 from .errors import CliffordTError, ParseError, check_shots, parse_int
 from .state import probabilities, sample
 from .uncompute import BennettSpec, bennett_wrap
@@ -130,6 +132,9 @@ def _cmd_uncompute(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = _build(args)
+    if args.lowered:
+        instance = replace(instance,
+                           circuit=lower_to_clifford_t(instance.circuit))
     report = exhaustive_check(instance, ORACLES[args.kind](args.n))
     _emit(args, report.to_dict(), report.to_text())
     return 0 if report.passed else 1
@@ -188,6 +193,9 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively check a generator "
                                       "against its integer oracle")
     add_kind_n(p)
+    p.add_argument("--lowered", action="store_true",
+                   help="check the circuit's Clifford+T lowering, the "
+                        "circuit whose cost metrics reports")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_verify)
 

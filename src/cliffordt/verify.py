@@ -37,8 +37,8 @@ from math import isfinite, log, sqrt
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .arith import ArithInstance
-from .circuit import (Circuit, is_permutation_circuit, run_columns, simulate,
-                      sparse_evaluate)
+from .circuit import (Circuit, is_permutation_circuit, lift, run_columns,
+                      simulate, sparse_evaluate)
 from .errors import (DomainError, FitError, ResourceError, check_int,
                      check_real, check_register_value, check_shots, show)
 from .gates import Gate, h, sdg
@@ -114,9 +114,11 @@ class EquivalenceReport:
     Mismatches are (input, expected, observed) basis-index triples;
     ``passed`` holds exactly when there are none.  ``method`` names the
     evaluator that produced the outputs: ``bitsliced`` for permutation
-    circuits, ``sparse`` for the exact sparse evaluator, which runs every
-    other circuit.  A sparse mismatch's observed index is the lowest basis
-    index among the amplitudes of largest magnitude, compared exactly.
+    circuits, ``lifted`` for circuits whose ``circuit.lift`` is one (run
+    bit-sliced too), ``sparse`` for the exact sparse evaluator, which runs
+    every other circuit.  A sparse mismatch's observed index is the lowest
+    basis index among the amplitudes of largest magnitude, compared
+    exactly.
     """
 
     total_inputs: int
@@ -187,8 +189,12 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     ``Oracle``).  Permutation circuits (X, CNOT, SWAP, Toffoli, Fredkin)
     run bit-sliced on the whole batch (``circuit.run_columns``), and only
     rows that differ are read back, by their mask, in one ``_unpack``
-    call; every other circuit runs row by row on the exact sparse
-    evaluator (``circuit.sparse_evaluate``).  Both work at any width.  Input
+    call.  Any other circuit is lifted once, after the input space and
+    the width pass (``circuit.lift`` folds each lowered SWAP, Toffoli and
+    Fredkin window back into its gate, with the same exact map): if that
+    leaves a permutation circuit, it runs bit-sliced, and else the lifted
+    gates run row by row on the exact sparse evaluator
+    (``circuit.sparse_evaluate``).  All work at any width.  Input
     spaces larger than ``MAX_CHECK_INPUTS``, circuits of more than
     ``MAX_SLICED_BITS`` qubits, an array result for a register wider than
     64 bits, and sparse runs that hold more than ``MAX_SPARSE_SUPPORT``
@@ -199,7 +205,6 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     import numpy as np
 
     circ = instance.circuit
-    sliced = is_permutation_circuit(circ)
     layout = circ.layout
     bits = sum(layout.register(name).size for name in instance.input_names)
     # compare exponents: 1 << bits would allocate a bits-bit integer
@@ -211,6 +216,10 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     if n > MAX_SLICED_BITS:
         raise ResourceError(f"{show(n)} qubits exceeds the {MAX_SLICED_BITS}"
                             "-bit limit of the bit-sliced evaluator")
+    method = "bitsliced"
+    if not is_permutation_circuit(circ):
+        circ = Circuit(n, lift(circ.ops), layout)
+        method = "lifted" if is_permutation_circuit(circ) else "sparse"
     constants = instance.constants
     counter = instance.counter()
     shifts = {name: at for name, at, _ in counter}
@@ -237,7 +246,7 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
         for name, value in got.items():
             r = layout.register(name)
             expected[r.start:r.stop] = _pack(name, r.size, value, rows)
-        if sliced:
+        if method != "sparse":
             out = list(cols)
             run_columns(circ, out, rows)
             diff = 0
@@ -252,8 +261,7 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
             amps, k = sparse_evaluate(circ, j)
             if k or amps != {want: (1, 0, 0, 0)}:
                 mismatches.append((j, want, _peak(amps)))
-    return EquivalenceReport(total, tuple(mismatches), not mismatches,
-                             "bitsliced" if sliced else "sparse")
+    return EquivalenceReport(total, tuple(mismatches), not mismatches, method)
 
 
 def _count_column(bit: int, base: int, rows: int) -> int:

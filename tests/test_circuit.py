@@ -4,8 +4,10 @@ import hashlib
 import itertools
 import json
 import random
+import shutil
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from cliffordt.circuit import (MAX_DIGITS, OFFSETS, ROLES, TEMPLATES, Circuit,
                                RegisterLayout, ResourceReport,
                                default_layout,
                                inverse_circuit,
-                               is_permutation_circuit, lower_to_clifford_t,
+                               is_permutation_circuit, lift,
+                               lower_to_clifford_t,
                                parse, permutation_output, resources,
                                run_columns, schedule_layers, serialize,
                                simulate, sparse_evaluate)
@@ -142,6 +145,122 @@ def test_templates_are_exact(kind):
         return
     for j in range(1 << arity):
         assert sparse_evaluate(template, j) == ({GATE_OUTPUT[kind](j): (1, 0, 0, 0)}, 0)
+
+
+# Child code that drops the first T of the Toffoli template (and so of the
+# Fredkin one) from a copy of the package on the child's path, then imports
+# it, printing the one line of the error it raises.
+PLANTED_TEMPLATE = (
+    "import sys\n"
+    "try:\n"
+    "    import cliffordt.circuit\n"
+    "except Exception as exc:\n"
+    "    sys.exit(f'{type(exc).__module__}.{type(exc).__name__}: {exc}')\n")
+
+
+def test_a_wrong_template_fails_at_import(tmp_path):
+    package = Path(__file__).resolve().parents[1] / "src" / "cliffordt"
+    shutil.copytree(package, tmp_path / "cliffordt",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    gates_py = tmp_path / "cliffordt" / "gates.py"
+    text = gates_py.read_text(encoding="utf-8")
+    assert text.count("        t(a), t(b), t(c),\n") == 1
+    gates_py.write_text(text.replace("        t(a), t(b), t(c),\n",
+                                     "        t(b), t(c),\n"), encoding="utf-8")
+    child = run_child(code=PLANTED_TEMPLATE, env={"PYTHONPATH": str(tmp_path)})
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr == ("cliffordt.errors.CliffordTError: the ccx template "
+                            "differs from its gate on basis input 1\n")
+
+
+def test_lift_folds_each_lowered_gate_back():
+    for g in (swap(2, 0), ccx(1, 3, 0), cswap(3, 0, 2)):
+        assert lift(lower_to_clifford_t(Circuit(4, (g,))).ops) == (g,)
+    assert lift(()) == ()
+
+
+def test_lift_of_a_lowering_need_not_give_the_circuit_back():
+    # the invariant is lower(lift(L)) == L; lift(lower(c)) == c fails here
+    ops = (cnot(0, 1), cnot(1, 0), cnot(0, 1))
+    assert lift(lower_to_clifford_t(Circuit(2, ops)).ops) == (swap(0, 1),)
+
+
+def test_lift_passes_over_a_window_one_step_off():
+    steps = lower_to_clifford_t(Circuit(3, (ccx(0, 1, 2),))).ops
+    moved = steps[:4] + (cnot(2, 1),) + steps[5:]  # cnot(b, a) on (c, b)
+    assert lift(moved) == moved
+    swapped = steps[:1] + (tdg(0),) + steps[2:]  # t(a) as tdg(a)
+    assert lift(swapped) == swapped
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in sorted(BUILDERS)
+                                     for n in (1, 2, 3)]
+                         + [("taylor", 24), ("mul", 24), ("adder", 256),
+                            ("sub", 256), ("ctrladd", 128)])
+def test_lift_of_a_builders_lowering_is_its_own_gate_list(kind, n):
+    args = (5, 3, 1, 2) if kind == "taylor" else ()
+    c = BUILDERS[kind](n, *(v % (1 << n) for v in args)).circuit
+    assert lift(lower_to_clifford_t(c).ops) == c.ops
+
+
+CLIFFORD_T_1Q = ("h", "t", "tdg", "s", "sdg", "x")
+
+
+@st.composite
+def lowered_gate_lists(draw, n=4):
+    """Clifford+T gate lists on ``n`` qubits: single gates, lowered SWAP,
+    Toffoli and Fredkin windows, and such windows with one qubit or one
+    step's kind altered or bound to repeated qubits.  A step whose operands
+    collide takes another qubit for its last one."""
+    ops = []
+    for _ in range(draw(st.integers(0, 6))):
+        part = draw(st.sampled_from(("gate", "window", "qubit", "kind",
+                                     "repeat")))
+        if part == "gate":
+            kind = draw(st.sampled_from(CLIFFORD_T_1Q + ("cnot",)))
+            qubits = draw(st.permutations(range(n)))[:GATE_ARITY[kind]]
+            ops.append(Gate(kind, qubits))
+            continue
+        kind = draw(st.sampled_from(("swap", "ccx", "cswap")))
+        arity = GATE_ARITY[kind]
+        bound = (draw(st.lists(st.integers(0, n - 1), min_size=arity,
+                               max_size=arity)) if part == "repeat"
+                 else draw(st.permutations(range(n)))[:arity])
+        steps = [[step, [bound[p] for p in where]]
+                 for step, where in TEMPLATES[kind]]
+        if part == "qubit":
+            qubits = draw(st.sampled_from(steps))[1]
+            qubits[draw(st.integers(0, len(qubits) - 1))] = draw(
+                st.integers(0, n - 1))
+        elif part == "kind":  # a one-qubit kind on the step's first qubit
+            step = draw(st.sampled_from(steps))
+            step[:] = draw(st.sampled_from(CLIFFORD_T_1Q)), step[1][:1]
+        for step, qubits in steps:
+            if len(set(qubits)) < len(qubits):
+                qubits[-1] = min(set(range(n)) - set(qubits))
+            ops.append(Gate(step, qubits))
+    return tuple(ops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lowered_gate_lists())
+def test_lowering_a_lift_gives_the_gate_list_back(ops):
+    lifted = Circuit(4, lift(ops))
+    assert lower_to_clifford_t(lifted).ops == ops
+    for j in range(16):
+        assert sparse_evaluate(lifted, j) == sparse_evaluate(Circuit(4, ops), j)
+
+
+def test_simulate_runs_a_lowering_as_the_circuit_it_lowers():
+    # 5 qubits: the first H spills to the dense kernel, which then runs
+    # the lifted Toffoli gates, the very gates of the unlowered circuit
+    inst = build_adder(2)
+    front = tuple(h(q) for q in inst.circuit.layout.register("a").qubits())
+    c = Circuit(inst.circuit.n_qubits, front + inst.circuit.ops,
+                inst.circuit.layout)
+    lowered = lower_to_clifford_t(c)
+    for j in range(1 << c.n_qubits):
+        assert simulate(lowered, j).amps.tobytes() == simulate(c, j).amps.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,22 @@ def test_verify_taylor(capsys):
     assert "passed: true" in out
 
 
+def test_verify_lowered_checks_the_lowering(capsys):
+    code, out, err = run_cli(capsys, "verify", "adder", "2", "--lowered")
+    assert (code, err) == (0, "")
+    assert out == ("passed: true\nmethod: lifted\ntotal_inputs: 16\n"
+                   "mismatch_count: 0\n")
+
+
+def test_verify_lowered_json_has_the_report_schema(capsys):
+    taylor = ("verify", "taylor", "3", "--f", "5", "--fp", "3", "--fpp", "1",
+              "--c", "2", "--format", "json")
+    _, plain, _ = run_cli(capsys, *taylor)
+    code, out, _ = run_cli(capsys, *taylor, "--lowered")
+    assert code == 0
+    assert json.loads(out) == {**json.loads(plain), "method": "lifted"}
+
+
 # ---------------------------------------------------------------------------
 # rb
 # ---------------------------------------------------------------------------

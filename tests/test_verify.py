@@ -21,7 +21,7 @@ from cliffordt.arith import (BUILDERS, ArithInstance, build_adder,
 from cliffordt.circuit import (Circuit, Register, RegisterLayout,
                                lower_to_clifford_t, simulate)
 from cliffordt.errors import DomainError, FitError, ResourceError
-from cliffordt.gates import cnot, compose_matrices, h, s, t, x
+from cliffordt.gates import cnot, compose_matrices, h, s, t, tdg, x
 from cliffordt.state import make_rng
 from cliffordt.verify import (ORACLES, EquivalenceReport, NoiseModel,
                               exhaustive_check, fit_exponential_decay,
@@ -302,9 +302,12 @@ def check_instances(kind, n, variant):
 
 # sha256 of the sorted-key JSON list of exhaustive_check(...).to_dict() over
 # a case's instances: the builder itself ("plain", bit-sliced), its lowering
-# ("lowered", sparse) or every gate-deletion mutant of it ("mutants").
-# Recorded with the per-input encoder that the column packer replaced, so
-# reports, mismatch order included, are pinned across that rewrite.
+# ("lowered", lifted, but bit-sliced for sub n=1, whose lowering has no
+# Toffoli) or every gate-deletion mutant of it ("mutants").  Recorded with
+# the per-input encoder that the column packer replaced, so reports,
+# mismatch order included, are pinned across that rewrite; the "lowered"
+# ones were re-recorded when lifting renamed their method from "sparse",
+# and LOWERED_SANS_METHOD_GOLDEN pins the rest of them across that change.
 CHECK_GOLDEN = {
     ("adder", 1, "plain"): "80961093e77c1cb8c4e315d24cbd8b83daba0072045944d0083ee6e4a5b844b0",
     ("adder", 2, "plain"): "8f00db1e72ccdca5cd4478d3e524feed4d37d8ba65e4d778c7db0f017b551cad",
@@ -324,15 +327,15 @@ CHECK_GOLDEN = {
     ("taylor", 2, "plain"): "80961093e77c1cb8c4e315d24cbd8b83daba0072045944d0083ee6e4a5b844b0",
     ("taylor", 3, "plain"): "f85c3102a3cdc9372e526aa8af5c69fd4647ec3490dfb8b2e08f60201ceed5b5",
     ("taylor", 4, "plain"): "8f00db1e72ccdca5cd4478d3e524feed4d37d8ba65e4d778c7db0f017b551cad",
-    ("adder", 1, "lowered"): "b64eb9c1b892509c0c094a1f6606f1b38ee5512709de9795f522a856a68145a5",
-    ("adder", 2, "lowered"): "d7bdd0f87ec8d945001d50cca5082763c5cb57cc259adf6a8e364054e004e9e0",
+    ("adder", 1, "lowered"): "5bfd168b464bd2985b9491178b8baadf4e03d71586d801afc3ba2cdb7a3532c4",
+    ("adder", 2, "lowered"): "14a619d1c1c49fe9b600e18152e91e7119f4b76411552f104c81ff6d75e54b1e",
     ("sub", 1, "lowered"): "80961093e77c1cb8c4e315d24cbd8b83daba0072045944d0083ee6e4a5b844b0",
-    ("sub", 2, "lowered"): "d7bdd0f87ec8d945001d50cca5082763c5cb57cc259adf6a8e364054e004e9e0",
-    ("ctrladd", 1, "lowered"): "8a2abcea9fb4261e4022dc22a5ebf5c0184a8ea6ae031bf505f00348ee73d659",
-    ("mul", 1, "lowered"): "b64eb9c1b892509c0c094a1f6606f1b38ee5512709de9795f522a856a68145a5",
-    ("mul", 2, "lowered"): "d7bdd0f87ec8d945001d50cca5082763c5cb57cc259adf6a8e364054e004e9e0",
-    ("taylor", 1, "lowered"): "708ab208ab74f76d4ea3ce022ddea2f4718c1d56871bd83b86de893bbbd52547",
-    ("taylor", 2, "lowered"): "b64eb9c1b892509c0c094a1f6606f1b38ee5512709de9795f522a856a68145a5",
+    ("sub", 2, "lowered"): "14a619d1c1c49fe9b600e18152e91e7119f4b76411552f104c81ff6d75e54b1e",
+    ("ctrladd", 1, "lowered"): "f957f2892bff2834c0d9a59492b31dd31cc57d2cd84051c341506dbd74286ebb",
+    ("mul", 1, "lowered"): "5bfd168b464bd2985b9491178b8baadf4e03d71586d801afc3ba2cdb7a3532c4",
+    ("mul", 2, "lowered"): "14a619d1c1c49fe9b600e18152e91e7119f4b76411552f104c81ff6d75e54b1e",
+    ("taylor", 1, "lowered"): "76b5fd72fcd7c7adbcacab09a3d3d039cdb8413d43c90ed65ff5b2b14d934da6",
+    ("taylor", 2, "lowered"): "5bfd168b464bd2985b9491178b8baadf4e03d71586d801afc3ba2cdb7a3532c4",
     ("adder", 4, "mutants"): "b4c91f7f4d7f74482e1f2c2c0bbe46cca9da836ae234dfcfaca64ec29e30ce2b",
     ("sub", 4, "mutants"): "42069201f30a7d3ea8c35e647b742b324d2e76339d1d4d65f078ff66ed29c4ef",
     ("ctrladd", 3, "mutants"): "f12526b5c348a29c9bf46bfccfa8b1d4d3d694769ee6d9ff0b4c2ac973452efb",
@@ -559,23 +562,45 @@ def test_array_oracles_match_scalar_oracles(kind, data):
 
 
 def test_nonpermutation_circuit_takes_sparse_path():
+    # a lowering lifts back to a permutation circuit; a T and its inverse
+    # lift to nothing, so the same map with them added runs sparse
     inst = build_adder(2)
-    lowered = ArithInstance(2, lower_to_clifford_t(inst.circuit), inst.input_names)
-    report = exhaustive_check(lowered, oracle_adder(2))
-    assert report.method == "sparse"
+    lowered = lower_to_clifford_t(inst.circuit)
+    report = exhaustive_check(
+        ArithInstance(2, lowered, inst.input_names), oracle_adder(2))
+    assert report.method == "lifted"
     assert report.passed and report.total_inputs == 16
+    padded = Circuit(lowered.n_qubits, lowered.ops + (t(0), tdg(0)),
+                     lowered.layout)
+    sparse = exhaustive_check(ArithInstance(2, padded, inst.input_names),
+                              oracle_adder(2))
+    assert sparse == EquivalenceReport(16, (), True, "sparse")
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_sparse_check_proves_lowered_taylor_past_statevector_ceiling(n):
-    # 27 and 36 qubits: no statevector could hold them
+    # 27 and 36 qubits: no statevector could hold them; the lowering lifts
+    # back to its permutation circuit and runs bit-sliced
     inst = build_taylor(n, 5, 3, 1, 2)
     lowered = ArithInstance(n, lower_to_clifford_t(inst.circuit),
                             inst.input_names, inst.constants)
     assert lowered.circuit.n_qubits == 9 * n
     report = exhaustive_check(lowered, oracle_taylor(n))
-    assert report.method == "sparse"
+    assert report.method == "lifted"
     assert report.passed and report.total_inputs == 1 << n
+
+
+def test_lowered_taylor_10_proves_within_time_budget():
+    # 90 qubits, 12,520 gates, 1,024 inputs: on the sparse route, one
+    # input at a time, this took 8.5 to 9.2 s
+    inst = build_taylor(10, 5, 3, 1, 2)
+    lowered = ArithInstance(10, lower_to_clifford_t(inst.circuit),
+                            inst.input_names, inst.constants)
+    start = time.perf_counter()
+    report = exhaustive_check(lowered, oracle_taylor(10))
+    elapsed = time.perf_counter() - start
+    assert report == EquivalenceReport(1024, (), True, "lifted")
+    assert elapsed < 0.1, f"{elapsed:.3f}s exceeds 0.1s"
 
 
 def matrix_reference(inst, oracle):
