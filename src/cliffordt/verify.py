@@ -189,8 +189,8 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     ``Oracle``).  Permutation circuits (X, CNOT, SWAP, Toffoli, Fredkin)
     run bit-sliced on the whole batch (``circuit.run_columns``), and only
     rows that differ are read back, by their mask, in one ``_unpack``
-    call.  Any other circuit is lifted once, after the input space and
-    the width pass (``circuit.lift`` folds each lowered SWAP, Toffoli and
+    call.  Any other circuit is lifted once, after the input-space and
+    width checks (``circuit.lift`` folds each lowered SWAP, Toffoli and
     Fredkin window back into its gate, with the same exact map): if that
     leaves a permutation circuit, it runs bit-sliced, and else the lifted
     gates run row by row on the exact sparse evaluator
@@ -198,7 +198,8 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     spaces larger than ``MAX_CHECK_INPUTS``, circuits of more than
     ``MAX_SLICED_BITS`` qubits, an array result for a register wider than
     64 bits, and sparse runs that hold more than ``MAX_SPARSE_SUPPORT``
-    basis states at once raise ``ResourceError``.  An oracle result that is
+    basis states at once raise ``ResourceError`` (its gate index counts
+    the lifted gates).  An oracle result that is
     not a mapping, names a register the circuit lacks, or holds a value
     that does not fit its register raises ``DomainError``.
     """

@@ -306,8 +306,8 @@ def check_instances(kind, n, variant):
 # Toffoli) or every gate-deletion mutant of it ("mutants").  Recorded with
 # the per-input encoder that the column packer replaced, so reports,
 # mismatch order included, are pinned across that rewrite; the "lowered"
-# ones were re-recorded when lifting renamed their method from "sparse",
-# and LOWERED_SANS_METHOD_GOLDEN pins the rest of them across that change.
+# ones were re-recorded when lifting changed their method from "sparse" to
+# "lifted", and LOWERED_SANS_METHOD_GOLDEN pins the rest of each report.
 CHECK_GOLDEN = {
     ("adder", 1, "plain"): "80961093e77c1cb8c4e315d24cbd8b83daba0072045944d0083ee6e4a5b844b0",
     ("adder", 2, "plain"): "8f00db1e72ccdca5cd4478d3e524feed4d37d8ba65e4d778c7db0f017b551cad",
@@ -563,7 +563,7 @@ def test_array_oracles_match_scalar_oracles(kind, data):
 
 def test_nonpermutation_circuit_takes_sparse_path():
     # a lowering lifts back to a permutation circuit; a T and its inverse
-    # lift to nothing, so the same map with them added runs sparse
+    # match no template and stay, so the same map with them added runs sparse
     inst = build_adder(2)
     lowered = lower_to_clifford_t(inst.circuit)
     report = exhaustive_check(
