@@ -23,6 +23,7 @@ from cliffordt.circuit import (Circuit, Register, RegisterLayout,
 from cliffordt.errors import DomainError, FitError, ResourceError
 from cliffordt.gates import cnot, compose_matrices, h, s, t, tdg, x
 from cliffordt.state import make_rng
+from cliffordt.uncompute import BennettSpec, bennett_wrap
 from cliffordt.verify import (ORACLES, EquivalenceReport, NoiseModel,
                               exhaustive_check, fit_exponential_decay,
                               oracle_adder, oracle_multiplier,
@@ -650,6 +651,36 @@ def test_lowered_adder_without_its_first_t_keeps_its_sparse_report():
         "method": "sparse", "passed": False, "total_inputs": 16,
         "mismatches": [[1, 1, 1], [5, 6, 6], [9, 11, 11], [13, 28, 28],
                        [3, 3, 3], [7, 20, 20], [11, 25, 25], [15, 30, 30]]}
+
+
+def _wrapped_lowered_mul3(drop=None):
+    """The Bennett wrap of lowered mul n=3, every product wire copied, as
+    an instance over b and a, with gate ``drop`` deleted if given."""
+    lowered = lower_to_clifford_t(build_multiplier(3).circuit)
+    wrap = bennett_wrap(BennettSpec(
+        lowered, tuple(lowered.layout.register("p").qubits())))
+    ops = wrap.ops if drop is None else wrap.ops[:drop] + wrap.ops[drop + 1:]
+    return ArithInstance(3, Circuit(wrap.n_qubits, ops, wrap.layout),
+                         ("b", "a"))
+
+
+def _copy_product(values):
+    return {"copy": values["a"] * values["b"]}
+
+
+# sha256 of the sorted-key JSON of the report on the wrap of lowered mul
+# n=3 without its first T, recorded when only the template spelling lifted
+WRAPPED_MUTANT_GOLDEN = (
+    "bb0400f1a590f9be8daf3cc549e9ccbf226e05e1bb6f9caf623f3be8918844e0")
+
+
+def test_wrapped_lowered_mul_without_its_first_t_keeps_its_report():
+    ops = _wrapped_lowered_mul3().circuit.ops
+    drop = next(i for i, g in enumerate(ops) if g.kind == "t")
+    report = exhaustive_check(_wrapped_lowered_mul3(drop), _copy_product)
+    assert report.method == "sparse" and len(report.mismatches) == 32
+    payload = json.dumps(report.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == WRAPPED_MUTANT_GOLDEN
 
 
 
