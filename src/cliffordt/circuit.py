@@ -20,13 +20,14 @@ Evaluators: ``sparse_evaluate`` runs any circuit exactly on one basis
 input at any width (``permutation_output`` reads its one output);
 ``run_columns`` runs a permutation circuit on a batch of bit columns;
 ``simulate`` builds a statevector of at most 24 qubits.  ``lift`` folds
-each lowered SWAP, Toffoli and Fredkin window of a gate list back into its
-gate, exactly, so that ``simulate`` and ``verify.exhaustive_check`` run a
-lowered circuit at the speed of the circuit it lowers.
+each SWAP, Toffoli and Fredkin window, lowered or inverted after lowering,
+back into its gate, exactly, so ``simulate`` and ``verify.exhaustive_check``
+run a lowering, its inverse or its Bennett wrap as the circuit it lowers.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -192,8 +193,9 @@ class ResourceReport:
 
 
 def inverse_circuit(c: Circuit) -> Circuit:
-    """Reverse the gate order and invert each gate.  The result acts on
-    the qubits and layout of ``c``, so it is not checked again."""
+    """Reverse the gate order and invert each gate, on the qubits and
+    layout of ``c``, not checked again.  A lowering's templates come out
+    in their inverse spelling, which ``lift`` reads (``SPELLINGS``)."""
     return _derived_circuit(c.n_qubits, tuple(map(G.inverse, reversed(c.ops))),
                             c.layout)
 
@@ -202,9 +204,8 @@ def inverse_circuit(c: Circuit) -> Circuit:
 # (kind, operand positions) pair: swap is three ("cnot", ...) steps on
 # positions (0, 1), (1, 0), (0, 1) of the swapped qubits.  Read off the
 # ``decompose_*`` functions on wires 0, 1, 2, so the lowering has one
-# source; a Clifford+T kind is its own one step.  ``_prove_templates``,
-# once the exact evaluator below is defined, checks at import that each
-# equals its gate.
+# source; a Clifford+T kind is its own one step.  ``_prove_templates``
+# proves the SWAP, Toffoli and Fredkin ones (``SPELLINGS``) at import.
 _DECOMPOSE = {"swap": G.decompose_swap, "ccx": G.decompose_toffoli,
               "cswap": G.decompose_fredkin}
 TEMPLATES = {
@@ -257,71 +258,68 @@ def lower_to_clifford_t(c: Circuit) -> Circuit:
     return _derived_circuit(c.n_qubits, tuple(out), c.layout)
 
 
-# One character per kind, so that a gate list's kinds read as a string in
-# which each template's kinds are found by ``str.find``.
 _CODE = {kind: chr(ord("a") + i) for i, kind in enumerate(G.GATE_ARITY)}
 
 
-def _window(kind: str) -> tuple:
-    """What ``lift`` matches a window against for ``kind``: the gate kind,
-    its template's kind codes and length, a getter that reads the binding
-    of operand positions to qubits off a window's qubits laid end to end
-    (each position where the template first names it), and a getter that
-    lays out the qubits a binding gives the template's steps.  ``lift``
-    passes over a window whose first and last gates differ in qubits, so a
-    template that does not end with the step it starts with raises
-    ``CliffordTError``."""
-    template = TEMPLATES[kind]
-    if template[0] != template[-1]:
-        raise CliffordTError(f"the {kind} template does not end with the "
+def _window(kind: str, steps: tuple[Gate, ...]) -> tuple:
+    """One spelling of ``kind`` as ``lift`` reads it: the kind, the steps,
+    their count, a getter of the binding of operand positions to qubits
+    from a window's qubits laid end to end, and a getter of the qubits a
+    binding gives the steps.  ``lift`` skips a window whose ends differ,
+    so steps that do not start and end alike raise ``CliffordTError``."""
+    if steps[0] != steps[-1]:
+        raise CliffordTError(f"a {kind} spelling does not end with the "
                              "step it starts with")
-    shape = [p for _, where in template for p in where]
-    return (kind, "".join(_CODE[step] for step, _ in template), len(template),
+    shape = [p for g in steps for p in g.qubits]
+    return (kind, steps, len(steps),
             itemgetter(*map(shape.index, range(G.GATE_ARITY[kind]))),
             itemgetter(*shape))
 
 
-#: The kinds ``lift`` folds back, in the order it tries them at a position.
-_LIFTS = tuple(map(_window, ("cswap", "ccx", "swap")))
+#: The one spelling table, keyed by its kinds at one character each: the
+#: Toffoli, Fredkin and SWAP templates on wires 0, 1, 2 and their inverse
+#: spellings (reversed with T and S daggered, as ``inverse_circuit``
+#: writes them; SWAP's is its own).  No key begins another, so at most one
+#: spelling starts at a position.
+SPELLINGS = {
+    "".join(_CODE[g.kind] for g in steps): _window(kind, steps)
+    for kind in ("ccx", "cswap", "swap")
+    for template in [tuple(Gate(*step) for step in TEMPLATES[kind])]
+    for steps in (template, tuple(map(G.inverse, reversed(template))))}
+_STARTS = re.compile("|".join(SPELLINGS))
 
 
 def lift(ops: Sequence[Gate]) -> tuple[Gate, ...]:
-    """The gate list with each lowered SWAP, Toffoli and Fredkin window
-    replaced by its gate: the inverse of ``lower_to_clifford_t``.
+    """The gate list with each SWAP, Toffoli and Fredkin window of either
+    spelling in ``SPELLINGS`` replaced by its gate, in one forward scan.
 
-    One pass left to right: at each position the Fredkin, then the
-    Toffoli, then the SWAP template is tried, and a window becomes its
-    gate only when every step has the template's kind and the template's
-    qubits under one binding of distinct qubits to its operand positions.
-    Every gate no window takes stays as it was.  Each template equals its
-    gate exactly (``_prove_templates``), so the lifted list has the same
-    exact map, and ``lower_to_clifford_t`` of it gives ``ops`` back.  The
-    converse does not hold: cnot(0, 1), cnot(1, 0), cnot(0, 1) lifts to
-    swap(0, 1).  The positions where a template's kinds start are found by
-    ``str.find`` on one character per gate, and a window there is read
-    only if its first and last gates share their qubits, as each
-    template's do (see ``_window``).
+    A compiled pattern over one character per gate finds the next position
+    where a spelling's kinds start.  The window there becomes its gate when
+    its first and last gates share their qubits and every step has the
+    spelling's qubits under one binding of distinct qubits to its operand
+    positions; the scan then jumps past it, or else moves on one gate.
+    Each spelling equals its gate exactly (``_prove_templates``), so the
+    map is unchanged.  Lowering the lift gives ``ops`` back when every
+    window is a template spelling; an inverse spelling lowers to the
+    template.  Nor does a lowering always lift to its circuit: cnot(0, 1),
+    cnot(1, 0), cnot(0, 1) lifts to swap(0, 1).
     """
     codes = "".join([_CODE[g.kind] for g in ops])
-    starts = []  # (position, rank, window), sorted: the order a scan meets them
-    for rank, window in enumerate(_LIFTS):
-        at = codes.find(window[1])
-        while at >= 0:
-            starts.append((at, rank, window))
-            at = codes.find(window[1], at + 1)
-    starts.sort()
     out: list[Gate] = []
-    done = 0
+    done = at = 0
     qubits = attrgetter("qubits")
-    for at, _, (kind, _, size, binding, shape) in starts:
-        if at < done or ops[at].qubits != ops[at + size - 1].qubits:
-            continue  # inside a window already lifted, or no match
-        flat = tuple(chain.from_iterable(map(qubits, ops[at:at + size])))
-        bound = binding(flat)
-        if shape(bound) == flat and len(set(bound)) == len(bound):
-            out.extend(ops[done:at])
-            out.append(G._derived_gate(kind, bound))
-            done = at + size
+    while match := _STARTS.search(codes, at):
+        at = match.start()
+        kind, _, size, binding, shape = SPELLINGS[match.group()]
+        if ops[at].qubits == ops[at + size - 1].qubits:
+            flat = tuple(chain.from_iterable(map(qubits, ops[at:at + size])))
+            bound = binding(flat)
+            if shape(bound) == flat and len(set(bound)) == len(bound):
+                out.extend(ops[done:at])
+                out.append(G._derived_gate(kind, bound))
+                done = at = at + size
+                continue
+        at += 1
     out.extend(ops[done:])
     return tuple(out)
 
@@ -664,19 +662,19 @@ def _run_sparse(ops: Sequence[Gate], input_basis: int,
 
 
 def _prove_templates() -> None:
-    """Run each permutation kind's template on every basis input of its
+    """Run each spelling of ``SPELLINGS`` on every basis input of its
     wires with the exact evaluator, and raise ``CliffordTError`` unless
-    each lands where the gate itself does with coefficient (1, 0, 0, 0) at
+    each lands where its gate does with coefficient (1, 0, 0, 0) at
     exponent 0: amplitude exactly 1, global phase included.  The exact
     lowering and ``lift`` rest on this, so it runs at import."""
-    for kind in sorted(G.PERMUTATION_KINDS):
+    for kind, steps, *_ in SPELLINGS.values():
         wires = range(G.GATE_ARITY[kind])
-        steps = [Gate(*step) for step in TEMPLATES[kind]]
+        name = "inverse " * (steps != tuple(Gate(*s) for s in TEMPLATES[kind]))
         for j in range(1 << len(wires)):
             want = _run_sparse([Gate(kind, wires)], j, 1)[0]
             if _run_sparse(steps, j, 1 << len(wires))[:2] != (want, 0):
-                raise CliffordTError(f"the {kind} template differs from "
-                                     f"its gate on basis input {j}")
+                raise CliffordTError(f"the {name}{kind} template differs "
+                                     f"from its gate on basis input {j}")
 
 
 _prove_templates()

@@ -42,7 +42,9 @@ class BennettSpec:
 
 
 def bennett_wrap(spec: BennettSpec) -> Circuit:
-    """Build U, then CNOT fan-out of the outputs, then U inverse.
+    """Build U, then CNOT fan-out of the outputs, then U inverse
+    (``inverse_circuit``, which ``circuit.lift`` reads back in the wrap of
+    a lowered U, so the wrap runs as the wrap of the circuit U lowers).
 
     The result has exactly 2*|U| + |output_wires| gates, and its T-count
     is twice that of U (the copies are CNOTs).  Layout: inner registers

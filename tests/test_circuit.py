@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from cliffordt.arith import (BUILDERS, build_adder, build_ctrl_add,
                              build_multiplier, build_subtractor, build_taylor)
-from cliffordt.circuit import (MAX_DIGITS, OFFSETS, ROLES, TEMPLATES, Circuit,
-                               Register,
+from cliffordt.circuit import (MAX_DIGITS, OFFSETS, ROLES, SPELLINGS,
+                               TEMPLATES, Circuit, Register,
                                RegisterLayout, ResourceReport,
                                default_layout,
                                inverse_circuit,
@@ -175,8 +175,30 @@ def test_a_wrong_template_fails_at_import(tmp_path):
 
 def test_lift_folds_each_lowered_gate_back():
     for g in (swap(2, 0), ccx(1, 3, 0), cswap(3, 0, 2)):
-        assert lift(lower_to_clifford_t(Circuit(4, (g,))).ops) == (g,)
+        lowered = lower_to_clifford_t(Circuit(4, (g,)))
+        assert lift(lowered.ops) == (g,)
+        assert lift(inverse_circuit(lowered).ops) == (g,)
     assert lift(()) == ()
+
+
+# each kind's template steps as inverse_circuit of its lowering writes them
+INVERSE_SPELLINGS = {
+    kind: tuple((g.kind, g.qubits) for g in inverse_circuit(Circuit(
+        GATE_ARITY[kind], tuple(Gate(*step) for step in TEMPLATES[kind]))).ops)
+    for kind in ("swap", "ccx", "cswap")}
+
+
+def test_no_spelling_begins_another():
+    # lift reads at most one spelling at a position: were one spelling's
+    # kinds to begin another's, lift would stay exact but could miss a window
+    spellings = {(kind, spelling) for kind, inverse in INVERSE_SPELLINGS.items()
+                 for spelling in (TEMPLATES[kind], inverse)}
+    assert len(spellings) == 5  # SWAP's inverse spelling is its template
+    assert {(kind, tuple((g.kind, g.qubits) for g in steps))
+            for kind, steps, *_ in SPELLINGS.values()} == spellings
+    for (_, a), (_, b) in itertools.permutations(spellings, 2):
+        kinds = [step for step, _ in a]
+        assert [step for step, _ in b[:len(a)]] != kinds
 
 
 def test_lift_of_a_lowering_need_not_give_the_circuit_back():
@@ -200,18 +222,31 @@ def test_lift_passes_over_a_window_one_step_off():
 def test_lift_of_a_builders_lowering_is_its_own_gate_list(kind, n):
     args = (5, 3, 1, 2) if kind == "taylor" else ()
     c = BUILDERS[kind](n, *(v % (1 << n) for v in args)).circuit
-    assert lift(lower_to_clifford_t(c).ops) == c.ops
+    lowered = lower_to_clifford_t(c)
+    assert lift(lowered.ops) == c.ops
+    assert lift(inverse_circuit(lowered).ops) == inverse_circuit(c).ops
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in sorted(BUILDERS)
+                                     for n in (1, 2, 3)])
+def test_lift_of_a_wrapped_lowering_is_the_wrap_of_its_circuit(kind, n):
+    args = (5, 3, 1, 2) if kind == "taylor" else ()
+    c = BUILDERS[kind](n, *(v % (1 << n) for v in args)).circuit
+    wires = tuple(range(c.n_qubits))
+    wrap = bennett_wrap(BennettSpec(lower_to_clifford_t(c), wires))
+    assert lift(wrap.ops) == bennett_wrap(BennettSpec(c, wires)).ops
 
 
 CLIFFORD_T_1Q = ("h", "t", "tdg", "s", "sdg", "x")
 
 
 @st.composite
-def lowered_gate_lists(draw, n=4):
+def lowered_gate_lists(draw, n=4, inverse=False):
     """Clifford+T gate lists on ``n`` qubits: single gates, lowered SWAP,
     Toffoli and Fredkin windows, and such windows with one qubit or one
     step's kind altered or bound to repeated qubits.  A step whose operands
-    collide takes another qubit for its last one."""
+    collide takes another qubit for its last one.  With ``inverse``, each
+    window may take its inverse spelling in place of its template."""
     ops = []
     for _ in range(draw(st.integers(0, 6))):
         part = draw(st.sampled_from(("gate", "window", "qubit", "kind",
@@ -226,8 +261,10 @@ def lowered_gate_lists(draw, n=4):
         bound = (draw(st.lists(st.integers(0, n - 1), min_size=arity,
                                max_size=arity)) if part == "repeat"
                  else draw(st.permutations(range(n)))[:arity])
-        steps = [[step, [bound[p] for p in where]]
-                 for step, where in TEMPLATES[kind]]
+        spelling = TEMPLATES[kind]
+        if inverse and draw(st.booleans()):
+            spelling = INVERSE_SPELLINGS[kind]
+        steps = [[step, [bound[p] for p in where]] for step, where in spelling]
         if part == "qubit":
             qubits = draw(st.sampled_from(steps))[1]
             qubits[draw(st.integers(0, len(qubits) - 1))] = draw(
@@ -251,6 +288,18 @@ def test_lowering_a_lift_gives_the_gate_list_back(ops):
         assert sparse_evaluate(lifted, j) == sparse_evaluate(Circuit(4, ops), j)
 
 
+@settings(max_examples=300, deadline=None)
+@given(lowered_gate_lists(inverse=True))
+@example(tuple(Gate(step, tuple(3 - q for q in where)) for step, where
+               in INVERSE_SPELLINGS["ccx"] + INVERSE_SPELLINGS["cswap"]))
+def test_lift_keeps_the_map_of_either_spelling(ops):
+    # lower(lift(L)) == L fails for an inverse spelling, which lowers to
+    # the template, so the map is what lift keeps
+    lifted = Circuit(4, lift(ops))
+    for j in range(16):
+        assert sparse_evaluate(lifted, j) == sparse_evaluate(Circuit(4, ops), j)
+
+
 def test_simulate_runs_a_lowering_as_the_circuit_it_lowers():
     # 5 qubits: the first H spills to the dense kernel, which then runs
     # the lifted Toffoli gates, the very gates of the unlowered circuit
@@ -261,6 +310,33 @@ def test_simulate_runs_a_lowering_as_the_circuit_it_lowers():
     lowered = lower_to_clifford_t(c)
     for j in range(1 << c.n_qubits):
         assert simulate(lowered, j).amps.tobytes() == simulate(c, j).amps.tobytes()
+
+
+def _wraps(c, register):
+    """The Bennett wraps of ``c``'s lowering and of ``c`` itself, each
+    copying the qubits of ``register``."""
+    wires = tuple(c.layout.register(register).qubits())
+    return (bennett_wrap(BennettSpec(lower_to_clifford_t(c), wires)),
+            bennett_wrap(BennettSpec(c, wires)))
+
+
+def test_simulate_runs_a_wrapped_lowering_as_the_wrap_of_its_circuit():
+    # both halves lift, the inverse one from its inverse spelling: on basis
+    # inputs of mul n=2 the run stays sparse, and with H gates on adder
+    # n=2's a the first H spills to the dense kernel, which then runs the
+    # very gates of the unlowered wrap
+    inst = build_multiplier(2)
+    lowered, plain = _wraps(inst.circuit, "p")
+    for a, b in itertools.product(range(4), repeat=2):
+        j = inst.encode({"a": a, "b": b})
+        assert simulate(lowered, j).amps.tobytes() == simulate(plain, j).amps.tobytes()
+    inst = build_adder(2)
+    front = tuple(h(q) for q in inst.circuit.layout.register("a").qubits())
+    c = Circuit(inst.circuit.n_qubits, front + inst.circuit.ops,
+                inst.circuit.layout)
+    lowered, plain = _wraps(c, "b")
+    for j in range(1 << c.n_qubits):
+        assert simulate(lowered, j).amps.tobytes() == simulate(plain, j).amps.tobytes()
 
 
 # ---------------------------------------------------------------------------

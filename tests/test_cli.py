@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from cliffordt import cli
-from cliffordt.circuit import parse
+from cliffordt.arith import build_adder
+from cliffordt.circuit import Circuit, lower_to_clifford_t, parse, serialize
+from cliffordt.gates import h
 from cliffordt.cli import main
 from helpers import CLI_MAIN, run_child
 
@@ -430,6 +432,28 @@ def test_uncompute_verb(tmp_path, capsys):
     wrapped = parse(dst.read_text())
     assert wrapped.n_qubits == 4
     assert len(wrapped.ops) == 3
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sim_of_an_uncomputed_lowering_is_sim_of_the_uncomputed_circuit(
+        tmp_path, capsys, fmt):
+    # adder n=2 after H gates on a: the wrap of its lowering lifts, both
+    # halves, to the wrap of the circuit, so sim prints the same bytes
+    inst = build_adder(2)
+    front = tuple(h(q) for q in inst.circuit.layout.register("a").qubits())
+    c = Circuit(inst.circuit.n_qubits, front + inst.circuit.ops,
+                inst.circuit.layout)
+    outs = []
+    for name, circ in (("plain", c), ("lowered", lower_to_clifford_t(c))):
+        src, dst = tmp_path / f"{name}.qc", tmp_path / f"{name}-wrap.qc"
+        src.write_text(serialize(circ))
+        assert run_cli(capsys, "uncompute", str(src), "--wires", "0,1",
+                       "--out", str(dst)) == (0, "", "")
+        code, out, err = run_cli(capsys, "sim", str(dst), "--input", "9",
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[1] == outs[0]
 
 
 # ---------------------------------------------------------------------------

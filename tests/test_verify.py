@@ -7,6 +7,7 @@ import sys
 import time
 import warnings
 from decimal import Decimal
+from itertools import chain
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,8 @@ from cliffordt.arith import (BUILDERS, ArithInstance, build_adder,
                              build_ctrl_add, build_multiplier,
                              build_subtractor, build_taylor)
 from cliffordt.circuit import (Circuit, Register, RegisterLayout,
-                               lower_to_clifford_t, simulate)
+                               inverse_circuit, lift, lower_to_clifford_t,
+                               simulate)
 from cliffordt.errors import DomainError, FitError, ResourceError
 from cliffordt.gates import cnot, compose_matrices, h, s, t, tdg, x
 from cliffordt.state import make_rng
@@ -604,6 +606,24 @@ def test_lowered_taylor_10_proves_within_time_budget():
     assert elapsed < 0.1, f"{elapsed:.3f}s exceeds 0.1s"
 
 
+def test_respelled_lowered_taylor_10_proves_within_time_budget():
+    # each template in the spelling inverse_circuit writes of it: the same
+    # map, which took 4 to 9 s on the sparse route
+    inst = build_taylor(10, 5, 3, 1, 2)
+    n = inst.circuit.n_qubits
+    spelled = {g: inverse_circuit(lower_to_clifford_t(Circuit(n, (g,)))).ops
+               for g in set(inst.circuit.ops)}
+    ops = tuple(chain.from_iterable(map(spelled.__getitem__, inst.circuit.ops)))
+    assert ops != lower_to_clifford_t(inst.circuit).ops
+    respelled = ArithInstance(10, Circuit(n, ops, inst.circuit.layout),
+                              inst.input_names, inst.constants)
+    start = time.perf_counter()
+    report = exhaustive_check(respelled, oracle_taylor(10))
+    elapsed = time.perf_counter() - start
+    assert report == EquivalenceReport(1024, (), True, "lifted")
+    assert elapsed < 0.1, f"{elapsed:.3f}s exceeds 0.1s"
+
+
 def matrix_reference(inst, oracle):
     """The sparse check, rebuilt from the circuit's full unitary: a row
     passes when its column is the expected basis state with amplitude 1,
@@ -672,6 +692,18 @@ def _copy_product(values):
 # n=3 without its first T, recorded when only the template spelling lifted
 WRAPPED_MUTANT_GOLDEN = (
     "bb0400f1a590f9be8daf3cc549e9ccbf226e05e1bb6f9caf623f3be8918844e0")
+
+
+def test_wrapped_lowered_mul_proves_as_the_wrap_of_its_circuit():
+    # the wrap's inverse half lifts from its inverse spelling, so all 831
+    # gates fold to the 81 of the wrap of unlowered mul n=3
+    inst = _wrapped_lowered_mul3()
+    mul = build_multiplier(3).circuit
+    wrap = bennett_wrap(BennettSpec(mul, tuple(mul.layout.register("p").qubits())))
+    assert (len(inst.circuit.ops), len(wrap.ops)) == (831, 81)
+    assert lift(inst.circuit.ops) == wrap.ops
+    report = exhaustive_check(inst, _copy_product)
+    assert report == EquivalenceReport(64, (), True, "lifted")
 
 
 def test_wrapped_lowered_mul_without_its_first_t_keeps_its_report():
