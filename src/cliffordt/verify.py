@@ -190,10 +190,10 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     run bit-sliced on the whole batch (``circuit.run_columns``), and only
     rows that differ are read back, by their mask, in one ``_unpack``
     call.  Any other circuit is lifted once, after the input-space and
-    width checks (``circuit.lift`` folds each lowered SWAP, Toffoli and
-    Fredkin window back into its gate, with the same exact map): if that
-    leaves a permutation circuit, it runs bit-sliced, and else the lifted
-    gates run row by row on the exact sparse evaluator
+    width checks (``circuit.lift`` folds each SWAP, Toffoli and Fredkin
+    window of either spelling into its gate, with the same exact map): if
+    that leaves a permutation circuit, it runs bit-sliced, and else the
+    lifted gates run row by row on the exact sparse evaluator
     (``circuit.sparse_evaluate``).  All work at any width.  Input
     spaces larger than ``MAX_CHECK_INPUTS``, circuits of more than
     ``MAX_SLICED_BITS`` qubits, an array result for a register wider than

@@ -196,9 +196,9 @@ def test_no_spelling_begins_another():
     assert len(spellings) == 5  # SWAP's inverse spelling is its template
     assert {(kind, tuple((g.kind, g.qubits) for g in steps))
             for kind, steps, *_ in SPELLINGS.values()} == spellings
-    for (_, a), (_, b) in itertools.permutations(spellings, 2):
-        kinds = [step for step, _ in a]
-        assert [step for step, _ in b[:len(a)]] != kinds
+    kinds = [tuple(step for step, _ in spelling) for _, spelling in spellings]
+    for a, b in itertools.permutations(kinds, 2):
+        assert b[:len(a)] != a
 
 
 def test_lift_of_a_lowering_need_not_give_the_circuit_back():
