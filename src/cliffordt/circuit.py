@@ -23,6 +23,7 @@ input at any width (``permutation_output`` reads its one output);
 each SWAP, Toffoli and Fredkin window, lowered or inverted after lowering,
 back into its gate, exactly, so ``simulate`` and ``verify.exhaustive_check``
 run a lowering, its inverse or its Bennett wrap as the circuit it lowers.
+Both read the lift each circuit makes once and keeps (``Circuit._lifted``).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Sequence
@@ -133,7 +135,8 @@ def default_layout(n_qubits: int) -> RegisterLayout:
 class Circuit:
     """An ordered gate list over a register-structured qubit space.
 
-    ``n_qubits`` is stored as a Python int (see ``errors.check_count``)."""
+    ``n_qubits`` is stored as a Python int (see ``errors.check_count``).
+    ``_lifted`` is ``lift(ops)``, made on first use and kept."""
 
     n_qubits: int
     ops: tuple[Gate, ...] = ()
@@ -153,14 +156,21 @@ class Circuit:
             raise DomainError(
                 f"gate {g.kind} {show(g.qubits)} exceeds {show(n)} qubits")
 
+    @cached_property
+    def _lifted(self) -> tuple[Gate, ...]:
+        """``lift(self.ops)``, exact because ``ops`` never changes.  Not a
+        field, so equality, hashing and ``repr`` ignore it."""
+        return lift(self.ops)
+
 
 def _derived_circuit(n_qubits: int, ops: tuple[Gate, ...],
                      layout: RegisterLayout) -> Circuit:
     """A ``Circuit`` made without ``__post_init__``'s checks, for a
     caller that already holds them: ``n_qubits`` is positive, ``layout``
     partitions it, and every op fits it.  Only ``inverse_circuit``,
-    ``lower_to_clifford_t`` (whose ops use the input circuit's qubits)
-    and ``parse`` (which range-checks every distinct gate line) call it."""
+    ``lower_to_clifford_t`` (whose ops use the input circuit's qubits),
+    ``parse`` (which range-checks every distinct gate line) and
+    ``verify.exhaustive_check`` (which lifts a checked circuit) call it."""
     c = object.__new__(Circuit)
     object.__setattr__(c, "n_qubits", n_qubits)
     object.__setattr__(c, "ops", ops)
@@ -741,21 +751,23 @@ def simulate(c: Circuit, input_basis: int) -> StateVector:
     """Full statevector of the circuit run on one basis input.
 
     The gates are lifted first (``lift``), so a lowered Toffoli runs as
-    one bit flip, not 16 gates.  The run starts on the exact sparse
-    evaluator (see ``sparse_evaluate``) and converts its map to a
-    ``StateVector`` once, at the end.  When an H gate leaves more basis
+    one bit flip, not 16 gates; the lift is made on the circuit's first
+    call and kept on it (``Circuit._lifted``).  The run starts on the
+    exact sparse evaluator (see ``sparse_evaluate``) and converts its map
+    to a ``StateVector`` once, at the end.  When an H gate leaves more basis
     states in superposition than ``_spill_support`` allows for the width,
     the map is scattered into one (2,)*n buffer and the remaining lifted
     gates are applied to it in place by the dense kernel.  Capped at 24
-    qubits, checked after the input index.  Pure and reentrant, so
-    distinct basis inputs may be evaluated concurrently.
+    qubits, checked after the input index.  Reentrant, so distinct basis
+    inputs may be evaluated concurrently: a race on the first call can
+    only compute the same lifted tuple twice, and nothing else is shared.
     """
     import numpy as np
 
     n = c.n_qubits
     input_basis = check_index(n, input_basis)
     check_width(n)
-    ops = lift(c.ops)
+    ops = c._lifted
     amps, k, applied = _run_sparse(ops, input_basis, _spill_support(n))
     vec = np.zeros(1 << n, dtype=complex)
     for j, v in amps.items():

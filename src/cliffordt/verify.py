@@ -37,8 +37,8 @@ from math import isfinite, log, sqrt
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .arith import ArithInstance
-from .circuit import (Circuit, is_permutation_circuit, lift, run_columns,
-                      simulate, sparse_evaluate)
+from .circuit import (Circuit, _derived_circuit, is_permutation_circuit,
+                      run_columns, simulate, sparse_evaluate)
 from .errors import (DomainError, FitError, ResourceError, check_int,
                      check_real, check_register_value, check_shots, show)
 from .gates import Gate, h, sdg
@@ -189,17 +189,18 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
     ``Oracle``).  Permutation circuits (X, CNOT, SWAP, Toffoli, Fredkin)
     run bit-sliced on the whole batch (``circuit.run_columns``), and only
     rows that differ are read back, by their mask, in one ``_unpack``
-    call.  Any other circuit is lifted once, after the input-space and
-    width checks (``circuit.lift`` folds each SWAP, Toffoli and Fredkin
-    window of either spelling into its gate, with the same exact map): if
-    that leaves a permutation circuit, it runs bit-sliced, and else the
-    lifted gates run row by row on the exact sparse evaluator
-    (``circuit.sparse_evaluate``).  All work at any width.  Input
-    spaces larger than ``MAX_CHECK_INPUTS``, circuits of more than
-    ``MAX_SLICED_BITS`` qubits, an array result for a register wider than
-    64 bits, and sparse runs that hold more than ``MAX_SPARSE_SUPPORT``
-    basis states at once raise ``ResourceError`` (its gate index counts
-    the lifted gates).  An oracle result that is
+    call.  Any other circuit is lifted after the input-space and width
+    checks, by reading the lift it keeps (``Circuit._lifted``: once per
+    circuit, shared with ``simulate``; ``circuit.lift`` folds each SWAP,
+    Toffoli and Fredkin window of either spelling into its gate, with
+    the same exact map): if that leaves a permutation circuit, it runs
+    bit-sliced, and else the lifted gates run row by row on the exact
+    sparse evaluator (``circuit.sparse_evaluate``).  All work at any
+    width.  Input spaces larger than ``MAX_CHECK_INPUTS``, circuits of
+    more than ``MAX_SLICED_BITS`` qubits, an array result for a register
+    wider than 64 bits, and sparse runs that hold more than
+    ``MAX_SPARSE_SUPPORT`` basis states at once raise ``ResourceError``
+    (its gate index counts the lifted gates).  An oracle result that is
     not a mapping, names a register the circuit lacks, or holds a value
     that does not fit its register raises ``DomainError``.
     """
@@ -219,7 +220,7 @@ def exhaustive_check(instance: ArithInstance, oracle: Oracle) -> EquivalenceRepo
                             "-bit limit of the bit-sliced evaluator")
     method = "bitsliced"
     if not is_permutation_circuit(circ):
-        circ = Circuit(n, lift(circ.ops), layout)
+        circ = _derived_circuit(n, circ._lifted, layout)
         method = "lifted" if is_permutation_circuit(circ) else "sparse"
     constants = instance.constants
     counter = instance.counter()

@@ -1,12 +1,15 @@
 """Circuit IR: inversion, lowering, scheduling, metrics, text format."""
 
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import shutil
 import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cliffordt.arith import (BUILDERS, build_adder, build_ctrl_add,
-                             build_multiplier, build_subtractor, build_taylor)
+from cliffordt import circuit as circuit_module
+from cliffordt.arith import (BUILDERS, ArithInstance, build_adder,
+                             build_ctrl_add, build_multiplier,
+                             build_subtractor, build_taylor)
 from cliffordt.circuit import (MAX_DIGITS, OFFSETS, ROLES, SPELLINGS,
                                TEMPLATES, Circuit, Register,
                                RegisterLayout, ResourceReport,
@@ -34,7 +39,7 @@ from cliffordt.gates import (GATE_ARITY, PERMUTATION_KINDS, Gate, ccx, cnot,
                              tdg, x)
 from cliffordt.state import new_basis_state
 from cliffordt.uncompute import BennettSpec, bennett_wrap
-from cliffordt.verify import _pack, _unpack
+from cliffordt.verify import _pack, _unpack, exhaustive_check, oracle_adder
 from helpers import run_child
 
 SQ2 = 1 / np.sqrt(2)
@@ -337,6 +342,124 @@ def test_simulate_runs_a_wrapped_lowering_as_the_wrap_of_its_circuit():
     lowered, plain = _wraps(c, "b")
     for j in range(1 << c.n_qubits):
         assert simulate(lowered, j).amps.tobytes() == simulate(plain, j).amps.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the lift kept on each circuit
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def lift_calls(monkeypatch):
+    """The gate count of each ``circuit.lift`` call made from now on."""
+    calls = []
+
+    def counted(ops):
+        calls.append(len(ops))
+        return lift(ops)
+    monkeypatch.setattr(circuit_module, "lift", counted)
+    return calls
+
+
+def _mul_inputs(inst, count):
+    return [inst.encode({"a": a, "b": b})
+            for a, b in itertools.islice(
+                itertools.product(range(1 << inst.n_bits), repeat=2), count)]
+
+
+def test_simulate_lifts_a_circuit_once(lift_calls):
+    inst = build_multiplier(3)
+    lowered = lower_to_clifford_t(inst.circuit)
+    for j in _mul_inputs(inst, 12):
+        simulate(lowered, j)
+    assert lift_calls == [len(lowered.ops)]
+
+
+def test_a_proof_and_a_simulation_share_one_lift(lift_calls):
+    inst = build_adder(2)
+    lowered = lower_to_clifford_t(inst.circuit)
+    report = exhaustive_check(ArithInstance(2, lowered, inst.input_names),
+                              oracle_adder(2))
+    assert report.passed and report.method == "lifted"
+    assert lift_calls == [len(lowered.ops)]
+    simulate(lowered, 3)
+    assert lift_calls == [len(lowered.ops)]
+    # a permutation circuit runs bit-sliced as it is, never lifted
+    assert exhaustive_check(inst, oracle_adder(2)).method == "bitsliced"
+    assert lift_calls == [len(lowered.ops)]
+    assert "_lifted" not in vars(inst.circuit)
+
+
+def _spilled_adder():
+    """Adder n=2 with H on each qubit of a: its lowering spills on its
+    first H (see ``test_simulate_runs_a_lowering_as_the_circuit_it_lowers``)."""
+    inst = build_adder(2)
+    front = tuple(h(q) for q in inst.circuit.layout.register("a").qubits())
+    return Circuit(inst.circuit.n_qubits, front + inst.circuit.ops,
+                   inst.circuit.layout)
+
+
+@pytest.mark.parametrize("make, inputs", [
+    (lambda: lower_to_clifford_t(build_multiplier(2).circuit),
+     _mul_inputs(build_multiplier(2), 16)),
+    (lambda: lower_to_clifford_t(_spilled_adder()), range(32)),
+    (lambda: _wraps(build_multiplier(2).circuit, "p")[0],
+     _mul_inputs(build_multiplier(2), 16)),
+], ids=["basis", "spilled", "wrapped"])
+def test_simulate_of_a_kept_lift_is_byte_identical(make, inputs):
+    c = make()
+    first = [simulate(c, j).amps.tobytes() for j in inputs]
+    assert "_lifted" in vars(c)
+    assert [simulate(c, j).amps.tobytes() for j in inputs] == first
+    fresh = Circuit(c.n_qubits, c.ops, c.layout)
+    assert "_lifted" not in vars(fresh)
+    assert [simulate(fresh, j).amps.tobytes() for j in inputs] == first
+
+
+@pytest.mark.parametrize("make", [
+    lambda c: Circuit(c.n_qubits, c.ops, c.layout),
+    lower_to_clifford_t,
+    lambda c: inverse_circuit(lower_to_clifford_t(c)),
+    lambda c: parse(serialize(lower_to_clifford_t(c))),
+], ids=["Circuit", "lower_to_clifford_t", "inverse_circuit", "parse"])
+def test_each_circuit_keeps_its_lift(make):
+    c = make(build_multiplier(2).circuit)
+    assert "_lifted" not in vars(c)
+    kept = c._lifted
+    assert kept == lift(c.ops)
+    assert c._lifted is kept
+
+
+def test_a_kept_lift_leaves_equality_hash_and_copies_alone():
+    lowered = lower_to_clifford_t(build_adder(2).circuit)
+    twin = Circuit(lowered.n_qubits, lowered.ops, lowered.layout)
+    kept = lowered._lifted
+    assert "_lifted" not in vars(twin)
+    assert lowered == twin and twin == lowered
+    assert hash(lowered) == hash(twin) and repr(lowered) == repr(twin)
+    expected = [simulate(twin, j).amps.tobytes() for j in range(32)]
+    for copied in (pickle.loads(pickle.dumps(lowered)), copy.deepcopy(lowered)):
+        assert vars(copied)["_lifted"] == kept
+        assert copied == lowered and hash(copied) == hash(lowered)
+        assert [simulate(copied, j).amps.tobytes() for j in range(32)] == expected
+
+
+def test_concurrent_first_calls_match_a_sequential_run():
+    # 4 threads, switching often, race on the shared circuit's first lift
+    inst = build_multiplier(3)
+    inputs = _mul_inputs(inst, 8)
+    sequential = lower_to_clifford_t(inst.circuit)
+    expected = [simulate(sequential, j).amps.tobytes() for j in inputs]
+    shared = lower_to_clifford_t(inst.circuit)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(simulate, shared, j) for j in inputs]
+            got = [f.result(timeout=60).amps.tobytes() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    assert shared._lifted == sequential._lifted
 
 
 # ---------------------------------------------------------------------------
