@@ -23,7 +23,7 @@ from cliffordt.circuit import (Circuit, Register, RegisterLayout,
                                inverse_circuit, lift, lower_to_clifford_t,
                                simulate)
 from cliffordt.errors import DomainError, FitError, ResourceError
-from cliffordt.gates import cnot, compose_matrices, h, s, t, tdg, x
+from cliffordt.gates import ccx, cnot, compose_matrices, h, s, t, tdg, x
 from cliffordt.state import make_rng
 from cliffordt.uncompute import BennettSpec, bennett_wrap
 from cliffordt.verify import (ORACLES, EquivalenceReport, NoiseModel,
@@ -578,6 +578,17 @@ def test_nonpermutation_circuit_takes_sparse_path():
     sparse = exhaustive_check(ArithInstance(2, padded, inst.input_names),
                               oracle_adder(2))
     assert sparse == EquivalenceReport(16, (), True, "sparse")
+
+
+def test_sparse_check_names_the_lifted_gate_past_its_limit():
+    # a lowered Toffoli (16 gates) lifts to one, so the 17th H is lifted
+    # gate 17, not gate 32 of the circuit as written
+    front = lower_to_clifford_t(Circuit(17, (ccx(0, 1, 2),))).ops
+    c = Circuit(17, front + tuple(h(q) for q in range(17)),
+                RegisterLayout((Register("a", 0, 1, "input"),
+                                Register("z", 1, 16, "ancilla"))))
+    with pytest.raises(ResourceError, match=r"after gate 17 exceeds"):
+        exhaustive_check(ArithInstance(1, c, ("a",)), lambda v: {})
 
 
 @pytest.mark.parametrize("n", [3, 4])
